@@ -68,6 +68,17 @@ def parse_eps(text: str) -> float:
         raise ValueError(f"cannot parse eps {text!r}; use a decimal or 2^-k") from None
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs`` value: a whole number of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_network(kind: str, args: argparse.Namespace):
     if kind == "square":
         return square_net(args.eps)
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("network", help="interchange file produced by build")
     verify.add_argument("--samples", type=int, default=100000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_worker_count, default=1)
     verify.add_argument("--C", type=float, default=2.0)
     verify.add_argument("--sobolev", action="store_true",
                         help="also check the Jacobian against the exact product")

@@ -7,7 +7,9 @@ are the single source of truth for these layouts.
 
 Generation is deterministic per sample index (see :mod:`.rng`): row i of a
 dataset depends only on (seed, i), never on `count` or on any partitioning
-of the generation loop. Rayleigh-style channel entries are produced by the
+of the generation loop. Rows are generated in fixed blocks, each drawn with
+one :func:`.rng.uniform_rows` call and multiplied out with one stacked
+product. Rayleigh-style channel entries are produced by the
 fixed-consumption Box-Muller transform, scaled so each real component has
 variance 1/2, then hard-clipped so every entry is certain to lie inside the
 approximation domain; the number of clipped entries lands in the meta block.
@@ -26,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .rng import normals, stream
+from .rng import box_muller, uniform_rows
 
 __all__ = [
     "Dataset",
@@ -77,11 +79,15 @@ def pack_matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def unpack_matvec(v: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """W and x from a packed vector, or stacks of them from a stack of rows.
+
+    A ``(..., m*n + n)`` input gives W of shape ``(..., m, n)`` (a view) and
+    x of shape ``(..., n)`` (a copy).
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (m * n + n,):
+    if v.ndim == 0 or v.shape[-1] != m * n + n:
         raise ValueError(f"expected a vector of width {m * n + n}, got {v.shape}")
-    W = v[: m * n].reshape((m, n), order="F")
-    return W, v[m * n:].copy()
+    return _column_major(v[..., : m * n], m, n), v[..., m * n:].copy()
 
 
 def pack_complex(W1, W2, x1, x2) -> np.ndarray:
@@ -103,15 +109,38 @@ def pack_complex(W1, W2, x1, x2) -> np.ndarray:
 
 
 def unpack_complex(v: np.ndarray, m: int, n: int):
+    """W1, W2, x1, x2 from a packed vector, or stacks of them, as in :func:`unpack_matvec`."""
     v = np.asarray(v, dtype=np.float64)
     block = m * n
-    if v.shape != (2 * block + 2 * n,):
+    if v.ndim == 0 or v.shape[-1] != 2 * block + 2 * n:
         raise ValueError(f"expected a vector of width {2 * block + 2 * n}, got {v.shape}")
-    W1 = v[:block].reshape((m, n), order="F")
-    W2 = v[block: 2 * block].reshape((m, n), order="F")
-    x1 = v[2 * block: 2 * block + n].copy()
-    x2 = v[2 * block + n:].copy()
+    W1 = _column_major(v[..., :block], m, n)
+    W2 = _column_major(v[..., block: 2 * block], m, n)
+    x1 = v[..., 2 * block: 2 * block + n].copy()
+    x2 = v[..., 2 * block + n:].copy()
     return W1, W2, x1, x2
+
+
+def _column_major(vec: np.ndarray, m: int, n: int) -> np.ndarray:
+    """(..., m, n) matrices read column-major from the last axis of `vec` (a view)."""
+    return vec.reshape(vec.shape[:-1] + (n, m)).swapaxes(-1, -2)
+
+
+def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x for one (m, n) matrix and n-vector, or for stacks (k, m, n) and (k, n).
+
+    A stack goes through one ``np.matmul`` call, which computes each product
+    with the same kernel as a plain ``W @ x`` on that pair.
+    """
+    return np.matmul(W, x[..., None])[..., 0]
+
+
+# Rows generated per pass, so scratch memory does not grow with `count`.
+_ROW_BLOCK = 2048
+
+
+def _row_blocks(total: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _ROW_BLOCK, total)) for lo in range(0, total, _ROW_BLOCK)]
 
 
 def equispaced_real_dataset(
@@ -139,15 +168,12 @@ def equispaced_real_dataset(
     entries = m * n + n
     inputs = np.empty((count, entries))
     targets = np.empty((count, m))
-    for i in range(count):
-        gen = stream(seed, i)
-        u = gen.random(entries)
+    for lo, hi in _row_blocks(count):
+        u = uniform_rows(seed, lo, hi, entries)
         j = np.floor(u * grid_points).astype(np.int64)
         np.clip(j, 0, grid_points - 1, out=j)
-        row = -h + (2.0 * h) * (j / (grid_points - 1))
-        inputs[i] = row
-        W, x = unpack_matvec(row, m, n)
-        targets[i] = W @ x
+        inputs[lo:hi] = -h + (2.0 * h) * (j / (grid_points - 1))
+        targets[lo:hi] = _matvec(*unpack_matvec(inputs[lo:hi], m, n))
     meta = {
         "kind": "equispaced_real",
         "m": m,
@@ -190,26 +216,29 @@ def qpsk_rayleigh_dataset(
     if not clip > 0:
         raise ValueError(f"clip must be positive, got {clip}")
     block = m * n
-    inputs = np.empty((count + 1, 2 * block + 2 * n))
-    targets = np.empty((count + 1, 2 * m))
+    rows = count + 1
+    inputs = np.empty((rows, 2 * block + 2 * n))
+    targets = np.empty((rows, 2 * m))
     clipped = 0
-    for i in range(count + 1):
-        gen = stream(seed, i)
-        z = normals(gen, 2 * block) * _QPSK_LEVEL
-        su = gen.random(2 * n)
-        symbols = np.where(su < 0.5, -_QPSK_LEVEL, _QPSK_LEVEL)
-        if i == count:
-            z = np.zeros(2 * block)
-        else:
-            clipped += int(np.count_nonzero(np.abs(z) > clip))
-            z = np.clip(z, -clip, clip)
-        W1 = z[:block].reshape((m, n), order="F")
-        W2 = z[block:].reshape((m, n), order="F")
-        x1 = symbols[:n]
-        x2 = symbols[n:]
-        inputs[i] = pack_complex(W1, W2, x1, x2)
-        targets[i, :m] = W1 @ x1 - W2 @ x2
-        targets[i, m:] = W1 @ x2 + W2 @ x1
+    for lo, hi in _row_blocks(rows):
+        # Per row, the stream is read as Box-Muller u1 (block uniforms), then
+        # u2 (block), then 2n symbol flips: the draws of normals() followed
+        # by gen.random(2 * n) on stream(seed, i).
+        u = uniform_rows(seed, lo, hi, inputs.shape[1])
+        z1, z2 = box_muller(u[:, :block], u[:, block: 2 * block])
+        z = inputs[lo:hi, : 2 * block]
+        z[:, 0::2] = z1
+        z[:, 1::2] = z2
+        z *= _QPSK_LEVEL
+        drawn = z[: min(hi, count) - lo]
+        clipped += int(np.count_nonzero(np.abs(drawn) > clip))
+        np.clip(drawn, -clip, clip, out=drawn)
+        if hi == rows:
+            z[-1] = 0.0
+        inputs[lo:hi, 2 * block:] = np.where(u[:, 2 * block:] < 0.5, -_QPSK_LEVEL, _QPSK_LEVEL)
+        W1, W2, x1, x2 = unpack_complex(inputs[lo:hi], m, n)
+        targets[lo:hi, :m] = _matvec(W1, x1) - _matvec(W2, x2)
+        targets[lo:hi, m:] = _matvec(W1, x2) + _matvec(W2, x1)
     meta = {
         "kind": "qpsk_rayleigh",
         "m": m,

@@ -45,9 +45,15 @@ def network_from_document(doc: dict) -> Fnn:
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ValueError("not a network document: 'layers' must be a nonempty list")
     layers = []
-    for entry in raw_layers:
-        layers.append(Layer(np.array(entry["weights"], dtype=np.float64),
-                            np.array(entry["bias"], dtype=np.float64)))
+    for k, entry in enumerate(raw_layers, start=1):
+        try:
+            weights, bias = entry["weights"], entry["bias"]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"not a network document: layer {k} needs 'weights' and 'bias'"
+            ) from None
+        layers.append(Layer(np.array(weights, dtype=np.float64),
+                            np.array(bias, dtype=np.float64)))
     meta = doc.get("meta") or {}
     record = None
     if "kind" in meta:

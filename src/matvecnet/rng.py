@@ -12,6 +12,20 @@ the sample index placed in the Philox counter block. Consequences:
   one index, used when a sample must be redrawn (for instance to move off a
   rectifier kink) without shifting anyone else's randomness.
 
+:func:`stream` is the reference: it opens numpy's own Philox4x64-10
+generator for one (seed, index, lane). :func:`uniform_rows` is the batched
+path and returns bit-for-bit the same uniforms for a whole range of indices
+at once. Philox is a pure function of (key, counter) (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so every counter
+block of the range is pushed through the ten rounds together in uint64
+array arithmetic, with the 64x64 -> 128-bit multiply done on 32-bit halves.
+The key is ``[seed mod 2^64, 0]``. Generator ``stream(seed, i, lane)``
+starts from counter ``[0, lane, i, 0]``, and numpy increments the counter
+before it generates, so its k-th block of four words (k = 0, 1, ...) is
+Philox of counter ``[k + 1, lane, i, 0]``. Uniform j of the row is word j of
+that sequence, mapped to [0, 1) as ``(word >> 11) * 2^-53``, exactly as
+``Generator.random`` does.
+
 Normal deviates come from an explicit Box-Muller transform rather than the
 generator's own ziggurat method because Box-Muller consumes a fixed number
 of uniforms per deviate. Rejection-style samplers consume a data-dependent
@@ -22,9 +36,23 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "box_muller", "normals"]
+__all__ = ["stream", "uniform_rows", "box_muller", "normals"]
 
 _MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT_DOUBLE = np.uint64(11)
+
+# Philox4x64 round multipliers and Weyl key increments (Random123 constants,
+# the ones numpy's Philox uses).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_WORDS_PER_BLOCK = 4
+
+# Counter blocks computed per pass of uniform_rows; bounds its scratch
+# memory (a few dozen arrays of this many uint64s) for any row count.
+_BLOCKS_PER_PASS = 1 << 15
 
 
 def stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
@@ -34,6 +62,66 @@ def stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
     counter = np.array([0, lane, index, 0], dtype=np.uint64)
     key = np.uint64(int(seed) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b.
+
+    numpy has no 128-bit integers, so the high word is assembled from the
+    four 32 x 32 -> 64-bit partial products; no intermediate sum overflows.
+    """
+    a_lo = np.uint64(a & 0xFFFFFFFF)
+    a_hi = np.uint64(a >> 32)
+    b_lo = b & _LOW32
+    b_hi = b >> _SHIFT32
+    low_cross = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
+    high_cross = a_lo * b_hi + (low_cross & _LOW32)
+    hi = a_hi * b_hi + (low_cross >> _SHIFT32) + (high_cross >> _SHIFT32)
+    return hi, b * np.uint64(a)
+
+
+def _philox4x64(key: int, counter: list) -> list[np.ndarray]:
+    """Philox4x64-10 of the counter words (arrays or scalars, broadcast) under a 64-bit key."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key, 0
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return [c0, c1, c2, c3]
+
+
+def uniform_rows(seed: int, lo: int, hi: int, width: int, lane: int = 0) -> np.ndarray:
+    """Uniforms on [0, 1) for sample indices lo..hi-1, one row per index.
+
+    Row ``i - lo`` is bit-equal to ``stream(seed, i, lane).random(width)``.
+    Indices are processed in passes of bounded size, so memory beyond the
+    returned ``(hi - lo, width)`` array does not grow with the range.
+    """
+    if lo < 0 or lane < 0:
+        raise ValueError(f"index and lane must be nonnegative, got {lo}, {lane}")
+    if hi < lo or hi > 1 << 64:
+        raise ValueError(f"index range [{lo}, {hi}) is not a range of uint64 indices")
+    if width < 0:
+        raise ValueError(f"width must be nonnegative, got {width}")
+    out = np.empty((hi - lo, width))
+    blocks = -(-width // _WORDS_PER_BLOCK)
+    if blocks == 0:
+        return out
+    key = int(seed) & _MASK64
+    # Counter word 0 of block k is k + 1: numpy increments before generating.
+    block_counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    rows_per_pass = max(1, _BLOCKS_PER_PASS // blocks)
+    for start in range(lo, hi, rows_per_pass):
+        rows = min(rows_per_pass, hi - start)
+        index = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(start)
+        words = _philox4x64(key, [block_counter, np.uint64(lane), index, np.uint64(0)])
+        raw = np.stack(words, axis=-1).reshape(rows, blocks * _WORDS_PER_BLOCK)[:, :width]
+        out[start - lo: start - lo + rows] = (raw >> _SHIFT_DOUBLE) * 2.0 ** -53
+    return out
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

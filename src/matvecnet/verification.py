@@ -3,9 +3,11 @@
 The sup-norm estimators here are Monte-Carlo lower bounds of the true sup:
 a reported value above the guarantee is a definitive counterexample, while
 a value below it is evidence, not proof. Random samples are drawn from the
-per-index streams of :mod:`.rng`, so reports are bit-reproducible for a
-given (network, seed, sample count) and the sample set for k samples is a
-prefix of the set for any larger count.
+per-index streams of :mod:`.rng`, a whole chunk at a time through
+:func:`.rng.uniform_rows`, so reports are bit-reproducible for a given
+(network, seed, sample count) and the sample set for k samples is a prefix
+of the set for any larger count. The reference products of a chunk are one
+stacked :func:`matvec_truth` call.
 
 Alongside the random samples, :func:`sup_error_matvec` always evaluates a
 deterministic probe set: the origin, the all +D and all -D corners, the two
@@ -31,7 +33,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .constructors import BoundBudget, square_net_of_order
-from .datasets import Dataset, unpack_matvec
+from .datasets import Dataset, _matvec, unpack_matvec
 from .network import (
     Fnn,
     NetworkMetrics,
@@ -41,7 +43,7 @@ from .network import (
     metrics,
     preactivations,
 )
-from .rng import stream
+from .rng import stream, uniform_rows
 
 __all__ = [
     "ErrorReport",
@@ -113,8 +115,13 @@ class BudgetCompliance:
 
 
 def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Reference double-precision product the network outputs are judged by."""
-    return np.asarray(W) @ np.asarray(x)
+    """Reference double-precision product the network outputs are judged by.
+
+    Takes one (m, n) matrix and n-vector, or stacks (k, m, n) and (k, n)
+    that are multiplied pair by pair in a single call. Each product is
+    bit-equal to ``W @ x`` on that pair.
+    """
+    return _matvec(np.asarray(W), np.asarray(x))
 
 
 def _chunks(total: int, size: int = REDUCE_CHUNK) -> list[tuple[int, int]]:
@@ -159,18 +166,11 @@ def _check_matvec_shape(f: Fnn, m: int, n: int) -> None:
 
 
 def _matvec_targets(xs: np.ndarray, m: int, n: int) -> np.ndarray:
-    out = np.empty((xs.shape[0], m))
-    for i, row in enumerate(xs):
-        W, x = unpack_matvec(row, m, n)
-        out[i] = matvec_truth(W, x)
-    return out
+    return matvec_truth(*unpack_matvec(xs, m, n))
 
 
 def _uniform_rows(seed: int, lo: int, hi: int, width: int, D: float) -> np.ndarray:
-    rows = np.empty((hi - lo, width))
-    for i in range(lo, hi):
-        rows[i - lo] = stream(seed, i).random(width) * (2.0 * D) - D
-    return rows
+    return uniform_rows(seed, lo, hi, width) * (2.0 * D) - D
 
 
 def sup_error_matvec(

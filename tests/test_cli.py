@@ -192,6 +192,27 @@ def test_verify_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_verify_rejects_a_worker_count_below_one(tmp_path, capsys, jobs):
+    net = build_matvec(tmp_path, capsys)
+    out = tmp_path / "r.csv"
+    code, _, stderr = run(
+        ["verify", str(net), "--samples", "10", "--jobs", jobs, "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "--jobs" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layer", [{"bias": [0.0]}, {"weights": [[1.0]]}, [1.0]])
+def test_verify_network_with_an_incomplete_layer_is_a_usage_error(tmp_path, capsys, layer):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"layers": [layer]}))
+    code, _, stderr = run(["verify", str(path), "--out", str(tmp_path / "r.csv")], capsys)
+    assert code == 2
+    assert "layer 1" in stderr
+
+
 def test_verify_complex_runs_on_clipped_channel_data(tmp_path, capsys):
     out = tmp_path / "cx.json"
     code, _, _ = run(

@@ -5,6 +5,7 @@ import pytest
 
 from matvecnet import (
     Dataset,
+    datasets,
     equispaced_real_dataset,
     load_dataset,
     load_dataset_csv,
@@ -16,6 +17,7 @@ from matvecnet import (
     unpack_complex,
     unpack_matvec,
 )
+from matvecnet.rng import normals, stream
 
 QPSK = 1.0 / np.sqrt(2.0)
 
@@ -36,6 +38,19 @@ def test_pack_unpack_matvec_round_trip():
     W2, x2 = unpack_matvec(pack_matvec(W, x), 3, 4)
     assert np.array_equal(W, W2)
     assert np.array_equal(x, x2)
+
+
+def test_unpack_takes_stacks_of_rows():
+    rng = np.random.default_rng(3)
+    m, n = 3, 4
+    rows = rng.normal(size=(5, 2 * n * (m + 1)))
+    W1, W2, x1, x2 = unpack_complex(rows, m, n)
+    assert W1.shape == W2.shape == (5, m, n) and x1.shape == x2.shape == (5, n)
+    for k, row in enumerate(rows):
+        for stacked, single in zip((W1, W2, x1, x2), unpack_complex(row, m, n)):
+            assert np.array_equal(stacked[k], single)
+    W, x = unpack_matvec(rows[:, : n * (m + 1)], m, n)
+    assert np.array_equal(W[2], unpack_matvec(rows[2, : n * (m + 1)], m, n)[0])
 
 
 def test_pack_complex_layout_and_round_trip():
@@ -180,6 +195,82 @@ def test_qpsk_validates_arguments():
         qpsk_rayleigh_dataset(0, 2, 5)
     with pytest.raises(ValueError):
         qpsk_rayleigh_dataset(2, 2, 5, clip=0.0)
+
+
+# ---------------------------------------------------------------- per-row oracle
+#
+# The generators draw all rows of a block at once. These oracles are the
+# one-generator-per-row definitions they must reproduce bit for bit.
+
+
+def equispaced_oracle(m, n, count, half_width, grid_points, seed):
+    h = float(half_width)
+    inputs = np.empty((count, m * n + n))
+    targets = np.empty((count, m))
+    for i in range(count):
+        u = stream(seed, i).random(m * n + n)
+        j = np.clip(np.floor(u * grid_points).astype(np.int64), 0, grid_points - 1)
+        row = -h + (2.0 * h) * (j / (grid_points - 1))
+        inputs[i] = row
+        targets[i] = row[: m * n].reshape((m, n), order="F") @ row[m * n:].copy()
+    return inputs, targets
+
+
+def qpsk_oracle(m, n, count, clip, seed):
+    block = m * n
+    inputs = np.empty((count + 1, 2 * block + 2 * n))
+    targets = np.empty((count + 1, 2 * m))
+    clipped = 0
+    for i in range(count + 1):
+        gen = stream(seed, i)
+        z = normals(gen, 2 * block) * QPSK
+        symbols = np.where(gen.random(2 * n) < 0.5, -QPSK, QPSK)
+        if i == count:
+            z = np.zeros(2 * block)
+        else:
+            clipped += int(np.count_nonzero(np.abs(z) > clip))
+            z = np.clip(z, -clip, clip)
+        W1 = z[:block].reshape((m, n), order="F")
+        W2 = z[block:].reshape((m, n), order="F")
+        x1, x2 = symbols[:n], symbols[n:]
+        inputs[i] = pack_complex(W1, W2, x1, x2)
+        targets[i, :m] = W1 @ x1 - W2 @ x2
+        targets[i, m:] = W1 @ x2 + W2 @ x1
+    return inputs, targets, clipped
+
+
+SHAPES = [(1, 1), (1, 4), (2, 2), (3, 9), (8, 4), (16, 16)]
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+@pytest.mark.parametrize("count", [1, 31, 32, 50])
+def test_equispaced_equals_the_per_row_oracle(monkeypatch, m, n, count):
+    monkeypatch.setattr(datasets, "_ROW_BLOCK", 16)  # several blocks per call
+    ds = equispaced_real_dataset(m, n, count, half_width=1.5, grid_points=33, seed=-4)
+    inputs, targets = equispaced_oracle(m, n, count, 1.5, 33, -4)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.targets.tobytes() == targets.tobytes()
+
+
+@pytest.mark.parametrize("m,n", SHAPES)
+@pytest.mark.parametrize("count", [1, 31, 32, 50])
+def test_qpsk_equals_the_per_row_oracle(monkeypatch, m, n, count):
+    # With 16-row blocks, count 31 puts the probe row last in a full block
+    # and count 32 puts it alone in a block of its own.
+    monkeypatch.setattr(datasets, "_ROW_BLOCK", 16)
+    ds = qpsk_rayleigh_dataset(m, n, count, clip=1.0, seed=21)
+    inputs, targets, clipped = qpsk_oracle(m, n, count, 1.0, 21)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.targets.tobytes() == targets.tobytes()
+    assert ds.meta["clipped_entries"] == clipped
+
+
+def test_qpsk_equals_the_per_row_oracle_at_the_complex_operating_point():
+    ds = qpsk_rayleigh_dataset(8, 4, 2100, clip=3.0, seed=0)
+    inputs, targets, clipped = qpsk_oracle(8, 4, 2100, 3.0, 0)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.targets.tobytes() == targets.tobytes()
+    assert ds.meta["clipped_entries"] == clipped
 
 
 # ---------------------------------------------------------------- files

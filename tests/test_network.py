@@ -152,6 +152,11 @@ def test_load_rejects_malformed_file(tmp_path):
     path.write_text(json.dumps({"layers": "nope"}))
     with pytest.raises(ValueError):
         load_fnn(path)
+    good = {"weights": [[1.0]], "bias": [0.0]}
+    for layer in ({"bias": [0.0]}, {"weights": [[1.0]]}, "layer"):
+        path.write_text(json.dumps({"layers": [good, layer]}))
+        with pytest.raises(ValueError, match="layer 2 needs 'weights' and 'bias'"):
+            load_fnn(path)
 
 
 def test_document_round_trip_in_memory():

@@ -17,6 +17,7 @@ from matvecnet import (
     affine_representation,
     check_budget,
     dataset_error_report,
+    evaluate_batch,
     matvec_net,
     mse_on_dataset,
     predicted_budget,
@@ -29,6 +30,8 @@ from matvecnet import (
     square_slope_sup,
     sup_error_matvec,
 )
+from matvecnet.rng import stream
+from matvecnet.verification import REDUCE_CHUNK, _matvec_targets, _uniform_rows, matvec_truth
 
 
 def zero_net(width):
@@ -60,6 +63,55 @@ def test_probe_inputs_sign_patterns_cap_at_eight_coordinates():
     probes = probe_inputs(4, 4, 1.0)  # width 20 > 8
     assert probes.shape[0] == 5 + 2 ** 8
     assert np.all(np.isin(probes, [-1.0, 0.0, 1.0]))
+
+
+# ---------------------------------------------------------------- batched sampling and reference
+#
+# Sampling and the reference product run on whole chunks. The oracles below
+# are their one-row-at-a-time definitions, which they must match bit for bit.
+
+
+def per_row_targets(xs, m, n):
+    return np.array([row[: m * n].reshape((m, n), order="F") @ row[m * n:].copy() for row in xs])
+
+
+def per_row_uniforms(seed, lo, hi, width, D):
+    return np.array([stream(seed, i).random(width) * (2.0 * D) - D for i in range(lo, hi)])
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 2), (3, 9), (8, 4), (16, 16)])
+def test_matvec_targets_equal_the_per_row_reference(m, n):
+    D = 2.0
+    width = n * (m + 1)
+    xs = np.vstack([_uniform_rows(5, 100, 400, width, D), probe_inputs(m, n, D)])
+    assert xs[:300].tobytes() == per_row_uniforms(5, 100, 400, width, D).tobytes()
+    assert _matvec_targets(xs, m, n).tobytes() == per_row_targets(xs, m, n).tobytes()
+
+
+def test_matvec_truth_takes_one_pair_or_a_stack():
+    rng = np.random.default_rng(4)
+    W = rng.uniform(-2.0, 2.0, (6, 3, 5))
+    x = rng.uniform(-2.0, 2.0, (6, 5))
+    stacked = matvec_truth(W, x)
+    assert stacked.shape == (6, 3)
+    for k in range(6):
+        assert matvec_truth(W[k], x[k]).tobytes() == (W[k] @ x[k]).tobytes()
+        assert stacked[k].tobytes() == (W[k] @ x[k]).tobytes()
+
+
+def test_sup_error_equals_the_per_row_computation():
+    m, n, D, samples, seed = 2, 3, 1.0, REDUCE_CHUNK + 300, 11
+    net = matvec_net(m, n, D, 2.0 ** -3)
+    report = sup_error_matvec(net, m, n, D, samples=samples, seed=seed, jobs=2)
+    sup, total_sq = 0.0, 0.0
+    for lo in range(0, samples, REDUCE_CHUNK):
+        xs = per_row_uniforms(seed, lo, min(lo + REDUCE_CHUNK, samples), n * (m + 1), D)
+        err = np.abs(evaluate_batch(net, xs) - per_row_targets(xs, m, n))
+        sup = max(sup, float(np.max(err)))
+        total_sq += float(np.sum(np.mean(err * err, axis=1)))
+    probes = probe_inputs(m, n, D)
+    sup = max(sup, float(np.max(np.abs(evaluate_batch(net, probes) - per_row_targets(probes, m, n)))))
+    assert (report.sup_error, report.mse) == (sup, total_sq / samples)
 
 
 # ---------------------------------------------------------------- sup estimator
