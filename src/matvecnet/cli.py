@@ -21,9 +21,8 @@ import csv
 import glob
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .constructors import (
     complex_matvec_net,
@@ -40,15 +39,14 @@ from .datasets import (
     save_dataset_csv,
 )
 from .interchange import load_fnn, save_fnn
-from .network import evaluate_batch
 from .verification import (
     REPORT_COLUMNS,
-    ErrorReport,
     check_budget,
     dataset_error_report,
     report_lines,
     report_row,
     sobolev_error_matvec,
+    square_error_report,
     sup_error_matvec,
 )
 
@@ -61,22 +59,25 @@ def parse_eps(text: str) -> float:
     """Accuracy from a decimal or a "2^-k" power-of-two literal."""
     match = re.fullmatch(r"2\^(-?\d+)", text.strip())
     if match:
-        return 2.0 ** int(match.group(1))
+        try:
+            return 2.0 ** int(match.group(1))
+        except OverflowError:
+            raise ValueError(f"eps {text!r} overflows a double") from None
     try:
         return float(text)
     except ValueError:
         raise ValueError(f"cannot parse eps {text!r}; use a decimal or 2^-k") from None
 
 
-def _worker_count(text: str) -> int:
-    """``--jobs`` value: a whole number of at least 1."""
+def _count(text: str) -> int:
+    """``--samples`` or ``--jobs`` value: a whole number of at least 1."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_network(kind: str, args: argparse.Namespace):
@@ -154,20 +155,6 @@ def _append_report(path, net, report, compliance) -> None:
         writer.writerow(report_row(net, report, compliance))
 
 
-def _verify_square(net, args) -> tuple[ErrorReport, float]:
-    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-    err = np.abs(evaluate_batch(net, grid[:, None])[:, 0] - grid * grid)
-    report = ErrorReport(
-        sup_error=float(np.max(err)),
-        mse=float(np.mean(err * err)),
-        grad_sup_error=None,
-        sample_count=grid.size,
-        seed=int(args.seed),
-        domain_half_width=1.0,
-    )
-    return report, report.sup_error
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         net = load_fnn(args.network)
@@ -186,13 +173,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     compliance = check_budget(net, budget)
 
+    if args.sobolev and record.kind in ("square", "complex_matvec"):
+        raise ValueError("--sobolev applies to matvec-packed networks only")
     if record.kind == "square":
-        if args.sobolev:
-            raise ValueError("--sobolev applies to matvec-packed networks only")
-        report, worst = _verify_square(net, args)
+        report = replace(square_error_report(net), seed=args.seed)
+        worst = report.sup_error
     elif record.kind == "complex_matvec":
-        if args.sobolev:
-            raise ValueError("--sobolev applies to matvec-packed networks only")
         ds = qpsk_rayleigh_dataset(
             record.m, record.n, args.samples, clip=record.D, seed=args.seed,
         )
@@ -209,14 +195,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             sob = sobolev_error_matvec(
                 net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
             )
-            report = ErrorReport(
-                sup_error=report.sup_error,
-                mse=report.mse,
-                grad_sup_error=sob.grad_sup_error,
-                sample_count=report.sample_count,
-                seed=report.seed,
-                domain_half_width=report.domain_half_width,
-                kinks_skipped=sob.kinks_skipped,
+            report = replace(
+                report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
             )
             worst = max(worst, sob.sup_error, sob.grad_sup_error)
 
@@ -303,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="estimate errors of a stored network")
     verify.add_argument("network", help="interchange file produced by build")
-    verify.add_argument("--samples", type=int, default=100000)
+    verify.add_argument("--samples", type=_count, default=100000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=_worker_count, default=1)
+    verify.add_argument("--jobs", type=_count, default=1)
     verify.add_argument("--C", type=float, default=2.0)
     verify.add_argument("--sobolev", action="store_true",
                         help="also check the Jacobian against the exact product")

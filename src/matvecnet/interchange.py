@@ -16,8 +16,6 @@ import json
 from pathlib import Path
 from typing import Any, Union
 
-import numpy as np
-
 from .network import Fnn, Layer, validate
 
 __all__ = ["save_fnn", "load_fnn", "network_document", "network_from_document"]
@@ -52,14 +50,21 @@ def network_from_document(doc: dict) -> Fnn:
             raise ValueError(
                 f"not a network document: layer {k} needs 'weights' and 'bias'"
             ) from None
-        layers.append(Layer(np.array(weights, dtype=np.float64),
-                            np.array(bias, dtype=np.float64)))
+        try:
+            layers.append(Layer(weights, bias))
+        except TypeError:
+            raise ValueError(f"not a network document: layer {k} needs numbers") from None
     meta = doc.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise ValueError("not a network document: 'meta' must be an object")
     record = None
     if "kind" in meta:
         from .constructors import ConstructionRecord
 
-        record = ConstructionRecord.from_meta(meta)
+        try:
+            record = ConstructionRecord.from_meta(meta)
+        except TypeError as exc:
+            raise ValueError(f"not a network document: malformed 'meta': {exc}") from None
     fnn = Fnn(tuple(layers), record)
     validate(fnn)
     return fnn

@@ -14,8 +14,10 @@ weight B.
 
 Evaluation is double precision and bit-reproducible: every matrix-vector
 product accumulates in row-major (sorted column index) order through a cached
-compressed-sparse-row kernel, never through threaded BLAS, so the result of a
-batched evaluation is bit-identical to evaluating samples one at a time.
+compressed-sparse-row kernel, never through threaded BLAS. One layer loop,
+with samples as columns, serves values, pre-activations and Jacobians (N_0
+tangent columns per sample); the kernel computes each column on its own, so
+stacked results are bit-identical to computing samples one at a time.
 """
 
 from __future__ import annotations
@@ -175,19 +177,46 @@ def validate(fnn: Fnn) -> None:
         prev_out = layer.fan_out
 
 
-def evaluate(fnn: Fnn, x) -> np.ndarray:
-    """Forward pass for a single input vector of length N_0."""
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    if v.shape[0] != fnn.input_dim:
-        raise StructureError("dimension-mismatch", 1)
+def _forward(fnn: Fnn, X: np.ndarray, pres: list | None = None, tangents: bool = False):
+    """The layer loop behind every evaluation function; the rows of X run as columns.
+
+    Returns the outputs (count, N_K) and, with ``tangents``, the Jacobians
+    (count, N_K, N_0), else None. Appends hidden pre-activations to ``pres``.
+    """
     kernels = fnn._kernels
     last = fnn.depth - 1
+    count, n_in = X.shape
+    Z = np.ascontiguousarray(X.T)
+    T = np.repeat(fnn.layers[0].weights[:, None, :], count, axis=1) if tangents else None
     for k, layer in enumerate(fnn.layers):
-        v = kernels[k] @ v
-        v += layer.bias
+        Z = kernels[k] @ Z
+        Z += layer.bias[:, None]
+        if tangents and k:
+            T = (kernels[k] @ T.reshape(T.shape[0], -1)).reshape(layer.fan_out, count, n_in)
         if k < last:
-            np.maximum(v, 0.0, out=v)
-    return v
+            if pres is not None:
+                pres.append(Z.T)
+                Z = np.maximum(Z, 0.0)
+            else:
+                np.maximum(Z, 0.0, out=Z)
+            if tangents:
+                T *= (Z > 0.0)[:, :, None]
+    return Z.T, None if T is None else T.transpose(1, 0, 2)
+
+
+def _inputs(fnn: Fnn, x) -> tuple[np.ndarray, bool]:
+    """Inputs as rows: a 2-D x as it is, anything else as one vector; and whether x was 2-D."""
+    X = np.asarray(x, dtype=np.float64)
+    stacked = X.ndim == 2
+    X = X if stacked else X.reshape(1, -1)
+    if X.shape[1] != fnn.input_dim:
+        raise StructureError("dimension-mismatch", 1)
+    return X, stacked
+
+
+def evaluate(fnn: Fnn, x) -> np.ndarray:
+    """Forward pass for a single input vector of length N_0."""
+    return _forward(fnn, _inputs(fnn, np.reshape(x, -1))[0])[0][0]
 
 
 def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
@@ -201,40 +230,23 @@ def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
         return np.empty((0, fnn.output_dim), dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fnn.input_dim:
         raise StructureError("dimension-mismatch", 1)
-    kernels = fnn._kernels
-    last = fnn.depth - 1
     out = np.empty((X.shape[0], fnn.output_dim), dtype=np.float64)
     for lo in range(0, X.shape[0], BATCH_CHUNK):
-        hi = min(lo + BATCH_CHUNK, X.shape[0])
-        # Columns are samples; the sparse kernel evaluates each column with the
-        # same accumulation order as the single-vector path.
-        z = np.ascontiguousarray(X[lo:hi].T)
-        for k, layer in enumerate(fnn.layers):
-            z = kernels[k] @ z
-            z += layer.bias[:, None]
-            if k < last:
-                np.maximum(z, 0.0, out=z)
-        out[lo:hi] = z.T
+        out[lo:lo + BATCH_CHUNK] = _forward(fnn, X[lo:lo + BATCH_CHUNK])[0]
     return out
 
 
 def preactivations(fnn: Fnn, x) -> list[np.ndarray]:
     """Pre-activation vectors W_k x_{k-1} + b_k of the hidden layers (k < K).
 
-    Used by verification code to detect inputs that sit on a kink of the
-    piecewise-linear function.
+    A stack x of shape (count, N_0) gives (count, N_k) arrays, row i
+    bit-equal to the result for ``x[i]``. Used by verification code to
+    detect inputs that sit on a kink of the piecewise-linear function.
     """
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    if v.shape[0] != fnn.input_dim:
-        raise StructureError("dimension-mismatch", 1)
-    kernels = fnn._kernels
+    X, stacked = _inputs(fnn, x)
     pres: list[np.ndarray] = []
-    for k in range(fnn.depth - 1):
-        pre = kernels[k] @ v
-        pre += fnn.layers[k].bias
-        pres.append(pre)
-        v = np.maximum(pre, 0.0)
-    return pres
+    _forward(fnn, X, pres)
+    return pres if stacked else [pre[0] for pre in pres]
 
 
 def jacobian(fnn: Fnn, x) -> np.ndarray:
@@ -243,15 +255,13 @@ def jacobian(fnn: Fnn, x) -> np.ndarray:
     The network is piecewise linear, so almost everywhere the derivative is
     W_K D_{K-1} W_{K-1} ... D_1 W_1 with D_k the 0/1 activation mask of hidden
     layer k. At a pre-activation that is exactly zero the mask entry is 0 (the
-    inactive branch), a fixed convention for points on a kink.
+    inactive branch), a fixed convention for points on a kink. A stack x of
+    shape (count, N_0) gives (count, N_K, N_0), entry i bit-equal to the
+    result for ``x[i]``.
     """
-    pres = preactivations(fnn, x)
-    kernels = fnn._kernels
-    J = np.array(fnn.layers[0].weights, dtype=np.float64, copy=True)
-    for k in range(1, fnn.depth):
-        mask = pres[k - 1] > 0.0
-        J = kernels[k] @ (J * mask[:, None])
-    return np.atleast_2d(J)
+    X, stacked = _inputs(fnn, x)
+    J = _forward(fnn, X, tangents=True)[1]
+    return J if stacked else J[0]
 
 
 def metrics(fnn: Fnn) -> NetworkMetrics:

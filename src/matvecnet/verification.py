@@ -7,7 +7,9 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 :func:`.rng.uniform_rows`, so reports are bit-reproducible for a given
 (network, seed, sample count) and the sample set for k samples is a prefix
 of the set for any larger count. The reference products of a chunk are one
-stacked :func:`matvec_truth` call.
+stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` screens
+stacked pre-activations for kinks, redraws kinked indices on lanes 1, 2, ...
+and compares stacked Jacobians, taking draws and sums in per-sample order.
 
 Alongside the random samples, :func:`sup_error_matvec` always evaluates a
 deterministic probe set: the origin, the all +D and all -D corners, the two
@@ -28,22 +30,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from .constructors import BoundBudget, square_net_of_order
 from .datasets import Dataset, _matvec, unpack_matvec
-from .network import (
-    Fnn,
-    NetworkMetrics,
-    evaluate,
-    evaluate_batch,
-    jacobian,
-    metrics,
-    preactivations,
-)
-from .rng import stream, uniform_rows
+from .network import Fnn, NetworkMetrics, evaluate_batch, jacobian, metrics, preactivations
+from .rng import uniform_rows
 
 __all__ = [
     "ErrorReport",
@@ -54,7 +48,7 @@ __all__ = [
     "sup_error_matvec",
     "sobolev_error_matvec",
     "dataset_error_report",
-    "mse_on_dataset",
+    "square_error_report",
     "square_error_curve",
     "square_slope_sup",
     "check_budget",
@@ -67,6 +61,10 @@ REDUCE_CHUNK = 2048
 KINK_TOL = 1e-9
 
 MAX_RESAMPLE_ATTEMPTS = 100
+
+# Sobolev checks work in sub-batches of at most this many stacked tangent
+# columns (rows x N_0), which bounds the memory of their Jacobian stacks.
+TANGENT_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -124,19 +122,6 @@ def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _matvec(np.asarray(W), np.asarray(x))
 
 
-def _chunks(total: int, size: int = REDUCE_CHUNK) -> list[tuple[int, int]]:
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _map_chunks(work: Callable, spans: Sequence[tuple[int, int]], jobs: int) -> list:
-    """Run `work` over index spans, inline or on a thread pool, in span order."""
-    if jobs <= 1 or len(spans) <= 1:
-        return [work(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
-
-
 def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
     """Deterministic probe points for the packed matvec domain [-D, D]^N0."""
     width = n * (m + 1)
@@ -156,21 +141,39 @@ def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _check_matvec_shape(f: Fnn, m: int, n: int) -> None:
+def _reduce_chunks(f: Fnn, m: int, n: int, samples: int, jobs: int, work: Callable) -> tuple:
+    """The estimator flow: check arguments, run ``work`` on each chunk, reduce.
+
+    ``work(lo, hi)`` samples, evaluates and compares indices lo..hi-1 and
+    returns their (sup, grad_sup, total_sq, used, skipped).
+    """
     width = n * (m + 1)
     if f.input_dim != width or f.output_dim != m:
         raise ValueError(
             f"packing mismatch: network is {f.input_dim} -> {f.output_dim}, "
             f"but a matvec of shape ({m}, {n}) packs {width} -> {m}"
         )
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    spans = [(lo, min(lo + REDUCE_CHUNK, samples)) for lo in range(0, samples, REDUCE_CHUNK)]
+    if jobs <= 1 or len(spans) <= 1:
+        parts = [work(lo, hi) for lo, hi in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(lambda span: work(*span), spans))
+    sups, grads, sums, used, skipped = zip(*parts)
+    total_sq = 0.0
+    for chunk_sq in sums:
+        total_sq += chunk_sq
+    return max(sups), max(grads), total_sq, sum(used), sum(skipped)
 
 
 def _matvec_targets(xs: np.ndarray, m: int, n: int) -> np.ndarray:
     return matvec_truth(*unpack_matvec(xs, m, n))
 
 
-def _uniform_rows(seed: int, lo: int, hi: int, width: int, D: float) -> np.ndarray:
-    return uniform_rows(seed, lo, hi, width) * (2.0 * D) - D
+def _uniform_rows(seed: int, lo: int, hi: int, width: int, D: float, lane: int = 0) -> np.ndarray:
+    return uniform_rows(seed, lo, hi, width, lane) * (2.0 * D) - D
 
 
 def sup_error_matvec(
@@ -188,22 +191,14 @@ def sup_error_matvec(
     deterministic probes, and compares against the exact product. The probes
     enter the sup only, never the mean.
     """
-    _check_matvec_shape(f, m, n)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
     width = n * (m + 1)
 
-    def work(lo: int, hi: int) -> tuple[float, float]:
+    def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
         xs = _uniform_rows(seed, lo, hi, width, D)
         err = np.abs(evaluate_batch(f, xs) - _matvec_targets(xs, m, n))
-        per_sample_sq = np.mean(err * err, axis=1)
-        return float(np.max(err)), float(np.sum(per_sample_sq))
+        return float(np.max(err)), 0.0, float(np.sum(np.mean(err * err, axis=1))), hi - lo, 0
 
-    parts = _map_chunks(work, _chunks(samples), jobs)
-    sup = max(part[0] for part in parts)
-    total_sq = 0.0
-    for part in parts:
-        total_sq += part[1]
+    sup, _, total_sq, _, _ = _reduce_chunks(f, m, n, samples, jobs, work)
 
     probes = probe_inputs(m, n, D)
     probe_err = np.abs(evaluate_batch(f, probes) - _matvec_targets(probes, m, n))
@@ -219,15 +214,44 @@ def sup_error_matvec(
     )
 
 
-def _matvec_jacobian_truth(row: np.ndarray, m: int, n: int) -> np.ndarray:
-    """d(Wx)/d[vec(W), x]: x entries in the W block, W entries in the x block."""
-    W, x = unpack_matvec(row, m, n)
-    J = np.zeros((m, n * (m + 1)))
-    for i in range(m):
-        for j in range(n):
-            J[i, j * m + i] = x[j]
-            J[i, n * m + j] = W[i, j]
+def _matvec_jacobian_truth(rows: np.ndarray, m: int, n: int) -> np.ndarray:
+    """d(Wx)/d[vec(W), x] of one packed row (m, width) or a stack (k, m, width).
+
+    x entries fill the W block, W entries the x block.
+    """
+    W, x = unpack_matvec(rows, m, n)
+    J = np.zeros(x.shape[:-1] + (m, n * (m + 1)))
+    i = np.arange(m)[:, None]
+    J[..., i, np.arange(n) * m + i] = x[..., None, :]
+    J[..., n * m:] = W
     return J
+
+
+def _off_kink(f: Fnn, xs: np.ndarray) -> np.ndarray:
+    """Per row of xs: do all hidden pre-activations keep |z| >= KINK_TOL?"""
+    ok = np.ones(len(xs), dtype=bool)
+    for z in preactivations(f, xs):
+        ok &= np.all(np.abs(z) >= KINK_TOL, axis=1)
+    return ok
+
+
+def _kink_free_rows(f: Fnn, seed: int, lo: int, hi: int, width: int, D: float):
+    """Samples lo..hi-1 off the rectifier kinks, and the count given up.
+
+    A kinked index tries its lanes 1, 2, ... in turn; it is dropped when all
+    MAX_RESAMPLE_ATTEMPTS lanes sit on a kink.
+    """
+    xs = _uniform_rows(seed, lo, hi, width, D)
+    pending = np.flatnonzero(~_off_kink(f, xs))
+    for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
+        if not pending.size:
+            break
+        indices = (lo + pending).tolist()
+        redraw = np.vstack([_uniform_rows(seed, i, i + 1, width, D, lane) for i in indices])
+        ok = _off_kink(f, redraw)
+        xs[pending[ok]] = redraw[ok]
+        pending = pending[~ok]
+    return np.delete(xs, pending, axis=0), pending.size
 
 
 def sobolev_error_matvec(
@@ -245,50 +269,31 @@ def sobolev_error_matvec(
     KINK_TOL, since the network Jacobian is ambiguous on a kink; rejected
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
-    exactly on kinks by design.
+    exactly on kinks by design. Each chunk is drawn, screened and compared
+    in stacked sub-batches of at most TANGENT_COLUMNS tangent columns.
     """
-    _check_matvec_shape(f, m, n)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
     width = n * (m + 1)
+    step = max(1, TANGENT_COLUMNS // width)
 
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
-        sup = 0.0
-        grad = 0.0
-        total_sq = 0.0
-        used = 0
-        skipped = 0
-        for i in range(lo, hi):
-            row = None
-            for lane in range(MAX_RESAMPLE_ATTEMPTS):
-                cand = stream(seed, i, lane).random(width) * (2.0 * D) - D
-                pres = preactivations(f, cand)
-                if all(z.size == 0 or np.min(np.abs(z)) >= KINK_TOL for z in pres):
-                    row = cand
-                    break
-            if row is None:
-                skipped += 1
+        sup = grad = total_sq = 0.0
+        used = skipped = 0
+        for start in range(lo, hi, step):
+            xs, given_up = _kink_free_rows(f, seed, start, min(start + step, hi), width, D)
+            skipped += given_up
+            if not len(xs):
                 continue
-            W, x = unpack_matvec(row, m, n)
-            err = np.abs(evaluate(f, row) - matvec_truth(W, x))
+            err = np.abs(evaluate_batch(f, xs) - _matvec_targets(xs, m, n))
+            dev = np.abs(jacobian(f, xs) - _matvec_jacobian_truth(xs, m, n))
             sup = max(sup, float(np.max(err)))
-            total_sq += float(np.mean(err * err))
-            dev = np.abs(jacobian(f, row) - _matvec_jacobian_truth(row, m, n))
             grad = max(grad, float(np.max(dev)))
-            used += 1
+            # Summed sample by sample in index order, like a per-sample loop.
+            for sq in np.mean(err * err, axis=1).tolist():
+                total_sq += sq
+            used += len(xs)
         return sup, grad, total_sq, used, skipped
 
-    parts = _map_chunks(work, _chunks(samples), jobs)
-    sup = max(part[0] for part in parts)
-    grad = max(part[1] for part in parts)
-    total_sq = 0.0
-    used = 0
-    skipped = 0
-    for part in parts:
-        total_sq += part[2]
-        used += part[3]
-        skipped += part[4]
-
+    sup, grad, total_sq, used, skipped = _reduce_chunks(f, m, n, samples, jobs, work)
     return ErrorReport(
         sup_error=sup,
         mse=total_sq / used if used else 0.0,
@@ -298,17 +303,6 @@ def sobolev_error_matvec(
         domain_half_width=float(D),
         kinks_skipped=skipped,
     )
-
-
-def mse_on_dataset(f: Fnn, ds: Dataset) -> float:
-    """Mean over samples of the per-coordinate mean squared deviation."""
-    if ds.inputs.shape[1] != f.input_dim or ds.targets.shape[1] != f.output_dim:
-        raise ValueError(
-            f"dimension mismatch: dataset is {ds.inputs.shape[1]} -> "
-            f"{ds.targets.shape[1]}, network is {f.input_dim} -> {f.output_dim}"
-        )
-    err = evaluate_batch(f, ds.inputs) - ds.targets
-    return float(np.mean(np.mean(err * err, axis=1)))
 
 
 def dataset_error_report(f: Fnn, ds: Dataset) -> ErrorReport:
@@ -330,23 +324,34 @@ def dataset_error_report(f: Fnn, ds: Dataset) -> ErrorReport:
     )
 
 
-def square_error_curve(max_order: int) -> list[tuple[int, float]]:
-    """Observed sup of |f_m(x) - x^2| on the 2^14 + 1 point grid, per order.
+def square_error_report(net: Fnn) -> ErrorReport:
+    """Error of a squaring network against x^2 on the 2^14 + 1 point grid of [0, 1].
 
     The grid contains the dyadic midpoints where the interpolation error
     peaks for every order up to 12, so up there the observed sup equals the
-    law 2^(-2(m+1)) up to evaluation roundoff.
+    law 2^(-2(m+1)) up to evaluation roundoff. The grid is fixed, so the
+    report's seed is 0.
     """
+    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
+    err = np.abs(evaluate_batch(net, grid[:, None])[:, 0] - grid * grid)
+    return ErrorReport(
+        sup_error=float(np.max(err)),
+        mse=float(np.mean(err * err)),
+        grad_sup_error=None,
+        sample_count=grid.size,
+        seed=0,
+        domain_half_width=1.0,
+    )
+
+
+def square_error_curve(max_order: int) -> list[tuple[int, float]]:
+    """Observed sup of |f_m(x) - x^2| on the grid of :func:`square_error_report`, per order."""
     if not 0 <= max_order <= 24:
         raise ValueError(f"max_order must lie in [0, 24], got {max_order}")
-    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-    xs = grid[:, None]
-    curve = []
-    for order in range(max_order + 1):
-        net = square_net_of_order(order)
-        err = np.abs(evaluate_batch(net, xs)[:, 0] - grid * grid)
-        curve.append((order, float(np.max(err))))
-    return curve
+    return [
+        (order, square_error_report(square_net_of_order(order)).sup_error)
+        for order in range(max_order + 1)
+    ]
 
 
 def square_slope_sup(net: Fnn, points: int = 4096) -> float:
@@ -357,11 +362,8 @@ def square_slope_sup(net: Fnn, points: int = 4096) -> float:
     a positive distance from the sawtooth kinks, which all sit on dyadic
     grid points.
     """
-    sup = 0.0
-    for i in range(points):
-        x = np.array([(i + 0.5) / points])
-        sup = max(sup, float(np.max(np.abs(jacobian(net, x)))))
-    return sup
+    xs = (np.arange(points) + 0.5) / points
+    return float(np.max(np.abs(jacobian(net, xs[:, None])), initial=0.0))
 
 
 def check_budget(f: Fnn, budget: BoundBudget) -> BudgetCompliance:

@@ -67,6 +67,16 @@ def test_build_rejects_out_of_range_eps(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_rejects_an_eps_that_overflows(tmp_path, capsys):
+    out = tmp_path / "sq.json"
+    code, _, stderr = run(
+        ["build", "--kind", "square", "--eps", "2^99999", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "error:" in stderr and "--eps" in stderr
+    assert not out.exists()
+
+
 def test_build_requires_kind_specific_parameters(tmp_path, capsys):
     code, _, stderr = run(
         ["build", "--kind", "matvec", "--eps", "2^-4", "--out", str(tmp_path / "x.json")],
@@ -202,6 +212,46 @@ def test_verify_rejects_a_worker_count_below_one(tmp_path, capsys, jobs):
     assert code == 2
     assert "--jobs" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["square", "matvec"])
+@pytest.mark.parametrize("samples", ["0", "-1", "two"])
+def test_verify_rejects_a_sample_count_below_one(tmp_path, capsys, kind, samples):
+    if kind == "square":
+        net = tmp_path / "sq.json"
+        run(["build", "--kind", "square", "--eps", "2^-6", "--out", str(net)], capsys)
+    else:
+        net = build_matvec(tmp_path, capsys)
+    out = tmp_path / "r.csv"
+    code, _, stderr = run(["verify", str(net), "--samples", samples, "--out", str(out)], capsys)
+    assert code == 2
+    assert "--samples" in stderr
+    assert not out.exists()
+
+
+def _malformed_documents():
+    good = {"weights": [[1.0]], "bias": [0.0]}
+    meta = {"kind": "square", "eps": 0.25}
+    docs = [
+        {"meta": meta, "layers": [{"weights": {"a": 1}, "bias": [0.0]}]},
+        {"meta": meta, "layers": [{"weights": [[1.0]], "bias": {"a": 1}}]},
+        {"meta": ["kind"], "layers": [good]},
+        {"meta": "kind", "layers": [good]},
+    ]
+    for field in ("m", "n", "D", "eps", "sawtooth_order"):
+        for bad in ([1], {"a": 1}):
+            docs.append({"meta": {**meta, field: bad}, "layers": [good]})
+    return docs
+
+
+@pytest.mark.parametrize("doc", _malformed_documents())
+def test_verify_malformed_network_file_is_a_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run(["verify", str(path), "--out", str(tmp_path / "r.csv")], capsys)
+    assert code == 2
+    assert stderr.startswith("error: not a network document")
+    assert len(stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("layer", [{"bias": [0.0]}, {"weights": [[1.0]]}, [1.0]])

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 from conftest import random_fnn
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matvecnet import (
     Fnn,
@@ -90,6 +92,43 @@ def test_jacobian_zero_preactivation_uses_zero_slope():
     assert jacobian(net, np.array([0.0]))[0, 0] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    count=st.integers(1, 6),
+    zero_rows=st.integers(0, 2),
+)
+def test_stacked_forms_equal_single_rows(seed, count, zero_rows):
+    # zero rows and exact-zero entries, against networks with exact-zero
+    # weights and biases, put exactly-zero pre-activations in the stack
+    rng = np.random.default_rng(seed)
+    net = random_fnn(rng)
+    xs = rng.uniform(-2.0, 2.0, (count + zero_rows, net.input_dim))
+    xs[count:] = 0.0
+    xs[rng.random(xs.shape) < 0.3] = 0.0
+    pres = preactivations(net, xs)
+    jac = jacobian(net, xs)
+    assert [p.shape for p in pres] == [(len(xs), w) for w in net.widths[1:-1]]
+    assert jac.shape == (len(xs), net.output_dim, net.input_dim)
+    for i, x in enumerate(xs):
+        single = preactivations(net, x)
+        assert len(single) == len(pres)
+        for stacked_pre, pre in zip(pres, single):
+            assert stacked_pre[i].tobytes() == pre.tobytes()
+        assert jac[i].tobytes() == jacobian(net, x).tobytes()
+
+
+def test_stacked_jacobian_on_a_kink_uses_zero_slope():
+    # the second hidden pre-activation is rho(x2): exactly 0 for x2 <= 0
+    net = Fnn((Layer([[0.0, 1.0]], [0.0]), Layer([[1.0]], [0.0]), Layer([[1.0]], [0.0])))
+    xs = np.array([[0.5, -1.0], [0.5, 0.0], [0.5, 1.0]])
+    assert np.array_equal(preactivations(net, xs)[1][:, 0], [0.0, 0.0, 1.0])
+    jac = jacobian(net, xs)
+    assert np.array_equal(jac[:, 0, :], [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    for i, x in enumerate(xs):
+        assert jac[i].tobytes() == jacobian(net, x).tobytes()
+
+
 def test_metrics_counts_exact_zeros_and_input_neurons():
     net = Fnn((
         Layer([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]], [0.5, 0.0]),
@@ -157,6 +196,24 @@ def test_load_rejects_malformed_file(tmp_path):
         path.write_text(json.dumps({"layers": [good, layer]}))
         with pytest.raises(ValueError, match="layer 2 needs 'weights' and 'bias'"):
             load_fnn(path)
+    for layer in (
+        {"weights": {"a": 1}, "bias": [0.0]},
+        {"weights": [[{}]], "bias": [0.0]},
+        {"weights": [[1.0]], "bias": {"a": 1}},
+        {"weights": [[1.0]], "bias": [{}]},
+    ):
+        path.write_text(json.dumps({"layers": [good, layer]}))
+        with pytest.raises(ValueError, match="layer 2 needs numbers"):
+            load_fnn(path)
+    for meta in ([1], "kind", 5, ["kind"]):
+        path.write_text(json.dumps({"meta": meta, "layers": [good]}))
+        with pytest.raises(ValueError, match="'meta' must be an object"):
+            load_fnn(path)
+    for field in ("m", "n", "D", "eps", "sawtooth_order"):
+        for bad in ([1], {"a": 1}):
+            path.write_text(json.dumps({"meta": {"kind": "square", field: bad}, "layers": [good]}))
+            with pytest.raises(ValueError, match="malformed 'meta'"):
+                load_fnn(path)
 
 
 def test_document_round_trip_in_memory():

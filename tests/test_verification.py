@@ -5,6 +5,8 @@ sample count), never on worker count or chunking, and the probe points enter
 the sup but not the mean.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,21 +19,33 @@ from matvecnet import (
     affine_representation,
     check_budget,
     dataset_error_report,
+    evaluate,
     evaluate_batch,
+    jacobian,
     matvec_net,
-    mse_on_dataset,
     predicted_budget,
+    preactivations,
     probe_inputs,
     report_lines,
     report_row,
     sobolev_error_matvec,
     square_error_curve,
+    square_error_report,
     square_net_of_order,
     square_slope_sup,
     sup_error_matvec,
 )
+from matvecnet.datasets import unpack_matvec
 from matvecnet.rng import stream
-from matvecnet.verification import REDUCE_CHUNK, _matvec_targets, _uniform_rows, matvec_truth
+from matvecnet.verification import (
+    KINK_TOL,
+    MAX_RESAMPLE_ATTEMPTS,
+    REDUCE_CHUNK,
+    _matvec_jacobian_truth,
+    _matvec_targets,
+    _uniform_rows,
+    matvec_truth,
+)
 
 
 def zero_net(width):
@@ -192,6 +206,105 @@ def test_sobolev_skips_unavoidable_kinks():
     assert report.mse == 0.0
 
 
+# The batched estimator must reproduce, bit for bit, the per-sample loop it
+# replaced: one stream per (index, lane), then evaluate and jacobian per row.
+
+
+def loop_jacobian_truth(row, m, n):
+    W, x = unpack_matvec(row, m, n)
+    J = np.zeros((m, n * (m + 1)))
+    for i in range(m):
+        for j in range(n):
+            J[i, j * m + i] = x[j]
+            J[i, n * m + j] = W[i, j]
+    return J
+
+
+def per_sample_sobolev(f, m, n, D, samples, seed):
+    width = n * (m + 1)
+    parts = []
+    for lo in range(0, samples, REDUCE_CHUNK):
+        sup = grad = total_sq = 0.0
+        used = skipped = 0
+        for i in range(lo, min(lo + REDUCE_CHUNK, samples)):
+            row = None
+            for lane in range(MAX_RESAMPLE_ATTEMPTS):
+                cand = stream(seed, i, lane).random(width) * (2.0 * D) - D
+                if all(np.min(np.abs(z)) >= KINK_TOL for z in preactivations(f, cand)):
+                    row = cand
+                    break
+            if row is None:
+                skipped += 1
+                continue
+            W, x = unpack_matvec(row, m, n)
+            err = np.abs(evaluate(f, row) - W @ x)
+            sup = max(sup, float(np.max(err)))
+            total_sq += float(np.mean(err * err))
+            dev = np.abs(jacobian(f, row) - loop_jacobian_truth(row, m, n))
+            grad = max(grad, float(np.max(dev)))
+            used += 1
+        parts.append((sup, grad, total_sq, used, skipped))
+    total_sq, used, skipped = 0.0, 0, 0
+    for part in parts:
+        total_sq += part[2]
+        used += part[3]
+        skipped += part[4]
+    return ErrorReport(
+        sup_error=max(p[0] for p in parts),
+        mse=total_sq / used if used else 0.0,
+        grad_sup_error=max(p[1] for p in parts),
+        sample_count=samples,
+        seed=seed,
+        domain_half_width=D,
+        kinks_skipped=skipped,
+    )
+
+
+def bits(report):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+SOBOLEV_CASES = {
+    "matvec(2,2)": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, REDUCE_CHUNK + 300),
+    "matvec(1,1)": (lambda: matvec_net(1, 1, 1.0, 2.0 ** -3), 1, 1, REDUCE_CHUNK + 300),
+    # every draw sits on a kink: all lanes are tried, then the index is skipped
+    "stuck": (
+        lambda: Fnn((Layer(np.zeros((1, 2)), np.zeros(1)), Layer(np.ones((1, 1)), np.zeros(1)))),
+        1, 1, 30,
+    ),
+    # the second hidden pre-activation is rho(x): draws with x < 0 redraw on lanes >= 1
+    "rho": (
+        lambda: Fnn((Layer([[0.0, 1.0]], [0.0]), Layer([[1.0]], [0.0]), Layer([[1.0]], [0.0]))),
+        1, 1, REDUCE_CHUNK + 300,
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("case", sorted(SOBOLEV_CASES))
+def test_sobolev_equals_the_per_sample_loop(case, jobs):
+    make, m, n, samples = SOBOLEV_CASES[case]
+    net = make()
+    expected = per_sample_sobolev(net, m, n, 1.0, samples, seed=17)
+    got = sobolev_error_matvec(net, m, n, 1.0, samples=samples, seed=17, jobs=jobs)
+    assert bits(got) == bits(expected)
+    if case == "rho":
+        # lane 0 puts x < 0, on the kink, for about half of the indices
+        kinked = np.count_nonzero(_uniform_rows(17, 0, samples, 2, 1.0)[:, 1] < 0.0)
+        assert kinked > samples // 3 and got.kinks_skipped == 0
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 5), (8, 4)])
+def test_matvec_jacobian_truth_equals_the_double_loop(m, n):
+    rows = _uniform_rows(3, 0, 7, n * (m + 1), 2.0)
+    stacked = _matvec_jacobian_truth(rows, m, n)
+    assert stacked.shape == (7, m, n * (m + 1))
+    for k, row in enumerate(rows):
+        expected = loop_jacobian_truth(row, m, n)
+        assert stacked[k].tobytes() == expected.tobytes()
+        assert _matvec_jacobian_truth(row, m, n).tobytes() == expected.tobytes()
+
+
 def test_sobolev_independent_of_worker_count():
     net = matvec_net(1, 1, 1.0, 2.0 ** -3)
     serial = sobolev_error_matvec(net, 1, 1, 1.0, samples=40, seed=13, jobs=1)
@@ -217,21 +330,11 @@ def test_dataset_error_report_on_exact_affine_network():
     assert report.domain_half_width == 2.0
 
 
-def test_mse_on_dataset_matches_report():
-    net = matvec_net(1, 1, 1.0, 2.0 ** -3)
-    rng = np.random.default_rng(22)
-    xs = rng.uniform(-1.0, 1.0, size=(30, 2))
-    ds = Dataset(xs, (xs[:, 0] * xs[:, 1])[:, None], {})
-    assert mse_on_dataset(net, ds) == dataset_error_report(net, ds).mse
-
-
 def test_dataset_report_rejects_dimension_mismatch():
     net = matvec_net(1, 1, 1.0, 2.0 ** -3)
     ds = Dataset(np.zeros((5, 3)), np.zeros((5, 1)), {})
     with pytest.raises(ValueError):
         dataset_error_report(net, ds)
-    with pytest.raises(ValueError):
-        mse_on_dataset(net, ds)
 
 
 # ---------------------------------------------------------------- squaring checks
@@ -247,6 +350,24 @@ def test_square_error_curve_validates_range():
         square_error_curve(25)
     with pytest.raises(ValueError):
         square_error_curve(-1)
+
+
+def test_square_error_report_on_the_grid():
+    report = square_error_report(square_net_of_order(3))
+    assert report.sup_error == 2.0 ** -8
+    assert report.sample_count == 2 ** 14 + 1
+    assert (report.seed, report.domain_half_width, report.grad_sup_error) == (0, 1.0, None)
+    assert 0.0 < report.mse < report.sup_error ** 2
+
+
+def test_square_slope_sup_equals_the_per_point_maximum():
+    for order in (0, 3, 6):
+        net = square_net_of_order(order)
+        expected = 0.0
+        for i in range(256):
+            x = np.array([(i + 0.5) / 256])
+            expected = max(expected, float(np.max(np.abs(jacobian(net, x)))))
+        assert square_slope_sup(net, points=256) == expected
 
 
 def test_square_slope_never_exceeds_two():
