@@ -17,9 +17,12 @@ The operators are
 * :func:`compose_selection`, rewiring a network to read a subset of a wider
   input through a 0/1 selection matrix.
 
-Merged interface layers multiply two weight matrices; those products run
-through a single-threaded sparse kernel so built networks are bit-identical
-across runs and environments.
+Weights stay in their canonical CSR form: stacking and rewiring work on the
+CSR arrays of the layers directly, without making scipy matrices for the many
+intermediate layers a construction passes through. A merged interface layer
+multiplies the outer CSR matrix by the inner weights in the single-threaded
+CSR kernel, which sums each entry in ascending inner index, so built networks
+are bit-identical across runs and environments.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .network import Fnn, Layer
+from .network import Csr, Fnn, Layer, _csr
 
 __all__ = [
     "identity_fnn",
@@ -52,24 +55,24 @@ def identity_fnn(d: int, K: int) -> Fnn:
     """
     if d < 1 or K < 1:
         raise ValueError(f"identity network needs d >= 1 and K >= 1, got d={d}, K={K}")
-    eye = np.eye(d)
+    eye = sparse.identity(d, format="csr")
     if K == 1:
         return Fnn((Layer(eye, np.zeros(d)),))
-    split = np.vstack([eye, -eye])
-    merge = np.hstack([eye, -eye])
+    split = sparse.vstack([eye, -eye], format="csr")
+    merge = sparse.hstack([eye, -eye], format="csr")
     layers = [Layer(split, np.zeros(2 * d))]
     for _ in range(K - 2):
-        layers.append(Layer(np.eye(2 * d), np.zeros(2 * d)))
+        layers.append(Layer(sparse.identity(2 * d, format="csr"), np.zeros(2 * d)))
     layers.append(Layer(merge, np.zeros(d)))
     return Fnn(tuple(layers))
 
 
 def _merge_affine(outer: Layer, inner: Layer) -> Layer:
     """The affine layer computing outer(inner(.)): weights W_o W_i, bias W_o b_i + b_o."""
-    w_outer = sparse.csr_matrix(outer.weights)
-    weights = np.asarray(w_outer @ inner.weights)
-    bias = np.asarray(w_outer @ inner.bias) + outer.bias
-    return Layer(weights, bias)
+    # The right factor is dense: a sparse product would make three more scipy
+    # matrices, which costs more than all the arithmetic of the small merges
+    # that constructions do.
+    return Layer(outer.weights @ inner._csr.toarray(), outer.weights @ inner.bias + outer.bias)
 
 
 def concatenate(f1: Fnn, f2: Fnn) -> Fnn:
@@ -102,16 +105,21 @@ def match_depth(f: Fnn, K: int) -> Fnn:
     return concatenate(identity_fnn(f.output_dim, K - f.depth + 1), f)
 
 
-def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
+def _stack(layers: Sequence[Layer], diagonal: bool) -> Csr:
+    """The layers' weight matrices one above the other; with ``diagonal`` each
+    gets columns of its own, which makes the block-diagonal matrix."""
+    indices, indptr = [], [np.zeros(1, dtype=np.int64)]
+    rows = cols = nnz = 0
+    for layer in layers:
+        W = layer._csr
+        indices.append(np.add(W.indices, cols, dtype=np.int64))
+        indptr.append(np.add(W.indptr[1:], nnz, dtype=np.int64))
+        rows += W.shape[0]
+        cols += W.shape[1] if diagonal else 0
+        nnz += len(W.data)
+    data = np.concatenate([layer._csr.data for layer in layers])
+    shape = (rows, cols if diagonal else layers[0].fan_in)
+    return _csr(data, np.concatenate(indices), np.concatenate(indptr), shape)
 
 
 def parallelize_shared(fnns: Sequence[Fnn]) -> Fnn:
@@ -133,11 +141,11 @@ def parallelize_shared(fnns: Sequence[Fnn]) -> Fnn:
             raise ValueError("shared parallelization needs equal input dimensions")
         if f.depth != depth:
             raise ValueError("shared parallelization needs equal depths")
-    layers = [Layer(np.vstack([f.layers[0].weights for f in fnns]),
-                    np.concatenate([f.layers[0].bias for f in fnns]))]
+    layers = [Layer._of(_stack([f.layers[0] for f in fnns], diagonal=False),
+                        np.concatenate([f.layers[0].bias for f in fnns]))]
     for k in range(1, depth):
-        layers.append(Layer(_block_diag([f.layers[k].weights for f in fnns]),
-                            np.concatenate([f.layers[k].bias for f in fnns])))
+        layers.append(Layer._of(_stack([f.layers[k] for f in fnns], diagonal=True),
+                                np.concatenate([f.layers[k].bias for f in fnns])))
     return Fnn(tuple(layers))
 
 
@@ -167,8 +175,8 @@ def parallelize_disjoint(fnns: Sequence[Fnn], coefficients: Sequence[float] | No
         return scaled[0]
     layers = []
     for k in range(K):
-        layers.append(Layer(_block_diag([f.layers[k].weights for f in scaled]),
-                            np.concatenate([f.layers[k].bias for f in scaled])))
+        layers.append(Layer._of(_stack([f.layers[k] for f in scaled], diagonal=True),
+                                np.concatenate([f.layers[k].bias for f in scaled])))
     return Fnn(tuple(layers))
 
 
@@ -195,7 +203,10 @@ def superpose(fnns: Sequence[Fnn], coefficients: Sequence[float], shared_input: 
         stacked = parallelize_shared(matched)
     else:
         stacked = parallelize_disjoint(matched, [1.0] * len(matched))
-    summed_w = np.hstack([float(a) * f.layers[-1].weights for a, f in zip(coefficients, matched)])
+    # The summing layer has one row per output, so its dense form is small.
+    summed_w = np.hstack([
+        float(a) * f.layers[-1]._csr.toarray() for a, f in zip(coefficients, matched)
+    ])
     summed_b = np.zeros(d)
     for a, f in zip(coefficients, matched):
         summed_b += float(a) * f.layers[-1].bias
@@ -218,7 +229,17 @@ def compose_selection(f: Fnn, selector) -> Fnn:
         raise ValueError("selector rows must contain exactly one 1 and zeros elsewhere")
     picks = np.argmax(ones, axis=1)
     first = f.layers[0]
-    widened = np.zeros((first.fan_out, sel.shape[1]))
-    for i, j in enumerate(picks):
-        widened[:, j] += first.weights[:, i]
-    return Fnn((Layer(widened, first.bias),) + f.layers[1:])
+    W = first._csr
+    rows = np.repeat(np.arange(first.fan_out), np.diff(W.indptr))
+    cols = picks[W.indices]
+    # A stable sort by target column within each row. With distinct picks the
+    # result is canonical as it stands. Entries that meet (a column picked
+    # twice) stay in ascending input order, and scipy's canonicalisation in
+    # Layer adds neighbours in stored order, as the dense sum of columns did.
+    order = np.lexsort((cols, rows))
+    parts = (W.data[order], cols[order], W.indptr, (first.fan_out, sel.shape[1]))
+    if len(np.unique(picks)) == len(picks):
+        widened = Layer._of(_csr(*parts), first.bias)
+    else:
+        widened = Layer(sparse.csr_array(parts[:3], shape=parts[3]), first.bias)
+    return Fnn((widened,) + f.layers[1:])

@@ -50,7 +50,7 @@ Exactness guarantees worth knowing about:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import isfinite, log2
 from typing import Any, Mapping
 
 import numpy as np
@@ -127,19 +127,30 @@ class ConstructionRecord:
 
     @classmethod
     def from_meta(cls, meta: Mapping[str, Any]) -> "ConstructionRecord":
-        m = meta.get("m")
-        n = meta.get("n")
-        saw = meta.get("sawtooth_order")
-        D = meta.get("D")
-        eps = meta.get("eps")
+        """The record stored in a meta block; TypeError if a field has the wrong JSON type.
+
+        ``m``, ``n`` and ``sawtooth_order`` must be integers and ``D`` and
+        ``eps`` numbers; booleans and strings are neither, and absent or null
+        fields stay None.
+        """
+
+        def checked(name: str, types: tuple[type, ...]):
+            value = meta.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+                raise TypeError(f"{name!r} must be {' or '.join(t.__name__ for t in types)}, "
+                                f"got {value!r}")
+            return value
+
+        D = checked("D", (int, float))
+        eps = checked("eps", (int, float))
         return cls(
             kind=str(meta["kind"]),
             input_packing=str(meta.get("input_packing", "")),
-            m=None if m is None else int(m),
-            n=None if n is None else int(n),
+            m=checked("m", (int,)),
+            n=checked("n", (int,)),
             D=None if D is None else float(D),
             eps=None if eps is None else float(eps),
-            sawtooth_order=None if saw is None else int(saw),
+            sawtooth_order=checked("sawtooth_order", (int,)),
         )
 
 
@@ -266,7 +277,10 @@ def _product_order(D: float, eps: float) -> int:
     polarization identity, is 2D * 2^(-m) <= eps. The returned m is the
     smallest satisfying both.
     """
-    order = sawtooth_order(eps / (6.0 * D * D))
+    delta = eps / (6.0 * D * D)
+    if not delta > 0:
+        raise ValueError(f"D={D!r} is too large for eps={eps!r}: eps / (6 D^2) underflows to 0")
+    order = sawtooth_order(delta)
     while 2.0 * D * 2.0 ** (-order) > eps:
         order += 1
     return order
@@ -293,8 +307,8 @@ def scalar_product_net(D: float, eps: float) -> Fnn:
     For D >= 1/8 the last term is dominated, matching the claimed bound
     max(4, 2 D^2).
     """
-    if not D > 0:
-        raise ValueError(f"D must be positive, got {D}")
+    if not (D > 0 and isfinite(D)):
+        raise ValueError(f"D must be positive and finite, got {D}")
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     order = _product_order(D, eps)

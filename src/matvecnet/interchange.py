@@ -1,9 +1,16 @@
 """Network interchange files.
 
-A network is stored as a single JSON document with two keys: ``meta``, a
-free-form dictionary describing how the network was built (kind, sizes, the
-approximation accuracy, a seed where relevant), and ``layers``, the ordered
-list of ``{"weights": [[row], ...], "bias": [...]}`` objects.
+A network is stored as a single JSON document with three keys: ``format``,
+the layout version (2); ``meta``, a free-form dictionary describing how the
+network was built (kind, sizes, the approximation accuracy, a seed where
+relevant); and ``layers``, the ordered list of sparse layers
+
+    {"shape": [N_k, N_{k-1}], "rows": [...], "cols": [...], "values": [...], "bias": [...]}
+
+where ``rows``, ``cols`` and ``values`` list the nonzero weights as
+coordinate triplets in row-major order. A document without ``format`` holds
+the older dense layout, ``{"weights": [[row], ...], "bias": [...]}`` per
+layer; it is still read, and nothing writes it.
 
 Floats are written with Python's shortest round-trip decimal representation,
 so reading a file back reproduces the original doubles bit for bit. NaN and
@@ -16,9 +23,15 @@ import json
 from pathlib import Path
 from typing import Any, Union
 
+import numpy as np
+from scipy import sparse
+
 from .network import Fnn, Layer, validate
 
 __all__ = ["save_fnn", "load_fnn", "network_document", "network_from_document"]
+
+FORMAT = 2
+_SPARSE_KEYS = ("shape", "rows", "cols", "values", "bias")
 
 
 def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
@@ -28,32 +41,90 @@ def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
         meta.update(fnn.record.as_meta())
     if extra_meta:
         meta.update(extra_meta)
-    layers = [
-        {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
-        for layer in fnn.layers
-    ]
-    return {"meta": meta, "layers": layers}
+    layers = []
+    for layer in fnn.layers:
+        W = layer.weights
+        rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+        layers.append({
+            "shape": list(W.shape),
+            "rows": rows.tolist(),
+            "cols": W.indices.tolist(),
+            "values": W.data.tolist(),
+            "bias": layer.bias.tolist(),
+        })
+    return {"format": FORMAT, "meta": meta, "layers": layers}
+
+
+def _indices(k: int, name: str, values: list, bound: int) -> np.ndarray:
+    """A list of JSON integers in [0, bound) as an index array."""
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"not a network document: layer {k} '{name}' must hold integers")
+    idx = np.array(values, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ValueError(f"not a network document: layer {k} '{name}' index out of range")
+    return idx
+
+
+def _sparse_layer(k: int, entry) -> Layer:
+    try:
+        shape, rows, cols, values, bias = (entry[key] for key in _SPARSE_KEYS)
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"not a network document: layer {k} needs {', '.join(map(repr, _SPARSE_KEYS))}"
+        ) from None
+    if not (
+        isinstance(shape, list) and len(shape) == 2
+        and all(type(v) is int and 0 <= v < 2 ** 63 for v in shape)
+    ):
+        raise ValueError(f"not a network document: layer {k} 'shape' must be two counts")
+    if not isinstance(bias, list) or len(bias) != shape[0]:
+        raise ValueError(f"not a network document: layer {k} 'bias' needs one entry per row")
+    if not all(isinstance(v, list) for v in (rows, cols, values)):
+        raise ValueError(f"not a network document: layer {k} needs lists of coordinates")
+    if not len(rows) == len(cols) == len(values):
+        raise ValueError(f"not a network document: layer {k} coordinate lists differ in length")
+    try:
+        r = _indices(k, "rows", rows, shape[0])
+        c = _indices(k, "cols", cols, shape[1])
+    except OverflowError:
+        raise ValueError(f"not a network document: layer {k} index out of range") from None
+    order = np.lexsort((c, r))
+    if np.any((np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)):
+        raise ValueError(f"not a network document: layer {k} repeats a coordinate")
+    if not all(type(v) in (int, float) for v in (*values, *bias)):
+        raise ValueError(f"not a network document: layer {k} needs numbers")
+    return Layer(sparse.csr_array((np.array(values, dtype=np.float64), (r, c)), shape=shape), bias)
+
+
+def _dense_layer(k: int, entry) -> Layer:
+    try:
+        weights, bias = entry["weights"], entry["bias"]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"not a network document: layer {k} needs 'weights' and 'bias'"
+        ) from None
+    try:
+        return Layer(weights, bias)
+    except TypeError:
+        raise ValueError(f"not a network document: layer {k} needs numbers") from None
 
 
 def network_from_document(doc: dict) -> Fnn:
+    """The network held by an interchange document, of either layout, validated."""
     try:
         raw_layers = doc["layers"]
     except (KeyError, TypeError):
         raise ValueError("not a network document: missing 'layers'")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ValueError("not a network document: 'layers' must be a nonempty list")
-    layers = []
-    for k, entry in enumerate(raw_layers, start=1):
-        try:
-            weights, bias = entry["weights"], entry["bias"]
-        except (KeyError, TypeError):
-            raise ValueError(
-                f"not a network document: layer {k} needs 'weights' and 'bias'"
-            ) from None
-        try:
-            layers.append(Layer(weights, bias))
-        except TypeError:
-            raise ValueError(f"not a network document: layer {k} needs numbers") from None
+    version = doc.get("format")
+    if version is None:
+        read_layer = _dense_layer
+    elif type(version) is int and version == FORMAT:
+        read_layer = _sparse_layer
+    else:
+        raise ValueError(f"not a network document: unknown format {version!r}")
+    layers = [read_layer(k, entry) for k, entry in enumerate(raw_layers, start=1)]
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValueError("not a network document: 'meta' must be an object")

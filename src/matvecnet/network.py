@@ -6,25 +6,27 @@ layer except the last, which stays affine:
 
     x_0 = x,  x_k = rho(W_k x_{k-1} + b_k)  for k < K,  x_K = W_K x_{K-1} + b_K.
 
-Layers are stored dense and immutable. Five size measures are reported by
-:func:`metrics`: depth L (layer count), connectivity M (number of weight and
-bias entries that are not bit-exactly zero), neuron count N (sum of all layer
-widths, the input layer included), maximum width W, and the largest absolute
-weight B.
+Layers are immutable, and a weight matrix has one stored form: canonical
+compressed sparse rows (sorted column indices, no stored zeros, -0.0 included,
+read-only arrays). Five size measures are reported by :func:`metrics`: depth L
+(layer count), connectivity M (number of weight and bias entries that are not
+bit-exactly zero), neuron count N (sum of all layer widths, the input layer
+included), maximum width W, and the largest absolute weight B.
 
 Evaluation is double precision and bit-reproducible: every matrix-vector
-product accumulates in row-major (sorted column index) order through a cached
-compressed-sparse-row kernel, never through threaded BLAS. One layer loop,
-with samples as columns, serves values, pre-activations and Jacobians (N_0
-tangent columns per sample); the kernel computes each column on its own, so
-stacked results are bit-identical to computing samples one at a time.
+product accumulates in row-major (sorted column index) order through the
+single-threaded CSR kernel, never through threaded BLAS. One layer loop, with
+samples as columns, serves values, pre-activations and Jacobians (N_0 tangent
+columns per sample); the kernel computes each column on its own, so stacked
+results are bit-identical to computing samples one at a time, and batches may
+be cut into slices of any height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -45,11 +47,11 @@ __all__ = [
     "metrics",
 ]
 
-# Batch evaluation processes inputs in fixed-size slices so that activations of
-# wide networks never exceed a few tens of megabytes. The slice size must stay
-# a constant: per-sample results do not depend on it, but keeping it fixed
-# avoids any temptation to tie it to worker counts.
-BATCH_CHUNK = 4096
+# Batch evaluation cuts its inputs into slices whose widest activation block
+# (max width x rows, float64) stays within this many bytes, so that each CSR row
+# sweep reads activations from the core's own cache rather than from memory.
+# Per-sample results do not depend on the slice height.
+SLICE_BYTES = 2 ** 20
 
 
 class StructureError(ValueError):
@@ -64,12 +66,54 @@ class StructureError(ValueError):
         super().__init__(f"{kind} at layer {layer_index}")
 
 
-def _as_matrix(a) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, copy=True)
+class Csr(NamedTuple):
+    """The arrays of a matrix in canonical compressed sparse row form.
+
+    Row i holds ``data[indptr[i]:indptr[i+1]]`` in the strictly ascending
+    columns ``indices[indptr[i]:indptr[i+1]]``; no stored value is zero,
+    -0.0 included, and the arrays are read-only.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return dense
+
+
+def _csr(data, indices, indptr, shape) -> Csr:
+    """Freeze canonical CSR arrays that nothing else holds, with scipy's index type."""
+    index = np.int32 if max(*shape, len(data)) < 2 ** 31 else np.int64
+    parts = (np.asarray(data, np.float64), np.asarray(indices, index), np.asarray(indptr, index))
+    for part in parts:
+        part.setflags(write=False)
+    return Csr(*parts, (int(shape[0]), int(shape[1])))
+
+
+def _canonical(a) -> Csr:
+    """The canonical CSR arrays of a weight matrix, dense or sparse; a 1-D input is one row."""
+    if sparse.issparse(a):
+        W = sparse.csr_array(a.reshape(1, -1) if a.ndim == 1 else a, dtype=np.float64, copy=True)
+        W.sum_duplicates()
+        data, indices, indptr = W.data, W.indices, W.indptr
+        nonzero = data != 0.0  # drops -0.0 too
+        if not nonzero.all():
+            kept = np.concatenate(([0], np.cumsum(nonzero)))
+            data, indices, indptr = data[nonzero], indices[nonzero], kept[indptr]
+        return _csr(data, indices, indptr, W.shape)
+    arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    arr.setflags(write=False)
-    return arr
+    if arr.ndim != 2:
+        raise ValueError(f"weights must be a matrix, got {arr.ndim} dimensions")
+    # np.nonzero skips -0.0 too, and lists entries in row-major order.
+    rows, cols = np.nonzero(arr)
+    indptr = np.searchsorted(rows, np.arange(arr.shape[0] + 1))
+    return _csr(arr[rows, cols], cols, indptr, arr.shape)
 
 
 def _as_vector(a) -> np.ndarray:
@@ -78,24 +122,47 @@ def _as_vector(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Layer:
-    """One affine stage: weight matrix of shape N_k x N_{k-1} and bias of length N_k."""
+    """One affine stage: weight matrix of shape N_k x N_{k-1} and bias of length N_k.
 
-    weights: np.ndarray
+    The weights may be given dense or as any scipy sparse matrix. A layer
+    keeps the arrays of their canonical CSR form; ``weights`` is the scipy
+    CSR matrix over those arrays, made on first use. Combining networks
+    creates many layers that are never evaluated, and making a scipy matrix
+    costs more than all the rest of such a layer.
+    """
+
+    _csr: Csr = field(repr=False)
     bias: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _as_matrix(self.weights))
-        object.__setattr__(self, "bias", _as_vector(self.bias))
+    def __init__(self, weights, bias):
+        self._set(_canonical(weights), bias)
+
+    @classmethod
+    def _of(cls, csr: Csr, bias) -> "Layer":
+        """A layer over canonical CSR arrays, taken as they are."""
+        layer = object.__new__(cls)
+        layer._set(csr, bias)
+        return layer
+
+    def _set(self, csr: Csr, bias) -> None:
+        object.__setattr__(self, "_csr", csr)
+        object.__setattr__(self, "bias", _as_vector(bias))
+
+    @cached_property
+    def weights(self) -> sparse.csr_array:
+        W = sparse.csr_array(self._csr[:3], shape=self._csr.shape)
+        W.has_canonical_format = True
+        return W
 
     @property
     def fan_in(self) -> int:
-        return self.weights.shape[1]
+        return self._csr.shape[1]
 
     @property
     def fan_out(self) -> int:
-        return self.weights.shape[0]
+        return self._csr.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +200,6 @@ class Fnn:
         """All layer widths N_0, N_1, ..., N_K."""
         return (self.input_dim,) + tuple(l.fan_out for l in self.layers)
 
-    @cached_property
-    def _kernels(self) -> tuple[sparse.csr_matrix, ...]:
-        # CSR keeps per-row entries in ascending column order, so the C loop
-        # that evaluates a row is exactly a row-major accumulation. It is also
-        # single-threaded, which keeps results independent of the environment.
-        return tuple(sparse.csr_matrix(l.weights) for l in self.layers)
-
     def with_record(self, record) -> "Fnn":
         return Fnn(self.layers, record)
 
@@ -164,7 +224,7 @@ def validate(fnn: Fnn) -> None:
     """
     prev_out = None
     for k, layer in enumerate(fnn.layers, start=1):
-        if layer.weights.ndim != 2 or layer.bias.ndim != 1:
+        if layer.bias.ndim != 1:
             raise StructureError("dimension-mismatch", k)
         if layer.weights.shape[0] != layer.bias.shape[0]:
             raise StructureError("dimension-mismatch", k)
@@ -172,7 +232,7 @@ def validate(fnn: Fnn) -> None:
             raise StructureError("dimension-mismatch", k)
         if prev_out is not None and layer.fan_in != prev_out:
             raise StructureError("dimension-mismatch", k)
-        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+        if not (np.isfinite(layer.weights.data).all() and np.isfinite(layer.bias).all()):
             raise StructureError("nonfinite-entry", k)
         prev_out = layer.fan_out
 
@@ -183,16 +243,17 @@ def _forward(fnn: Fnn, X: np.ndarray, pres: list | None = None, tangents: bool =
     Returns the outputs (count, N_K) and, with ``tangents``, the Jacobians
     (count, N_K, N_0), else None. Appends hidden pre-activations to ``pres``.
     """
-    kernels = fnn._kernels
     last = fnn.depth - 1
     count, n_in = X.shape
     Z = np.ascontiguousarray(X.T)
-    T = np.repeat(fnn.layers[0].weights[:, None, :], count, axis=1) if tangents else None
+    T = np.repeat(fnn.layers[0].weights.toarray()[:, None, :], count, axis=1) if tangents else None
     for k, layer in enumerate(fnn.layers):
-        Z = kernels[k] @ Z
+        # CSR keeps each row's entries in ascending column order, so the
+        # single-threaded C loop that evaluates a row is a row-major sum.
+        Z = layer.weights @ Z
         Z += layer.bias[:, None]
         if tangents and k:
-            T = (kernels[k] @ T.reshape(T.shape[0], -1)).reshape(layer.fan_out, count, n_in)
+            T = (layer.weights @ T.reshape(T.shape[0], -1)).reshape(layer.fan_out, count, n_in)
         if k < last:
             if pres is not None:
                 pres.append(Z.T)
@@ -223,7 +284,8 @@ def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
     """Evaluate many inputs; row i is bit-equal to ``evaluate(fnn, xs[i])``.
 
     Accepts any sequence of vectors or a 2-D array of shape (count, N_0).
-    An empty batch yields an empty (0, N_K) array.
+    An empty batch yields an empty (0, N_K) array. Inputs run in slices of
+    at most 4096 rows, fewer for wide networks (see ``SLICE_BYTES``).
     """
     X = np.asarray(xs, dtype=np.float64)
     if X.size == 0:
@@ -231,8 +293,9 @@ def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != fnn.input_dim:
         raise StructureError("dimension-mismatch", 1)
     out = np.empty((X.shape[0], fnn.output_dim), dtype=np.float64)
-    for lo in range(0, X.shape[0], BATCH_CHUNK):
-        out[lo:lo + BATCH_CHUNK] = _forward(fnn, X[lo:lo + BATCH_CHUNK])[0]
+    rows = max(1, min(4096, SLICE_BYTES // (8 * max(fnn.widths))))
+    for lo in range(0, X.shape[0], rows):
+        out[lo:lo + rows] = _forward(fnn, X[lo:lo + rows])[0]
     return out
 
 
@@ -269,12 +332,11 @@ def metrics(fnn: Fnn) -> NetworkMetrics:
     connectivity = 0
     max_weight = 0.0
     for layer in fnn.layers:
-        connectivity += int(np.count_nonzero(layer.weights))
-        connectivity += int(np.count_nonzero(layer.bias))
+        connectivity += layer.weights.nnz + int(np.count_nonzero(layer.bias))
         max_weight = max(
             max_weight,
-            float(np.max(np.abs(layer.weights))),
-            float(np.max(np.abs(layer.bias))) if layer.bias.size else 0.0,
+            float(np.abs(layer.weights.data).max(initial=0.0)),
+            float(np.abs(layer.bias).max(initial=0.0)),
         )
     widths = fnn.widths
     return NetworkMetrics(

@@ -24,7 +24,7 @@ from conftest import random_fnn
 
 def last_layer_nnz(f):
     last = f.layers[-1]
-    return int(np.count_nonzero(last.weights)) + int(np.count_nonzero(last.bias))
+    return int(np.count_nonzero(last.weights.toarray())) + int(np.count_nonzero(last.bias))
 
 
 # ---------------------------------------------------------------- identity
@@ -44,13 +44,13 @@ def test_identity_metrics():
     assert got.connectivity == 2 * 2 * 3  # 2dK nonzeros for K >= 2
     assert got.max_weight == 1.0
     for layer in identity_fnn(2, 3).layers:
-        assert set(np.unique(layer.weights)) <= {-1.0, 0.0, 1.0}
+        assert set(np.unique(layer.weights.toarray())) <= {-1.0, 0.0, 1.0}
 
 
 def test_identity_depth_one_is_plain_affine():
     net = identity_fnn(3, 1)
     assert net.depth == 1
-    assert np.array_equal(net.layers[0].weights, np.eye(3))
+    assert np.array_equal(net.layers[0].weights.toarray(), np.eye(3))
 
 
 def test_identity_rejects_bad_arguments():
@@ -200,7 +200,7 @@ def test_superpose_single_net_is_layerwise_equal():
     same = superpose([f], (1.0,))
     assert same.depth == f.depth
     for got, want in zip(same.layers, f.layers):
-        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.weights.toarray(), want.weights.toarray())
         assert np.array_equal(got.bias, want.bias)
 
 
@@ -288,6 +288,21 @@ def test_compose_selection_repeated_column_still_agrees():
     x = rng.uniform(-2.0, 2.0, size=3)
     want = evaluate(f, np.array([x[1], x[1]]))
     assert np.max(np.abs(evaluate(picked, x) - want)) <= 1e-12
+
+
+def test_compose_selection_adds_repeated_columns_in_input_order():
+    # three inputs read column 0; the first layer's entries for them are
+    # added left to right, as summing dense columns did
+    tiny = 2.0 ** -60
+    rows = [[1.0, tiny, -1.0], [tiny, 1.0, -1.0], [1.0, -1.0, tiny], [0.0, 3.0, 0.0]]
+    f = Fnn((Layer(rows, np.zeros(4)),))
+    selector = np.zeros((3, 2))
+    selector[:, 0] = 1.0
+    first = compose_selection(f, selector).layers[0].weights
+    want = [[(a + b) + c, 0.0] for a, b, c in rows]
+    assert want[0][0] == 0.0 and want[2][0] == tiny
+    assert first.toarray().tolist() == want
+    assert first.nnz == 2
 
 
 def test_compose_selection_rejects_bad_selectors():

@@ -6,6 +6,10 @@ or malformed file, 3 I/O failure.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,30 @@ def test_build_requires_kind_specific_parameters(tmp_path, capsys):
     )
     assert code == 2
     assert "--D is required" in stderr
+
+
+def test_build_rejects_nonfinite_or_huge_D(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for D in ("inf", "-inf", "nan", "1e200"):
+        code, _, stderr = run(
+            ["build", "--kind", "matvec", "--m", "2", "--n", "2", f"--D={D}", "--eps", "2^-4",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2, D
+        assert "error: D" in stderr, stderr
+        assert not out.exists()
+
+
+def test_module_runs_from_a_source_checkout():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matvecnet", "--help"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: matvecnet")
 
 
 # ---------------------------------------------------------------- verify

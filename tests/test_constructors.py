@@ -179,7 +179,7 @@ def test_dot_product_single_pair_matches_scalar_network():
     scalar = scalar_product_net(2.0, 2.0 ** -4)
     assert one.depth == scalar.depth
     for got, want in zip(one.layers, scalar.layers):
-        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.weights.toarray(), want.weights.toarray())
         assert np.array_equal(got.bias, want.bias)
 
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_fnn
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from matvecnet import (
     Fnn,
@@ -20,15 +21,43 @@ from matvecnet import (
     validate,
 )
 from matvecnet.interchange import network_document, network_from_document
-from matvecnet.network import BATCH_CHUNK
+from matvecnet.network import SLICE_BYTES
 
 
 def test_layer_coerces_and_freezes():
     layer = Layer([[1, 2], [3, 4]], [0, 1])
     assert layer.weights.dtype == np.float64
     assert layer.bias.dtype == np.float64
-    assert not layer.weights.flags.writeable
+    assert not layer.weights.data.flags.writeable
     assert layer.fan_in == 2 and layer.fan_out == 2
+
+
+def test_layer_stores_canonical_csr():
+    dense = np.array([[0.0, -0.0, 3.0, 1.0], [-0.0, 0.0, 0.0, 0.0], [2.0, 0.0, -0.0, -5.0]])
+    unsorted = sparse.csr_array(
+        (np.array([1.0, 3.0, 0.0, -0.0, -5.0, 2.0]), np.array([3, 2, 0, 1, 3, 0]),
+         np.array([0, 4, 4, 6])),
+        shape=dense.shape,
+    )
+    for given_weights in (dense, dense.tolist(), unsorted, sparse.coo_array(dense)):
+        W = Layer(given_weights, np.zeros(3)).weights
+        assert isinstance(W, sparse.csr_array)
+        assert W.nnz == np.count_nonzero(dense) == 4
+        assert W.indptr.tolist() == [0, 2, 2, 4]
+        assert W.indices.tolist() == [2, 3, 0, 3]
+        assert W.data.tolist() == [3.0, 1.0, 2.0, -5.0]
+        assert W.has_canonical_format
+        assert not any(a.flags.writeable for a in (W.data, W.indices, W.indptr))
+    with pytest.raises(ValueError):
+        Layer(np.ones((1, 1, 1)), np.zeros(1))
+
+
+def test_layer_copies_sparse_weights():
+    given_weights = sparse.csr_array(np.eye(2))
+    layer = Layer(given_weights, np.zeros(2))
+    given_weights.data[:] = 7.0
+    assert given_weights.data.flags.writeable
+    assert np.array_equal(layer.weights.toarray(), np.eye(2))
 
 
 def test_layer_accepts_row_vector_weights():
@@ -49,12 +78,20 @@ def test_output_layer_is_affine_not_rectified():
 
 
 def test_evaluate_batch_matches_single_across_chunks():
+    # a hidden layer 2000 wide cuts the batch into slices of 65 rows
     rng = np.random.default_rng(3)
-    net = random_fnn(rng, n_in=3, depth=3)
-    xs = rng.uniform(-5, 5, (BATCH_CHUNK + 17, 3))
+    hidden = rng.uniform(-2.0, 2.0, (2000, 3))
+    hidden[rng.random(hidden.shape) < 0.3] = 0.0
+    net = Fnn((
+        Layer(hidden, rng.uniform(-1.0, 1.0, 2000)),
+        Layer(rng.uniform(-1.0, 1.0, (5, 2000)), rng.uniform(-1.0, 1.0, 5)),
+    ))
+    step = SLICE_BYTES // (8 * 2000)
+    assert step == 65
+    xs = rng.uniform(-5, 5, (2 * step + 7, 3))
     batch = evaluate_batch(net, xs)
-    for i in (0, 1, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 16):
-        assert np.array_equal(batch[i], evaluate(net, xs[i]))
+    for i in (0, step - 1, step, len(xs) - 1):
+        assert batch[i].tobytes() == evaluate(net, xs[i]).tobytes()
 
 
 def test_evaluate_batch_empty():
@@ -166,13 +203,84 @@ def test_interchange_round_trip_bit_exact(tmp_path):
     net = random_fnn(rng, n_in=4, depth=3)
     path = tmp_path / "net.json"
     save_fnn(net, path)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == 2
+    assert set(doc["layers"][0]) == {"shape", "rows", "cols", "values", "bias"}
     back = load_fnn(path)
     assert back.depth == net.depth
     for a, b in zip(net.layers, back.layers):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(b.weights, part), getattr(a.weights, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.weights.shape == b.weights.shape
+        assert a.bias.tobytes() == b.bias.tobytes()
     x = rng.uniform(-2, 2, 4)
     assert np.array_equal(evaluate(net, x), evaluate(back, x))
+
+
+def test_sparse_layers_list_nonzeros_row_major(tmp_path):
+    net = Fnn((Layer([[0.0, 2.5], [-1.0, 0.0], [0.0, 0.0]], [1.0, 0.0, -2.0]),))
+    layer = network_document(net)["layers"][0]
+    assert layer == {
+        "shape": [3, 2], "rows": [0, 1], "cols": [1, 0], "values": [2.5, -1.0],
+        "bias": [1.0, 0.0, -2.0],
+    }
+
+
+def test_legacy_dense_file_loads_to_the_same_network(tmp_path):
+    rng = np.random.default_rng(6)
+    net = random_fnn(rng, n_in=3, depth=3)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({
+        "meta": {},
+        "layers": [{"weights": l.weights.toarray().tolist(), "bias": l.bias.tolist()}
+                   for l in net.layers],
+    }))
+    back = load_fnn(path)
+    for a, b in zip(net.layers, back.layers):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a.weights, part).tobytes() == getattr(b.weights, part).tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
+def test_load_rejects_malformed_sparse_layers(tmp_path):
+    path = tmp_path / "broken.json"
+    good = {"shape": [2, 2], "rows": [0, 1], "cols": [1, 0], "values": [1.0, 2.0],
+            "bias": [0.0, 0.0]}
+    cases = [
+        ({"rows": [0, 2]}, "'rows' index out of range"),
+        ({"cols": [1, -1]}, "'cols' index out of range"),
+        ({"rows": [0, 0], "cols": [1, 1]}, "repeats a coordinate"),
+        ({"rows": [0]}, "differ in length"),
+        ({"values": [1.0]}, "differ in length"),
+        ({"rows": [0, 1.0]}, "'rows' must hold integers"),
+        ({"cols": [1, True]}, "'cols' must hold integers"),
+        ({"rows": [0, 2 ** 70]}, "index out of range"),
+        ({"values": [1.0, {}]}, "needs numbers"),
+        ({"values": [1.0, "2"]}, "needs numbers"),
+        ({"values": [1.0, False]}, "needs numbers"),
+        ({"bias": [0.0, "0"]}, "needs numbers"),
+        ({"rows": "01"}, "lists of coordinates"),
+        ({"shape": [2]}, "'shape' must be two counts"),
+        ({"shape": [2, -1]}, "'shape' must be two counts"),
+        ({"shape": [2, 2 ** 70]}, "'shape' must be two counts"),
+        ({"bias": [0.0]}, "'bias' needs one entry per row"),
+    ]
+    for change, message in cases:
+        path.write_text(json.dumps({"format": 2, "layers": [{**good, **change}]}))
+        with pytest.raises(ValueError, match=message):
+            load_fnn(path)
+    entry = dict(good)
+    del entry["values"]
+    path.write_text(json.dumps({"format": 2, "layers": [good, entry]}))
+    with pytest.raises(ValueError, match="layer 2 needs"):
+        load_fnn(path)
+    for version in (1, 3, "2", True, 2.0):
+        path.write_text(json.dumps({"format": version, "layers": [good]}))
+        with pytest.raises(ValueError, match="unknown format"):
+            load_fnn(path)
+    path.write_text(json.dumps({"format": 2, "layers": [good]}))
+    assert load_fnn(path).layers[0].weights.toarray().tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
 
 def test_interchange_preserves_extra_meta(tmp_path):
@@ -210,14 +318,27 @@ def test_load_rejects_malformed_file(tmp_path):
         with pytest.raises(ValueError, match="'meta' must be an object"):
             load_fnn(path)
     for field in ("m", "n", "D", "eps", "sawtooth_order"):
-        for bad in ([1], {"a": 1}):
+        for bad in ([1], {"a": 1}, True, "2"):
             path.write_text(json.dumps({"meta": {"kind": "square", field: bad}, "layers": [good]}))
             with pytest.raises(ValueError, match="malformed 'meta'"):
                 load_fnn(path)
+    for field in ("m", "n", "sawtooth_order"):
+        path.write_text(json.dumps({"meta": {"kind": "square", field: 8.5}, "layers": [good]}))
+        with pytest.raises(ValueError, match="malformed 'meta'"):
+            load_fnn(path)
+    path.write_text(json.dumps({"meta": {"kind": "square", "eps": "0.0625"}, "layers": [good]}))
+    with pytest.raises(ValueError, match="malformed 'meta'"):
+        load_fnn(path)
+    path.write_text(json.dumps(
+        {"meta": {"kind": "matvec", "m": 2, "n": 1, "D": 2, "eps": 0.0625}, "layers": [good]}
+    ))
+    record = load_fnn(path).record
+    assert (record.m, record.n, record.D, record.eps) == (2, 1, 2.0, 0.0625)
+    assert type(record.D) is float
 
 
 def test_document_round_trip_in_memory():
     net = random_fnn(np.random.default_rng(9), n_in=3, depth=2)
     back = network_from_document(network_document(net))
     for a, b in zip(net.layers, back.layers):
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.weights.toarray(), b.weights.toarray())
