@@ -3,8 +3,10 @@
 
 The real point is matvec(m=8, n=4) on [-2, 2] at accuracy 2^-5; the complex
 point is complex_matvec(8, 4) on [-3, 3] at the same accuracy, checked on a
-clipped Rayleigh/QPSK dataset. Both runs are seeded and bit-reproducible;
-pass --jobs to confirm worker counts leave every reported number unchanged.
+clipped Rayleigh/QPSK dataset. The derivative (Sobolev) check runs at
+matvec(2, 2) on [-1, 1] at 2^-4 and at the real point, on at most 10^4
+samples each. All runs are seeded and bit-reproducible; pass --jobs to
+confirm worker counts leave every reported number unchanged.
 """
 
 import argparse
@@ -58,16 +60,18 @@ def main():
     print(f"clipped channel entries: {ds.meta['clipped_entries']}")
     print(f"elapsed: {time.perf_counter() - start:.1f}s")
 
-    banner("derivative check: m=2 n=2 D=1 eps=2^-4")
-    start = time.perf_counter()
-    snet = matvec_net(2, 2, 1.0, 2.0 ** -4)
-    sreport = sobolev_error_matvec(
-        snet, 2, 2, 1.0, min(args.samples, 10000), args.seed, jobs=args.jobs
-    )
-    scompliance = check_budget(snet, predicted_budget("matvec", m=2, n=2, D=1.0, eps=2.0 ** -4))
-    for line in report_lines(snet, sreport, scompliance):
-        print(line)
-    print(f"elapsed: {time.perf_counter() - start:.1f}s")
+    for m, n, D, eps, label in ((2, 2, 1.0, 2.0 ** -4, "D=1 eps=2^-4"),
+                                (8, 4, 2.0, 2.0 ** -5, "D=2 eps=2^-5")):
+        banner(f"derivative check: m={m} n={n} {label}")
+        start = time.perf_counter()
+        snet = matvec_net(m, n, D, eps)
+        sreport = sobolev_error_matvec(
+            snet, m, n, D, min(args.samples, 10000), args.seed, jobs=args.jobs
+        )
+        scompliance = check_budget(snet, predicted_budget("matvec", m=m, n=n, D=D, eps=eps))
+        for line in report_lines(snet, sreport, scompliance):
+            print(line)
+        print(f"elapsed: {time.perf_counter() - start:.1f}s")
 
 
 if __name__ == "__main__":

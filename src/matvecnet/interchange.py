@@ -93,7 +93,18 @@ def _sparse_layer(k: int, entry) -> Layer:
         raise ValueError(f"not a network document: layer {k} repeats a coordinate")
     if not all(type(v) in (int, float) for v in (*values, *bias)):
         raise ValueError(f"not a network document: layer {k} needs numbers")
-    return Layer(sparse.csr_array((np.array(values, dtype=np.float64), (r, c)), shape=shape), bias)
+    try:
+        values = np.array(values, dtype=np.float64)
+        return Layer(sparse.csr_array((values, (r, c)), shape=shape), bias)
+    except OverflowError:
+        raise ValueError(f"not a network document: layer {k} needs numbers") from None
+
+
+def _numbers(values) -> bool:
+    """Whether values is a JSON list of numbers (bools excluded), nested to any depth."""
+    return isinstance(values, list) and all(
+        _numbers(v) if isinstance(v, list) else type(v) in (int, float) for v in values
+    )
 
 
 def _dense_layer(k: int, entry) -> Layer:
@@ -103,9 +114,11 @@ def _dense_layer(k: int, entry) -> Layer:
         raise ValueError(
             f"not a network document: layer {k} needs 'weights' and 'bias'"
         ) from None
+    if not (_numbers(weights) and _numbers(bias)):
+        raise ValueError(f"not a network document: layer {k} needs numbers")
     try:
         return Layer(weights, bias)
-    except TypeError:
+    except OverflowError:
         raise ValueError(f"not a network document: layer {k} needs numbers") from None
 
 

@@ -16,10 +16,20 @@ included), maximum width W, and the largest absolute weight B.
 Evaluation is double precision and bit-reproducible: every matrix-vector
 product accumulates in row-major (sorted column index) order through the
 single-threaded CSR kernel, never through threaded BLAS. One layer loop, with
-samples as columns, serves values, pre-activations and Jacobians (N_0 tangent
-columns per sample); the kernel computes each column on its own, so stacked
-results are bit-identical to computing samples one at a time, and batches may
-be cut into slices of any height.
+samples as columns, serves values, pre-activations and tangents; the kernel
+computes each column on its own, so stacked results are bit-identical to
+computing samples one at a time, and batches may be cut into slices of any
+height.
+
+The loop carries tangents for a seed matrix S (N_0 x g): the first block is
+W_1 S through the CSR kernel, and every later layer multiplies it by its
+weights and masks it with its activations, so the outputs' tangents are J S.
+:func:`jacobian` seeds with the identity. :func:`_tangent_seeds` compresses
+the seed (Curtis, Powell & Reid 1974): input columns that never reach a common
+output share one seed column, found from the layers' sparsity patterns. Every
+neuron then depends on at most one column of its group, so its compressed
+tangent runs the same sums on the same operands as that column's, and the
+decompressed Jacobian is bit-equal to the full one.
 """
 
 from __future__ import annotations
@@ -237,32 +247,79 @@ def validate(fnn: Fnn) -> None:
         prev_out = layer.fan_out
 
 
-def _forward(fnn: Fnn, X: np.ndarray, pres: list | None = None, tangents: bool = False):
+def _forward(fnn: Fnn, X: np.ndarray, seeds: np.ndarray | None = None, visit=None):
     """The layer loop behind every evaluation function; the rows of X run as columns.
 
-    Returns the outputs (count, N_K) and, with ``tangents``, the Jacobians
-    (count, N_K, N_0), else None. Appends hidden pre-activations to ``pres``.
+    Returns the outputs (count, N_K) and, with a seed matrix ``seeds`` of
+    shape (N_0, g), the output tangents J S (count, N_K, g), else None.
+    Calls ``visit`` with each hidden pre-activation block (N_k, count) before
+    it is rectified in place.
     """
     last = fnn.depth - 1
-    count, n_in = X.shape
+    count = X.shape[0]
     Z = np.ascontiguousarray(X.T)
-    T = np.repeat(fnn.layers[0].weights.toarray()[:, None, :], count, axis=1) if tangents else None
+    T = None
+    if seeds is not None:
+        g = seeds.shape[1]
+        T = np.repeat((fnn.layers[0].weights @ seeds)[:, None, :], count, axis=1)
     for k, layer in enumerate(fnn.layers):
         # CSR keeps each row's entries in ascending column order, so the
         # single-threaded C loop that evaluates a row is a row-major sum.
         Z = layer.weights @ Z
         Z += layer.bias[:, None]
-        if tangents and k:
-            T = (layer.weights @ T.reshape(T.shape[0], -1)).reshape(layer.fan_out, count, n_in)
+        if T is not None and k:
+            T = (layer.weights @ T.reshape(T.shape[0], -1)).reshape(layer.fan_out, count, g)
         if k < last:
-            if pres is not None:
-                pres.append(Z.T)
-                Z = np.maximum(Z, 0.0)
-            else:
-                np.maximum(Z, 0.0, out=Z)
-            if tangents:
+            if visit is not None:
+                visit(Z)
+            np.maximum(Z, 0.0, out=Z)
+            if T is not None:
                 T *= (Z > 0.0)[:, :, None]
     return Z.T, None if T is None else T.transpose(1, 0, 2)
+
+
+class TangentSeeds(NamedTuple):
+    """A compressed seed for :func:`_forward` and how to undo it.
+
+    ``reach[i, c]`` says whether output i depends structurally on input c,
+    ``group[c]`` is the seed column of input c, and ``matrix`` is the 0/1
+    seed matrix S (N_0 x groups) with S[c, group[c]] = 1.
+    """
+
+    reach: np.ndarray
+    group: np.ndarray
+    matrix: np.ndarray
+
+    def expand(self, tangents: np.ndarray) -> np.ndarray:
+        """Full Jacobians (count, N_K, N_0) from compressed ones (count, N_K, groups)."""
+        return np.where(self.reach, tangents[..., self.group], 0.0)
+
+
+def _tangent_seeds(fnn: Fnn) -> TangentSeeds:
+    """Group the inputs greedily, in column order, so no two in a group reach one output.
+
+    The output x input dependency pattern comes from multiplying the layers'
+    sparsity patterns; a network whose outputs all see every input gets the
+    identity seed.
+    """
+    reach = None
+    for layer in fnn.layers:
+        pattern = sparse.csr_array((np.ones(len(layer._csr.data)), *layer._csr[1:3]),
+                                   shape=layer._csr.shape)
+        reach = pattern if reach is None else pattern @ reach
+        reach.data[:] = 1.0
+    reach = reach.toarray() != 0.0
+    group = np.empty(fnn.input_dim, dtype=np.intp)
+    taken: list[np.ndarray] = []
+    for c, outputs in enumerate(reach.T):
+        g = next((g for g, used in enumerate(taken) if not (used & outputs).any()), len(taken))
+        if g == len(taken):
+            taken.append(np.zeros_like(outputs))
+        taken[g] |= outputs
+        group[c] = g
+    matrix = np.zeros((fnn.input_dim, len(taken)))
+    matrix[np.arange(fnn.input_dim), group] = 1.0
+    return TangentSeeds(reach, group, matrix)
 
 
 def _inputs(fnn: Fnn, x) -> tuple[np.ndarray, bool]:
@@ -308,7 +365,7 @@ def preactivations(fnn: Fnn, x) -> list[np.ndarray]:
     """
     X, stacked = _inputs(fnn, x)
     pres: list[np.ndarray] = []
-    _forward(fnn, X, pres)
+    _forward(fnn, X, visit=lambda Z: pres.append(Z.T.copy()))
     return pres if stacked else [pre[0] for pre in pres]
 
 
@@ -323,7 +380,7 @@ def jacobian(fnn: Fnn, x) -> np.ndarray:
     result for ``x[i]``.
     """
     X, stacked = _inputs(fnn, x)
-    J = _forward(fnn, X, tangents=True)[1]
+    J = _forward(fnn, X, np.eye(fnn.input_dim))[1]
     return J if stacked else J[0]
 
 

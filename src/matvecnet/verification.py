@@ -7,9 +7,12 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 :func:`.rng.uniform_rows`, so reports are bit-reproducible for a given
 (network, seed, sample count) and the sample set for k samples is a prefix
 of the set for any larger count. The reference products of a chunk are one
-stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` screens
-stacked pre-activations for kinks, redraws kinked indices on lanes 1, 2, ...
-and compares stacked Jacobians, taking draws and sums in per-sample order.
+stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` runs each
+sub-batch through one layer pass that yields values and compressed tangents
+(input columns that reach disjoint outputs share a seed column) and flags
+samples on a kink as it goes; it redraws only the kinked indices, on lanes
+1, 2, ..., decompresses the Jacobians and takes draws and sums in per-sample
+order. Sub-batch heights follow from the network's width and seed count.
 
 Alongside the random samples, :func:`sup_error_matvec` always evaluates a
 deterministic probe set: the origin, the all +D and all -D corners, the two
@@ -36,7 +39,9 @@ import numpy as np
 
 from .constructors import BoundBudget, square_net_of_order
 from .datasets import Dataset, _matvec, unpack_matvec
-from .network import Fnn, NetworkMetrics, evaluate_batch, jacobian, metrics, preactivations
+from .network import (
+    SLICE_BYTES, Fnn, NetworkMetrics, _forward, _tangent_seeds, evaluate_batch, jacobian, metrics,
+)
 from .rng import uniform_rows
 
 __all__ = [
@@ -61,10 +66,6 @@ REDUCE_CHUNK = 2048
 KINK_TOL = 1e-9
 
 MAX_RESAMPLE_ATTEMPTS = 100
-
-# Sobolev checks work in sub-batches of at most this many stacked tangent
-# columns (rows x N_0), which bounds the memory of their Jacobian stacks.
-TANGENT_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -227,33 +228,6 @@ def _matvec_jacobian_truth(rows: np.ndarray, m: int, n: int) -> np.ndarray:
     return J
 
 
-def _off_kink(f: Fnn, xs: np.ndarray) -> np.ndarray:
-    """Per row of xs: do all hidden pre-activations keep |z| >= KINK_TOL?"""
-    ok = np.ones(len(xs), dtype=bool)
-    for z in preactivations(f, xs):
-        ok &= np.all(np.abs(z) >= KINK_TOL, axis=1)
-    return ok
-
-
-def _kink_free_rows(f: Fnn, seed: int, lo: int, hi: int, width: int, D: float):
-    """Samples lo..hi-1 off the rectifier kinks, and the count given up.
-
-    A kinked index tries its lanes 1, 2, ... in turn; it is dropped when all
-    MAX_RESAMPLE_ATTEMPTS lanes sit on a kink.
-    """
-    xs = _uniform_rows(seed, lo, hi, width, D)
-    pending = np.flatnonzero(~_off_kink(f, xs))
-    for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
-        if not pending.size:
-            break
-        indices = (lo + pending).tolist()
-        redraw = np.vstack([_uniform_rows(seed, i, i + 1, width, D, lane) for i in indices])
-        ok = _off_kink(f, redraw)
-        xs[pending[ok]] = redraw[ok]
-        pending = pending[~ok]
-    return np.delete(xs, pending, axis=0), pending.size
-
-
 def sobolev_error_matvec(
     f: Fnn,
     m: int,
@@ -269,22 +243,51 @@ def sobolev_error_matvec(
     KINK_TOL, since the network Jacobian is ambiguous on a kink; rejected
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
-    exactly on kinks by design. Each chunk is drawn, screened and compared
-    in stacked sub-batches of at most TANGENT_COLUMNS tangent columns.
+    exactly on kinks by design. Each chunk runs in sub-batches whose widest
+    value and tangent blocks (max width x rows x (seed columns + 1), float64)
+    stay within a quarter of SLICE_BYTES, so threads keep peak memory low.
     """
     width = n * (m + 1)
-    step = max(1, TANGENT_COLUMNS // width)
+    seeds = _tangent_seeds(f)
+    step = (SLICE_BYTES // 4) // (8 * max(f.widths) * (seeds.matrix.shape[1] + 1))
+    step = max(1, min(REDUCE_CHUNK, step))
+
+    def screened(xs: np.ndarray):
+        """Values, compressed tangents and an off-kink flag per row, in one pass."""
+        ok = np.ones(len(xs), dtype=bool)
+
+        def screen(Z: np.ndarray) -> None:
+            ok[:] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
+
+        values, tangents = _forward(f, xs, seeds.matrix, screen)
+        # Row-major, as evaluate_batch returns them: a row mean over m > 8
+        # entries sums in an order that depends on the memory layout.
+        return np.ascontiguousarray(values), tangents, ok
 
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
         sup = grad = total_sq = 0.0
         used = skipped = 0
         for start in range(lo, hi, step):
-            xs, given_up = _kink_free_rows(f, seed, start, min(start + step, hi), width, D)
-            skipped += given_up
-            if not len(xs):
-                continue
-            err = np.abs(evaluate_batch(f, xs) - _matvec_targets(xs, m, n))
-            dev = np.abs(jacobian(f, xs) - _matvec_jacobian_truth(xs, m, n))
+            xs = _uniform_rows(seed, start, min(start + step, hi), width, D)
+            values, tangents, ok = screened(xs)
+            pending = np.flatnonzero(~ok)
+            for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
+                if not pending.size:
+                    break
+                redraw = np.vstack([
+                    _uniform_rows(seed, i, i + 1, width, D, lane) for i in (start + pending).tolist()
+                ])
+                r_values, r_tangents, ok = screened(redraw)
+                hit = pending[ok]
+                xs[hit], values[hit], tangents[hit] = redraw[ok], r_values[ok], r_tangents[ok]
+                pending = pending[~ok]
+            skipped += pending.size
+            if pending.size:
+                xs, values, tangents = (np.delete(a, pending, axis=0) for a in (xs, values, tangents))
+                if not len(xs):
+                    continue
+            err = np.abs(values - _matvec_targets(xs, m, n))
+            dev = np.abs(seeds.expand(tangents) - _matvec_jacobian_truth(xs, m, n))
             sup = max(sup, float(np.max(err)))
             grad = max(grad, float(np.max(dev)))
             # Summed sample by sample in index order, like a per-sample loop.

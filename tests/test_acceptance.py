@@ -276,3 +276,23 @@ def test_criterion_7_bit_identical_reports():
         f"CSV rows for real/complex/sobolev reports"
         + (f"; MISMATCH in {mismatched}" if mismatched else ""),
     )
+
+
+def test_criterion_8_derivative_accuracy_at_the_real_point():
+    net = real_net()
+    start = time.perf_counter()
+    reports = [
+        sobolev_error_matvec(net, 8, 4, 2.0, samples=2000, seed=0, jobs=jobs) for jobs in (1, 2)
+    ]
+    elapsed = time.perf_counter() - start
+    report = reports[0]
+    rows = [report_row(net, r) for r in reports]
+    ok = max(report.sup_error, report.grad_sup_error) <= 2.0 ** -5 and rows[0] == rows[1]
+    criterion(
+        8,
+        ok,
+        f"matvec(8,4,D=2,eps=2^-5) on 2000 kink-avoiding samples: "
+        f"value dev {report.sup_error:.3e}, grad dev {report.grad_sup_error:.3e} (<=2^-5), "
+        f"{report.kinks_skipped} skipped, jobs 1 and 2 rows "
+        f"{'equal' if rows[0] == rows[1] else 'DIFFER'}, {elapsed:.1f}s for both",
+    )

@@ -263,6 +263,9 @@ def _malformed_documents():
     docs = [
         {"meta": meta, "layers": [{"weights": {"a": 1}, "bias": [0.0]}]},
         {"meta": meta, "layers": [{"weights": [[1.0]], "bias": {"a": 1}}]},
+        {"meta": meta, "layers": [{"weights": [["1.5"]], "bias": ["2"]}]},
+        {"meta": meta, "layers": [{"weights": [[True]], "bias": [False]}]},
+        {"meta": meta, "layers": [{"weights": [[10 ** 400]], "bias": [0.0]}]},
         {"meta": ["kind"], "layers": [good]},
         {"meta": "kind", "layers": [good]},
     ]

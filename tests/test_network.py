@@ -11,17 +11,20 @@ from matvecnet import (
     Fnn,
     Layer,
     StructureError,
+    dot_product_net,
     evaluate,
     evaluate_batch,
     jacobian,
     load_fnn,
+    matvec_net,
     metrics,
+    parallelize_disjoint,
     preactivations,
     save_fnn,
     validate,
 )
 from matvecnet.interchange import network_document, network_from_document
-from matvecnet.network import SLICE_BYTES
+from matvecnet.network import SLICE_BYTES, _forward, _tangent_seeds
 
 
 def test_layer_coerces_and_freezes():
@@ -166,6 +169,101 @@ def test_stacked_jacobian_on_a_kink_uses_zero_slope():
         assert jac[i].tobytes() == jacobian(net, x).tobytes()
 
 
+def masked_layer_product(net, x):
+    """W_K D_{K-1} W_{K-1} ... D_1 W_1 at x: dense W_1, then one CSR product per layer."""
+    J = net.layers[0].weights.toarray()
+    for layer, pre in zip(net.layers[1:], preactivations(net, x)):
+        J *= (pre > 0.0)[:, None]
+        J = layer.weights @ J
+    return J
+
+
+def expanded_jacobians(net, xs):
+    """Jacobians from one pass over the compressed seed, decompressed."""
+    seeds = _tangent_seeds(net)
+    return seeds.expand(_forward(net, xs, seeds.matrix)[1])
+
+
+def assert_expansion_equals_jacobian(net, xs):
+    full = jacobian(net, xs)
+    got = expanded_jacobians(net, xs)
+    assert got.shape == full.shape
+    # -0.0 and 0.0 are one value here
+    assert (got + 0.0).tobytes() == (full + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("m,n,D", [(1, 1, 1.0), (2, 2, 1.0), (3, 5, 1.5), (8, 4, 2.0)])
+def test_compressed_matvec_jacobians_equal_the_full_ones(m, n, D):
+    net = matvec_net(m, n, D, 2.0 ** -5)
+    rng = np.random.default_rng(m * 10 + n)
+    xs = rng.uniform(-D, D, (40, net.input_dim))
+    xs[:4] = 0.0
+    xs[4:8, : m * n] = 0.0
+    xs[8:12] = D
+    assert_expansion_equals_jacobian(net, xs)
+
+
+def test_compressed_dot_product_jacobians_equal_the_full_ones():
+    net = dot_product_net(3, 1.0, 2.0 ** -4)
+    # one output sees every input: no compression, the identity seed
+    assert np.array_equal(_tangent_seeds(net).matrix, np.eye(6))
+    xs = np.random.default_rng(3).uniform(-1.0, 1.0, (25, 6))
+    assert_expansion_equals_jacobian(net, xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 4))
+def test_compressed_block_diagonal_jacobians_equal_the_full_ones(seed, blocks):
+    # block-diagonal layers: inputs of different blocks share seed columns
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 5))
+    parts = [random_fnn(rng, depth=depth, zero_frac=0.5) for _ in range(blocks)]
+    net = parallelize_disjoint(parts)
+    assert _tangent_seeds(net).matrix.shape[1] <= max(f.input_dim for f in parts)
+    xs = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 8)), net.input_dim))
+    xs[rng.random(xs.shape) < 0.2] = 0.0
+    assert_expansion_equals_jacobian(net, xs)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 5), (8, 4)])
+def test_matvec_seeds_share_a_column_per_matrix_column(m, n):
+    # W[:, j] reaches each output once, so the m entries share seed column j;
+    # x_j reaches every output and keeps a column of its own
+    seeds = _tangent_seeds(matvec_net(m, n, 1.0, 2.0 ** -4))
+    assert seeds.matrix.shape == (n * (m + 1), 2 * n)
+    assert seeds.group.tolist() == [j for j in range(n) for _ in range(m)] + list(range(n, 2 * n))
+    assert np.array_equal(seeds.matrix.sum(axis=0), [m] * n + [1] * n)
+
+
+def test_dense_network_gets_the_identity_seed():
+    rng = np.random.default_rng(4)
+    net = Fnn((Layer(rng.uniform(0.5, 1.0, (4, 5)), np.zeros(4)),
+               Layer(rng.uniform(0.5, 1.0, (2, 4)), np.zeros(2))))
+    seeds = _tangent_seeds(net)
+    assert np.array_equal(seeds.matrix, np.eye(5))
+    assert seeds.reach.all()
+
+
+def test_seed_groups_merge_inputs_that_reach_no_output():
+    # input 0 reaches nothing, input 1 reaches the output: one seed column
+    net = Fnn((Layer([[0.0, 1.0]], [0.0]), Layer([[1.0]], [0.0])))
+    seeds = _tangent_seeds(net)
+    assert seeds.group.tolist() == [0, 0]
+    assert seeds.reach.tolist() == [[False, True]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 5))
+def test_jacobian_is_the_masked_layer_product(seed, count):
+    rng = np.random.default_rng(seed)
+    net = random_fnn(rng)
+    xs = rng.uniform(-2.0, 2.0, (count, net.input_dim))
+    xs[rng.random(xs.shape) < 0.3] = 0.0
+    jac = jacobian(net, xs)
+    for i, x in enumerate(xs):
+        assert jac[i].tobytes() == masked_layer_product(net, x).tobytes()
+
+
 def test_metrics_counts_exact_zeros_and_input_neurons():
     net = Fnn((
         Layer([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]], [0.5, 0.0]),
@@ -260,6 +358,8 @@ def test_load_rejects_malformed_sparse_layers(tmp_path):
         ({"values": [1.0, "2"]}, "needs numbers"),
         ({"values": [1.0, False]}, "needs numbers"),
         ({"bias": [0.0, "0"]}, "needs numbers"),
+        ({"values": [1.0, 10 ** 400]}, "needs numbers"),
+        ({"bias": [0.0, 10 ** 400]}, "needs numbers"),
         ({"rows": "01"}, "lists of coordinates"),
         ({"shape": [2]}, "'shape' must be two counts"),
         ({"shape": [2, -1]}, "'shape' must be two counts"),
@@ -309,6 +409,14 @@ def test_load_rejects_malformed_file(tmp_path):
         {"weights": [[{}]], "bias": [0.0]},
         {"weights": [[1.0]], "bias": {"a": 1}},
         {"weights": [[1.0]], "bias": [{}]},
+        {"weights": [["1.5"]], "bias": [0.0]},
+        {"weights": [[1.0]], "bias": ["2"]},
+        {"weights": [[True]], "bias": [0.0]},
+        {"weights": [[1.0]], "bias": [False]},
+        {"weights": [[1.0, None]], "bias": [0.0]},
+        {"weights": 1.0, "bias": [0.0]},
+        {"weights": [[10 ** 400]], "bias": [0.0]},
+        {"weights": [[1.0]], "bias": [-(10 ** 400)]},
     ):
         path.write_text(json.dumps({"layers": [good, layer]}))
         with pytest.raises(ValueError, match="layer 2 needs numbers"):

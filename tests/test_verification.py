@@ -265,17 +265,21 @@ def bits(report):
 
 
 SOBOLEV_CASES = {
-    "matvec(2,2)": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, REDUCE_CHUNK + 300),
-    "matvec(1,1)": (lambda: matvec_net(1, 1, 1.0, 2.0 ** -3), 1, 1, REDUCE_CHUNK + 300),
+    "matvec(2,2)": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, REDUCE_CHUNK + 300),
+    "matvec(1,1)": (lambda: matvec_net(1, 1, 1.0, 2.0 ** -3), 1, 1, 1.0, REDUCE_CHUNK + 300),
+    # seed compression merges 36 input columns into 8 (20 into 10), and the
+    # width-sized sub-batches (9 and 16 rows) end inside the chunk
+    "matvec(8,4)": (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), 8, 4, 2.0, 301),
+    "matvec(3,5)": (lambda: matvec_net(3, 5, 1.0, 2.0 ** -4), 3, 5, 1.0, 250),
     # every draw sits on a kink: all lanes are tried, then the index is skipped
     "stuck": (
         lambda: Fnn((Layer(np.zeros((1, 2)), np.zeros(1)), Layer(np.ones((1, 1)), np.zeros(1)))),
-        1, 1, 30,
+        1, 1, 1.0, 30,
     ),
     # the second hidden pre-activation is rho(x): draws with x < 0 redraw on lanes >= 1
     "rho": (
         lambda: Fnn((Layer([[0.0, 1.0]], [0.0]), Layer([[1.0]], [0.0]), Layer([[1.0]], [0.0]))),
-        1, 1, REDUCE_CHUNK + 300,
+        1, 1, 1.0, REDUCE_CHUNK + 300,
     ),
 }
 
@@ -283,10 +287,10 @@ SOBOLEV_CASES = {
 @pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("case", sorted(SOBOLEV_CASES))
 def test_sobolev_equals_the_per_sample_loop(case, jobs):
-    make, m, n, samples = SOBOLEV_CASES[case]
+    make, m, n, D, samples = SOBOLEV_CASES[case]
     net = make()
-    expected = per_sample_sobolev(net, m, n, 1.0, samples, seed=17)
-    got = sobolev_error_matvec(net, m, n, 1.0, samples=samples, seed=17, jobs=jobs)
+    expected = per_sample_sobolev(net, m, n, D, samples, seed=17)
+    got = sobolev_error_matvec(net, m, n, D, samples=samples, seed=17, jobs=jobs)
     assert bits(got) == bits(expected)
     if case == "rho":
         # lane 0 puts x < 0, on the kink, for about half of the indices
