@@ -5,7 +5,8 @@ Exit codes separate scientific findings from plumbing problems:
 * 0: requested work done, all checked bounds hold;
 * 1: a verified bound was violated (a definitive counterexample, since the
   empirical sup is a lower bound of the true sup);
-* 2: bad usage, out-of-range parameters, or a malformed input file;
+* 2: bad usage, out-of-range parameters, a malformed input file, or a
+  request too large for memory;
 * 3: the work was valid but an I/O operation failed.
 
 ``--eps`` accepts a decimal ("0.03125") or a power-of-two literal ("2^-5");
@@ -321,6 +322,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the request is too large for the available memory", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -162,8 +162,8 @@ def equispaced_real_dataset(
         raise ValueError("m, n and count must be positive")
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0 < half_width < math.inf:
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     h = float(half_width)
     entries = m * n + n
     inputs = np.empty((count, entries))

@@ -14,6 +14,13 @@ samples on a kink as it goes; it redraws only the kinked indices, on lanes
 1, 2, ..., decompresses the Jacobians and takes draws and sums in per-sample
 order. Sub-batch heights follow from the network's width and seed count.
 
+Every estimator evaluates through the network's plan of distinct neurons
+(see :mod:`.network`), built once per call before any thread pool starts:
+fewer rows per layer, the same bits. Building a plan costs one to a few
+milliseconds, a few one-row evaluations, so one-off calls such as
+:func:`.network.evaluate_batch` on a handful of rows keep to the stored
+layers, while an estimator call evaluates thousands of rows.
+
 Alongside the random samples, :func:`sup_error_matvec` always evaluates a
 deterministic probe set: the origin, the all +D and all -D corners, the two
 one-factor-zero points (W = 0 with x at +D, and x = 0 with W at +D), and
@@ -40,7 +47,7 @@ import numpy as np
 from .constructors import BoundBudget, square_net_of_order
 from .datasets import Dataset, _matvec, unpack_matvec
 from .network import (
-    SLICE_BYTES, Fnn, NetworkMetrics, _forward, _tangent_seeds, evaluate_batch, jacobian, metrics,
+    SLICE_BYTES, Fnn, NetworkMetrics, _batch, _distinct, _forward, _tangent_seeds, jacobian, metrics,
 )
 from .rng import uniform_rows
 
@@ -193,16 +200,17 @@ def sup_error_matvec(
     enter the sup only, never the mean.
     """
     width = n * (m + 1)
+    plan = _distinct(f)
 
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
         xs = _uniform_rows(seed, lo, hi, width, D)
-        err = np.abs(evaluate_batch(f, xs) - _matvec_targets(xs, m, n))
+        err = np.abs(_batch(plan, xs) - _matvec_targets(xs, m, n))
         return float(np.max(err)), 0.0, float(np.sum(np.mean(err * err, axis=1))), hi - lo, 0
 
     sup, _, total_sq, _, _ = _reduce_chunks(f, m, n, samples, jobs, work)
 
     probes = probe_inputs(m, n, D)
-    probe_err = np.abs(evaluate_batch(f, probes) - _matvec_targets(probes, m, n))
+    probe_err = np.abs(_batch(plan, probes) - _matvec_targets(probes, m, n))
     sup = max(sup, float(np.max(probe_err)))
 
     return ErrorReport(
@@ -244,12 +252,14 @@ def sobolev_error_matvec(
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
     exactly on kinks by design. Each chunk runs in sub-batches whose widest
-    value and tangent blocks (max width x rows x (seed columns + 1), float64)
-    stay within a quarter of SLICE_BYTES, so threads keep peak memory low.
+    value and tangent blocks (widest distinct layer x rows x (seed columns +
+    1), float64) stay within a quarter of SLICE_BYTES, so threads keep peak
+    memory low.
     """
     width = n * (m + 1)
+    plan = _distinct(f)
     seeds = _tangent_seeds(f)
-    step = (SLICE_BYTES // 4) // (8 * max(f.widths) * (seeds.matrix.shape[1] + 1))
+    step = (SLICE_BYTES // 4) // (8 * max(plan.widths) * (seeds.matrix.shape[1] + 1))
     step = max(1, min(REDUCE_CHUNK, step))
 
     def screened(xs: np.ndarray):
@@ -259,8 +269,8 @@ def sobolev_error_matvec(
         def screen(Z: np.ndarray) -> None:
             ok[:] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
 
-        values, tangents = _forward(f, xs, seeds.matrix, screen)
-        # Row-major, as evaluate_batch returns them: a row mean over m > 8
+        values, tangents = _forward(plan, xs, seeds.matrix, screen)
+        # Row-major, as _batch returns them: a row mean over m > 8
         # entries sums in an order that depends on the memory layout.
         return np.ascontiguousarray(values), tangents, ok
 
@@ -315,7 +325,7 @@ def dataset_error_report(f: Fnn, ds: Dataset) -> ErrorReport:
             f"dimension mismatch: dataset is {ds.inputs.shape[1]} -> "
             f"{ds.targets.shape[1]}, network is {f.input_dim} -> {f.output_dim}"
         )
-    err = np.abs(evaluate_batch(f, ds.inputs) - ds.targets)
+    err = np.abs(_batch(_distinct(f), ds.inputs) - ds.targets)
     half = ds.meta.get("clip", ds.meta.get("half_width", 0.0))
     return ErrorReport(
         sup_error=float(np.max(err)),
@@ -336,7 +346,7 @@ def square_error_report(net: Fnn) -> ErrorReport:
     report's seed is 0.
     """
     grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-    err = np.abs(evaluate_batch(net, grid[:, None])[:, 0] - grid * grid)
+    err = np.abs(_batch(_distinct(net), grid[:, None])[:, 0] - grid * grid)
     return ErrorReport(
         sup_error=float(np.max(err)),
         mse=float(np.mean(err * err)),

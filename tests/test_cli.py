@@ -1,7 +1,7 @@
 """End-to-end command-line flows against a temp directory.
 
-Exit code contract: 0 all bounds hold, 1 a bound was violated, 2 bad usage
-or malformed file, 3 I/O failure.
+Exit code contract: 0 all bounds hold, 1 a bound was violated, 2 bad usage,
+malformed file or a request too large for memory, 3 I/O failure.
 """
 
 import csv
@@ -353,6 +353,40 @@ def test_data_equispaced_json_output(tmp_path, capsys):
     assert len(doc["inputs"]) == 10
     entries = np.asarray(doc["inputs"])
     assert np.all(np.isin(entries, np.linspace(-1.0, 1.0, 5)))
+
+
+@pytest.mark.parametrize("half_width", ["inf", "-inf", "nan"])
+def test_data_rejects_a_non_finite_half_width(tmp_path, capsys, half_width):
+    out = tmp_path / "grid.csv"
+    code, _, err = run(
+        [
+            "data", "--kind", "equispaced", "--m", "1", "--n", "2", "--count", "3",
+            f"--half-width={half_width}", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error:") and "half_width" in err
+    assert not out.exists()
+
+
+def test_data_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    import matvecnet.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "equispaced_real_dataset", exhausted)
+    code, stdout, err = run(
+        [
+            "data", "--kind", "equispaced", "--m", "3000000", "--n", "3000", "--count", "1",
+            "--out", str(tmp_path / "big.csv"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "too large" in err
 
 
 # ---------------------------------------------------------------- report

@@ -137,6 +137,9 @@ def test_equispaced_validates_arguments():
         equispaced_real_dataset(2, 2, 5, grid_points=1)
     with pytest.raises(ValueError):
         equispaced_real_dataset(2, 2, 5, half_width=0.0)
+    for half_width in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            equispaced_real_dataset(2, 2, 5, half_width=half_width)
 
 
 # ---------------------------------------------------------------- qpsk

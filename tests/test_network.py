@@ -11,6 +11,8 @@ from matvecnet import (
     Fnn,
     Layer,
     StructureError,
+    affine_representation,
+    complex_matvec_net,
     dot_product_net,
     evaluate,
     evaluate_batch,
@@ -21,10 +23,13 @@ from matvecnet import (
     parallelize_disjoint,
     preactivations,
     save_fnn,
+    scalar_product_net,
+    square_net,
+    square_net_of_order,
     validate,
 )
 from matvecnet.interchange import network_document, network_from_document
-from matvecnet.network import SLICE_BYTES, _forward, _tangent_seeds
+from matvecnet.network import SLICE_BYTES, _batch, _distinct, _forward, _tangent_seeds
 
 
 def test_layer_coerces_and_freezes():
@@ -262,6 +267,159 @@ def test_jacobian_is_the_masked_layer_product(seed, count):
     jac = jacobian(net, xs)
     for i, x in enumerate(xs):
         assert jac[i].tobytes() == masked_layer_product(net, x).tobytes()
+
+
+def oracle_plan(net):
+    """Per layer the kept rows and their read columns; and the output index. One row at a time."""
+    index = list(range(net.input_dim))
+    steps = []
+    for layer in net.layers:
+        data, indices, indptr, _ = layer._csr
+        groups: dict = {}
+        kept, columns, next_index = [], [], []
+        for i in range(layer.fan_out):
+            read = [index[c] for c in indices[indptr[i]:indptr[i + 1]].tolist()]
+            weights = data[indptr[i]:indptr[i + 1]].view(np.int64).tolist()
+            key = (layer.bias[i:i + 1].view(np.int64)[0], tuple(zip(read, weights)))
+            if key not in groups:
+                groups[key] = len(groups)
+                kept.append(i)
+                columns += read
+            next_index.append(groups[key])
+        steps.append((kept, columns))
+        index = next_index
+    return steps, index
+
+
+def assert_plan_equals_stored(net, xs):
+    """The plan groups like the oracle, keeps stored entry order, and runs bit-equal."""
+    plan = _distinct(net)
+    steps, output = oracle_plan(net)
+    assert plan.output.tolist() == output
+    assert plan.widths == (net.input_dim,) + tuple(len(kept) for kept, _ in steps)
+    for step, layer, (kept, columns) in zip(plan.layers, net.layers, steps):
+        data, _, indptr, _ = layer._csr
+        W = step.weights
+        assert W.indices.tolist() == columns
+        assert W.data.tobytes() == b"".join(data[indptr[i]:indptr[i + 1]].tobytes() for i in kept)
+        assert W.indptr.tolist() == np.cumsum([0] + [indptr[i + 1] - indptr[i] for i in kept]).tolist()
+        assert step.bias.tobytes() == layer.bias[kept].tobytes()
+    assert _batch(plan, xs).tobytes() == evaluate_batch(net, xs).tobytes()
+    for seed in (np.eye(net.input_dim), _tangent_seeds(net).matrix):
+        planned, stored = _forward(plan, xs, seed), _forward(net, xs, seed)
+        assert planned[0].tobytes() == stored[0].tobytes()
+        assert planned[1].tobytes() == stored[1].tobytes()
+    # the kink screen sees each distinct pre-activation row, and no other
+    planned_pres: list = []
+    _forward(plan, xs, visit=lambda Z: planned_pres.append({row.tobytes() for row in Z}))
+    stored_pres = [{row.tobytes() for row in pre.T} for pre in preactivations(net, xs)]
+    assert planned_pres == stored_pres
+    return plan
+
+
+def planted_layer(rng, fan_out, fan_in, alphabet):
+    """Weights drawn from a few values, so that rows and reads repeat."""
+    w = rng.choice(alphabet, (fan_out, fan_in))
+    w[rng.random(w.shape) < 0.4] = 0.0
+    copies = rng.integers(0, fan_out, fan_out // 2)
+    w[rng.integers(0, fan_out, copies.size)] = w[copies]
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 6))
+def test_plan_of_a_network_with_planted_duplicates_runs_bit_equal(seed, count):
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 5))
+    widths = [int(rng.integers(1, 7))] + [int(rng.integers(1, 9)) for _ in range(depth)]
+    alphabet = np.array([-1.5, -1.0, 0.5, 1.0, 3.0])
+    layers = []
+    for k in range(depth):
+        w = planted_layer(rng, widths[k + 1], widths[k], alphabet)
+        b = rng.choice([0.0, -0.0, 0.25, -0.5], widths[k + 1])
+        layers.append(Layer(w, b))
+    net = Fnn(tuple(layers))
+    xs = rng.choice([-2.0, -0.5, 0.0, 0.75, 1.25], (count, net.input_dim))
+    assert_plan_equals_stored(net, xs)
+
+
+def named_cases_net():
+    """A network with each case the plan must tell apart or merge, at known rows."""
+    hidden = Layer(
+        [[1.0, 2.0], [0.5, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]],
+        [0.5, 0.0, 0.5, 0.0, -0.0, 1.0, 1.0],
+    )
+    # neurons 0 and 2 are copies; 3 and 4 differ only in the sign of a zero
+    # bias; 5 and 6 are equal empty rows
+    second = Layer(
+        [
+            [1.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0],   # reads 0 then 1
+            [0.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0],   # reads 1 then 0's copy: reverse order
+            [1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0],   # reads two copies of one neuron
+            [1.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0],   # a copy of row 0
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],   # empty
+            [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+        ],
+        np.full(7, -0.25),
+    )
+    output = Layer([[1.0, -1.0, 1.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0],
+                    [1.0, -1.0, 1.0, 0.0, 1.0, 1.0, 1.0]], np.zeros(3))
+    return Fnn((hidden, second, output))
+
+
+def test_plan_keeps_each_named_case():
+    net = named_cases_net()
+    xs = np.random.default_rng(9).uniform(-2.0, 2.0, (50, 2))
+    xs[:3] = 0.0
+    plan = assert_plan_equals_stored(net, xs)
+    # hidden: 0 = 2 and 5 = 6 merge, 3 and 4 stay apart
+    assert plan.widths == (2, 5, 6, 2)
+    second = plan.layers[1].weights
+    rows = [second.indices[second.indptr[i]:second.indptr[i + 1]].tolist() for i in range(6)]
+    # the reverse read stays apart from row 0; the double read repeats a column
+    assert rows[:3] == [[0, 1], [1, 0], [0, 0]]
+    # the two zero-bias neurons feed rows that stay apart
+    assert rows[4:] == [[2, 4], [3, 4]]
+    assert plan.output.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("net", [
+    square_net_of_order(0),
+    square_net(2.0 ** -8),
+    scalar_product_net(1.5, 2.0 ** -6),
+    dot_product_net(3, 1.0, 2.0 ** -5),
+    matvec_net(1, 1, 1.0, 2.0 ** -4),
+    matvec_net(3, 2, 2.0, 2.0 ** -5),
+    complex_matvec_net(1, 2, 1.5, 2.0 ** -4),
+    complex_matvec_net(2, 2, 3.0, 2.0 ** -5),
+    affine_representation(np.array([[1.0, -2.0], [0.5, 0.0], [1.0, -2.0]]), 1),
+    affine_representation(np.array([[1.0, -2.0], [0.5, 0.0]]), 2, K=3),
+], ids=lambda net: net.record.kind)
+def test_plan_of_every_construction_runs_bit_equal(net):
+    rng = np.random.default_rng(net.input_dim)
+    xs = rng.uniform(-1.5, 1.5, (60, net.input_dim))
+    xs[:2] = 0.0
+    xs[2:4] = 1.0
+    assert_plan_equals_stored(net, xs)
+
+
+@pytest.mark.parametrize("make,width", [
+    (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 40),
+    (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), 272),
+    (lambda: complex_matvec_net(8, 4, 3.0, 2.0 ** -5), 800),
+    (lambda: square_net_of_order(1), 3),
+])
+def test_plan_widths_at_the_operating_points(make, width):
+    assert max(_distinct(make()).widths) == width
+
+
+def test_square_net_first_layer_drops_its_copy():
+    # the hat rows of later blocks differ in bias, so only the first layer shrinks
+    for order in (2, 5, 9):
+        plan = _distinct(square_net_of_order(order))
+        assert plan.widths[1] == 3
+        assert max(plan.widths) == 4
 
 
 def test_metrics_counts_exact_zeros_and_input_neurons():

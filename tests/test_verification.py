@@ -18,6 +18,7 @@ from matvecnet import (
     REPORT_COLUMNS,
     affine_representation,
     check_budget,
+    complex_matvec_net,
     dataset_error_report,
     evaluate,
     evaluate_batch,
@@ -26,6 +27,7 @@ from matvecnet import (
     predicted_budget,
     preactivations,
     probe_inputs,
+    qpsk_rayleigh_dataset,
     report_lines,
     report_row,
     sobolev_error_matvec,
@@ -35,7 +37,9 @@ from matvecnet import (
     square_slope_sup,
     sup_error_matvec,
 )
+import matvecnet.verification as verification
 from matvecnet.datasets import unpack_matvec
+from matvecnet.network import SLICE_BYTES
 from matvecnet.rng import stream
 from matvecnet.verification import (
     KINK_TOL,
@@ -339,6 +343,54 @@ def test_dataset_report_rejects_dimension_mismatch():
     ds = Dataset(np.zeros((5, 3)), np.zeros((5, 1)), {})
     with pytest.raises(ValueError):
         dataset_error_report(net, ds)
+
+
+def test_dataset_report_equals_the_stored_layers():
+    # the report runs on the network's plan: the stored layers give the same bits
+    net = complex_matvec_net(2, 3, 1.5, 2.0 ** -5)
+    ds = qpsk_rayleigh_dataset(2, 3, 700, clip=1.5, seed=5)
+    err = np.abs(evaluate_batch(net, ds.inputs) - ds.targets)
+    report = dataset_error_report(net, ds)
+    assert report.sup_error.hex() == float(np.max(err)).hex()
+    assert report.mse.hex() == float(np.mean(np.mean(err * err, axis=1))).hex()
+
+
+def test_estimators_plan_once_per_call(monkeypatch):
+    built = []
+
+    def counted(f):
+        built.append(f)
+        return real_distinct(f)
+
+    real_distinct = verification._distinct
+    monkeypatch.setattr(verification, "_distinct", counted)
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    # three reduction chunks on two threads, then probes
+    sup_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
+    assert built == [net]
+    sobolev_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
+    assert built == [net, net]
+    dataset_error_report(net, Dataset(np.zeros((5000, 6)), np.zeros((5000, 2)), {}))
+    square = square_net_of_order(3)
+    square_error_report(square)
+    assert built == [net, net, net, square]
+
+
+def test_sobolev_sub_batches_are_sized_from_the_plan(monkeypatch):
+    heights = []
+
+    def recorded(net, xs, *args):
+        heights.append(len(xs))
+        return real_forward(net, xs, *args)
+
+    real_forward = verification._forward
+    monkeypatch.setattr(verification, "_forward", recorded)
+    net = matvec_net(8, 4, 2.0, 2.0 ** -5)
+    sobolev_error_matvec(net, 8, 4, 2.0, 40, seed=0)
+    # 272 distinct neurons in the widest layer, 8 seed columns
+    step = (SLICE_BYTES // 4) // (8 * 272 * 9)
+    assert step == 13
+    assert heights[0] == step
 
 
 # ---------------------------------------------------------------- squaring checks
