@@ -25,14 +25,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .constructors import (
-    complex_matvec_net,
-    dot_product_net,
-    matvec_net,
-    predicted_budget,
-    scalar_product_net,
-    square_net,
-)
+from .constructors import KINDS, predicted_budget
 from .datasets import (
     equispaced_real_dataset,
     qpsk_rayleigh_dataset,
@@ -42,8 +35,10 @@ from .datasets import (
 from .interchange import load_fnn, save_fnn
 from .verification import (
     REPORT_COLUMNS,
+    budget_line,
     check_budget,
     dataset_error_report,
+    metrics_line,
     report_lines,
     report_row,
     sobolev_error_matvec,
@@ -52,8 +47,6 @@ from .verification import (
 )
 
 __all__ = ["main", "parse_eps"]
-
-_BUILD_KINDS = ("square", "scalar_product", "dot_product", "matvec", "complex_matvec")
 
 
 def parse_eps(text: str) -> float:
@@ -82,26 +75,15 @@ def _count(text: str) -> int:
 
 
 def _build_network(kind: str, args: argparse.Namespace):
-    if kind == "square":
-        return square_net(args.eps)
-    if args.D is None:
-        raise ValueError(f"--D is required to build a {kind} network")
-    if kind == "scalar_product":
-        return scalar_product_net(args.D, args.eps)
-    if args.n is None:
-        raise ValueError(f"--n is required to build a {kind} network")
-    if kind == "dot_product":
-        return dot_product_net(args.n, args.D, args.eps)
-    if args.m is None:
-        raise ValueError(f"--m is required to build a {kind} network")
-    if kind == "matvec":
-        return matvec_net(args.m, args.n, args.D, args.eps)
-    return complex_matvec_net(args.m, args.n, args.D, args.eps)
+    """The kind's builder called on the options its ``KINDS`` row names, eps checked first."""
+    entry = KINDS[kind]
+    for name in reversed(entry.params):
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required to build a {kind} network")
+    return entry.builder(*(getattr(args, name) for name in entry.params))
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.eps is None:
-        raise ValueError("--eps is required")
     net = _build_network(args.kind, args)
     record = net.record
     budget = predicted_budget(
@@ -128,21 +110,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     })
     print(f"wrote {out}")
     print(f"packing: {record.input_packing}")
-    print(
-        f"metrics: L={got.depth} M={got.connectivity} N={got.neurons} "
-        f"W={got.max_width} B={got.max_weight!r}"
-    )
+    print(metrics_line(got))
     if args.kind == "square":
         guaranteed = 2.0 ** (-2 * (record.sawtooth_order + 1))
         print(f"sawtooth order {record.sawtooth_order}, guaranteed sup error {guaranteed!r}")
-    print(
-        f"budget: depth {got.depth} <= ceil({budget.depth_bound!r}) "
-        f"[{'pass' if compliance.depth_ok else 'FAIL'}], "
-        f"width {got.max_width} <= {budget.width_bound!r} "
-        f"[{'pass' if compliance.width_ok else 'FAIL'}], "
-        f"weight {got.max_weight!r} <= {budget.weight_bound!r} "
-        f"[{'pass' if compliance.weight_ok else 'FAIL'}]"
-    )
+    print(budget_line(compliance))
     return 0 if compliance.passed else 1
 
 
@@ -164,8 +136,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record = net.record
     if record is None:
         raise ValueError("network file carries no construction record to verify against")
-    if record.kind.startswith("affine"):
-        raise ValueError("affine networks carry no target accuracy to verify")
+    if KINDS[record.kind].builder is None:
+        raise ValueError(f"{record.kind} networks carry no target accuracy to verify")
     eps = record.eps
     if eps is None:
         raise ValueError("construction record has no eps")
@@ -186,8 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = dataset_error_report(net, ds)
         worst = report.sup_error
     else:
-        rows = 1 if record.kind in ("scalar_product", "dot_product") else record.m
-        cols = 1 if record.kind == "scalar_product" else record.n
+        rows = 1 if record.m is None else record.m
+        cols = 1 if record.n is None else record.n
         report = sup_error_matvec(
             net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
         )
@@ -273,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="construct a network and write it to disk")
-    build.add_argument("--kind", choices=_BUILD_KINDS, required=True)
+    buildable = [kind for kind, entry in KINDS.items() if entry.builder is not None]
+    build.add_argument("--kind", choices=buildable, required=True)
     build.add_argument("--m", type=int, default=None)
     build.add_argument("--n", type=int, default=None)
     build.add_argument("--D", type=float, default=None)

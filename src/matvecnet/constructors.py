@@ -45,13 +45,22 @@ Exactness guarantees worth knowing about:
   product rounding), with closed-form connectivity counts;
 * f_m interpolates x^2 at dyadic points, so e.g. square_net(eps)(1/2) is
   0.25 on the nose.
+
+Each construction kind is one row of :data:`KINDS`: its builder, the
+parameters the builder takes (a suffix of (m, n, D, eps)), and the two
+constants of the one size-budget formula in :func:`predicted_budget`. The
+command line reads its build choices, argument checks and verification
+shapes from this table, so adding a kind means adding its builder and its
+row. The exact affine kinds have rows with neither builder nor budget:
+:func:`affine_representation` takes a matrix, not these parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, log2
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,6 +75,7 @@ from .network import Fnn, Layer
 
 __all__ = [
     "KINDS",
+    "KindEntry",
     "ConstructionRecord",
     "BoundBudget",
     "sawtooth_order",
@@ -78,17 +88,6 @@ __all__ = [
     "affine_representation",
     "predicted_budget",
 ]
-
-KINDS = frozenset({
-    "square",
-    "scalar_product",
-    "dot_product",
-    "matvec",
-    "complex_matvec",
-    "affine_v1",
-    "affine_v2",
-    "affine_v3",
-})
 
 
 @dataclass(frozen=True)
@@ -516,6 +515,33 @@ def affine_representation(W, variant: int, K: int | None = None) -> Fnn:
     return Fnn(layers).with_record(record)
 
 
+class KindEntry(NamedTuple):
+    """One row of :data:`KINDS`: how a kind is built and what it promises.
+
+    ``builder`` takes the parameters named in ``params`` positionally, a
+    suffix of ``(m, n, D, eps)``. ``depth_factor`` and ``width_factor`` are
+    the constants f and w of :func:`predicted_budget`. A kind without a
+    builder has no budget either.
+    """
+
+    builder: Callable[..., Fnn] | None
+    params: tuple[str, ...]
+    depth_factor: float | None = None
+    width_factor: float | None = None
+
+
+KINDS: Mapping[str, KindEntry] = MappingProxyType({
+    "square": KindEntry(square_net, ("eps",), 1.0, 4.0),
+    "scalar_product": KindEntry(scalar_product_net, ("D", "eps"), 1.0, 12.0),
+    "dot_product": KindEntry(dot_product_net, ("n", "D", "eps"), 1.0, 12.0),
+    "matvec": KindEntry(matvec_net, ("m", "n", "D", "eps"), 1.0, 12.0),
+    "complex_matvec": KindEntry(complex_matvec_net, ("m", "n", "D", "eps"), 4.0, 48.0),
+    "affine_v1": KindEntry(None, ()),
+    "affine_v2": KindEntry(None, ()),
+    "affine_v3": KindEntry(None, ()),
+})
+
+
 def predicted_budget(
     kind: str,
     m: int | None = None,
@@ -526,61 +552,31 @@ def predicted_budget(
 ) -> BoundBudget:
     """Closed-form size budget a constructed network is expected to meet.
 
-    Depth bounds are C * log2 of the relevant accuracy ratio (1/eps for
-    squaring, n D^2 / eps for dot and matrix-vector products with an extra
-    factor 4 in the complex case); compare actual depth against the
-    ceiling. Width bounds are 4, 12, 12n, 12mn, 48mn along the same scale,
-    and the weight bound is max(4, 2 D^2) whenever a domain half-width is
-    involved. No closed-form connectivity or neuron bounds are claimed, so
-    those stay None.
+    One formula serves every kind with a budget, f and w taken from its
+    :data:`KINDS` row and each parameter the kind does not take counted as 1:
+    depth C * log2(f n D^2 / eps) (compare actual depth against the ceiling),
+    width w m n, and weight max(4, 2 D^2). So squaring gets C * log2(1/eps),
+    width 4 and weight 4; the products get widths 12, 12n, 12mn and 48mn, and
+    the complex kind's depth carries f = 4. The parameters the kind takes are
+    checked in the order eps, D, n, m. No closed-form connectivity or neuron
+    bounds are claimed, so those stay None.
     """
-    if eps is None or not 0.0 < eps:
-        raise ValueError("eps must be given and positive")
-    if kind == "square":
-        return BoundBudget(
-            target_eps=eps,
-            depth_bound=C * log2(1.0 / eps),
-            width_bound=4.0,
-            weight_bound=4.0,
-            depth_constant=C,
-        )
-    if D is None or not D > 0:
-        raise ValueError("D must be given and positive")
-    weight = max(4.0, 2.0 * D * D)
-    if kind == "scalar_product":
-        return BoundBudget(
-            target_eps=eps,
-            depth_bound=C * log2(D * D / eps),
-            width_bound=12.0,
-            weight_bound=weight,
-            depth_constant=C,
-        )
-    if n is None or n < 1:
-        raise ValueError("n must be given and at least 1")
-    if kind == "dot_product":
-        return BoundBudget(
-            target_eps=eps,
-            depth_bound=C * log2(n * D * D / eps),
-            width_bound=12.0 * n,
-            weight_bound=weight,
-            depth_constant=C,
-        )
-    if m is None or m < 1:
-        raise ValueError("m must be given and at least 1")
-    if kind == "matvec":
-        return BoundBudget(
-            target_eps=eps,
-            depth_bound=C * log2(n * D * D / eps),
-            width_bound=12.0 * m * n,
-            weight_bound=weight,
-            depth_constant=C,
-        )
-    if kind == "complex_matvec":
-        return BoundBudget(
-            target_eps=eps,
-            depth_bound=C * log2(4.0 * n * D * D / eps),
-            width_bound=48.0 * m * n,
-            weight_bound=weight,
-            depth_constant=C,
-        )
-    raise ValueError(f"no budget formula for kind {kind!r}")
+    entry = KINDS.get(kind)
+    if entry is None or entry.width_factor is None:
+        raise ValueError(f"no budget formula for kind {kind!r}")
+    given = {"m": m, "n": n, "D": D, "eps": eps}
+    for name in reversed(entry.params):
+        value = given[name]
+        if name in ("m", "n"):
+            if value is None or value < 1:
+                raise ValueError(f"{name} must be given and at least 1")
+        elif value is None or not value > 0:
+            raise ValueError(f"{name} must be given and positive")
+    m, n, D = (given[name] if name in entry.params else 1 for name in ("m", "n", "D"))
+    return BoundBudget(
+        target_eps=eps,
+        depth_bound=C * log2(entry.depth_factor * n * D * D / eps),
+        width_bound=entry.width_factor * m * n,
+        weight_bound=max(4.0, 2.0 * D * D),
+        depth_constant=C,
+    )

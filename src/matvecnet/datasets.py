@@ -162,8 +162,11 @@ def equispaced_real_dataset(
         raise ValueError("m, n and count must be positive")
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points}")
-    if not 0 < half_width < math.inf:
-        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+    if not (half_width > 0 and math.isfinite(2.0 * n * half_width * half_width)):
+        raise ValueError(
+            f"half_width must be positive and small enough that every entry of W x "
+            f"is finite, got {half_width}"
+        )
     h = float(half_width)
     entries = m * n + n
     inputs = np.empty((count, entries))
@@ -213,17 +216,16 @@ def qpsk_rayleigh_dataset(
     """
     if m < 1 or n < 1 or count < 1:
         raise ValueError("m, n and count must be positive")
-    if not clip > 0:
-        raise ValueError(f"clip must be positive, got {clip}")
+    if not 0 < clip < math.inf:
+        raise ValueError(f"clip must be positive and finite, got {clip}")
     block = m * n
     rows = count + 1
     inputs = np.empty((rows, 2 * block + 2 * n))
     targets = np.empty((rows, 2 * m))
     clipped = 0
     for lo, hi in _row_blocks(rows):
-        # Per row, the stream is read as Box-Muller u1 (block uniforms), then
-        # u2 (block), then 2n symbol flips: the draws of normals() followed
-        # by gen.random(2 * n) on stream(seed, i).
+        # Per row, stream(seed, i) is read as Box-Muller u1 (block uniforms),
+        # then u2 (block), then 2n symbol flips.
         u = uniform_rows(seed, lo, hi, inputs.shape[1])
         z1, z2 = box_muller(u[:, :block], u[:, block: 2 * block])
         z = inputs[lo:hi, : 2 * block]

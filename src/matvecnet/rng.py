@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "uniform_rows", "box_muller", "normals"]
+__all__ = ["stream", "uniform_rows", "box_muller"]
 
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -133,18 +133,3 @@ def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     radius = np.sqrt(-2.0 * np.log1p(-np.asarray(u1)))
     angle = 2.0 * np.pi * np.asarray(u2)
     return radius * np.cos(angle), radius * np.sin(angle)
-
-
-def normals(gen: np.random.Generator, count: int) -> np.ndarray:
-    """`count` standard normal deviates, consuming exactly 2*ceil(count/2) uniforms."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    pairs = (count + 1) // 2
-    if pairs == 0:
-        return np.zeros(0)
-    u = gen.random((2, pairs))
-    z1, z2 = box_muller(u[0], u[1])
-    out = np.empty(2 * pairs)
-    out[0::2] = z1
-    out[1::2] = z2
-    return out[:count]

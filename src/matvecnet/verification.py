@@ -66,6 +66,8 @@ __all__ = [
     "check_budget",
     "report_row",
     "report_lines",
+    "metrics_line",
+    "budget_line",
 ]
 
 REDUCE_CHUNK = 2048
@@ -462,6 +464,27 @@ def report_row(
     return [_cell(v) for v in values]
 
 
+def metrics_line(got: NetworkMetrics) -> str:
+    """The ``metrics:`` line of the build and verify summaries."""
+    return (
+        f"metrics: L={got.depth} M={got.connectivity} N={got.neurons} "
+        f"W={got.max_width} B={_cell(got.max_weight)}"
+    )
+
+
+def budget_line(compliance: BudgetCompliance) -> str:
+    """The ``budget:`` line of the build and verify summaries."""
+    got, b = compliance.measured, compliance.budget
+    return (
+        f"budget: depth {got.depth} <= ceil({_cell(b.depth_bound)}) "
+        f"[{_cell(compliance.depth_ok)}], "
+        f"width {got.max_width} <= {_cell(b.width_bound)} "
+        f"[{_cell(compliance.width_ok)}], "
+        f"weight {_cell(got.max_weight)} <= {_cell(b.weight_bound)} "
+        f"[{_cell(compliance.weight_ok)}]"
+    )
+
+
 def report_lines(
     f: Fnn,
     report: ErrorReport,
@@ -483,11 +506,7 @@ def report_lines(
         )
         lines.append(f"network: {record.kind} ({params})")
         lines.append(f"packing: {record.input_packing}")
-    lines.append(
-        "metrics: "
-        f"L={got.depth} M={got.connectivity} N={got.neurons} "
-        f"W={got.max_width} B={_cell(got.max_weight)}"
-    )
+    lines.append(metrics_line(got))
     lines.append(
         f"errors: sup={_cell(report.sup_error)} mse={_cell(report.mse)}"
         + (
@@ -500,15 +519,6 @@ def report_lines(
     if report.kinks_skipped:
         lines.append(f"kink-skipped samples: {report.kinks_skipped}")
     if compliance is not None:
-        b = compliance.budget
-        lines.append(
-            "budget: "
-            f"depth {got.depth} <= ceil({_cell(b.depth_bound)}) "
-            f"[{_cell(compliance.depth_ok)}], "
-            f"width {got.max_width} <= {_cell(b.width_bound)} "
-            f"[{_cell(compliance.width_ok)}], "
-            f"weight {_cell(got.max_weight)} <= {_cell(b.weight_bound)} "
-            f"[{_cell(compliance.weight_ok)}]"
-        )
+        lines.append(budget_line(compliance))
         lines.append(f"budget overall: {_cell(compliance.passed)}")
     return lines

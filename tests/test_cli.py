@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matvecnet import KINDS, affine_representation, save_fnn
 from matvecnet.cli import main, parse_eps
 
 
@@ -88,6 +89,23 @@ def test_build_requires_kind_specific_parameters(tmp_path, capsys):
     )
     assert code == 2
     assert "--D is required" in stderr
+
+
+@pytest.mark.parametrize("given, first_missing", [
+    ([], "--eps"),
+    (["--m", "2", "--n", "2"], "--eps"),
+    (["--eps", "2^-4"], "--D"),
+    (["--eps", "2^-4", "--m", "2", "--n", "2"], "--D"),
+    (["--eps", "2^-4", "--D", "1.0", "--m", "2"], "--n"),
+    (["--eps", "2^-4", "--D", "1.0", "--n", "2"], "--m"),
+])
+def test_build_names_the_first_missing_parameter(tmp_path, capsys, given, first_missing):
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(["build", "--kind", "matvec", *given, "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {first_missing} is required to build a matvec network\n"
+    assert not out.exists()
 
 
 def test_build_rejects_nonfinite_or_huge_D(tmp_path, capsys):
@@ -316,6 +334,36 @@ def test_verify_complex_runs_on_clipped_channel_data(tmp_path, capsys):
     assert "verdict: ok" in stdout
 
 
+@pytest.mark.parametrize(
+    "kind", [kind for kind, entry in KINDS.items() if entry.builder is not None]
+)
+def test_every_buildable_kind_builds_and_verifies(tmp_path, capsys, kind):
+    small = {"m": "2", "n": "2", "D": "1.0", "eps": "2^-4"}
+    options = [arg for name in KINDS[kind].params for arg in (f"--{name}", small[name])]
+    out = tmp_path / f"{kind}.json"
+    code, built, _ = run(["build", "--kind", kind, *options, "--out", str(out)], capsys)
+    assert code == 0
+    code, verified, _ = run(
+        ["verify", str(out), "--samples", "200", "--out", str(tmp_path / "r.csv")], capsys
+    )
+    assert code == 0
+    assert "verdict: ok" in verified
+    # build and verify print their size summaries through the same formatter
+    for prefix in ("metrics: ", "budget: "):
+        line = [ln for ln in built.splitlines() if ln.startswith(prefix)]
+        assert len(line) == 1 and line[0] in verified.splitlines()
+
+
+def test_verify_rejects_an_affine_network(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    save_fnn(affine_representation(np.array([[1.0, 2.0]]), 1), path)
+    code, stdout, stderr = run(["verify", str(path), "--out", str(tmp_path / "r.csv")], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error:")
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------- data
 
 
@@ -355,7 +403,7 @@ def test_data_equispaced_json_output(tmp_path, capsys):
     assert np.all(np.isin(entries, np.linspace(-1.0, 1.0, 5)))
 
 
-@pytest.mark.parametrize("half_width", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("half_width", ["inf", "-inf", "nan", "1e308", "1e200"])
 def test_data_rejects_a_non_finite_half_width(tmp_path, capsys, half_width):
     out = tmp_path / "grid.csv"
     code, _, err = run(
@@ -367,6 +415,22 @@ def test_data_rejects_a_non_finite_half_width(tmp_path, capsys, half_width):
     )
     assert code == 2
     assert err.startswith("error:") and "half_width" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_data_rejects_an_infinite_clip(tmp_path, capsys, suffix):
+    out = tmp_path / f"q{suffix}"
+    code, stdout, err = run(
+        [
+            "data", "--kind", "qpsk", "--m", "1", "--n", "2", "--count", "3",
+            "--clip", "inf", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "clip" in err
     assert not out.exists()
 
 

@@ -6,12 +6,16 @@ is an exact power of two. Tests lean on that: bit equality where the
 construction promises it, tolerances only where rounding genuinely enters.
 """
 
+import itertools
+from math import log2
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matvecnet import (
+    KINDS,
     BoundBudget,
     ConstructionRecord,
     affine_representation,
@@ -403,6 +407,94 @@ def test_predicted_budget_rejects_missing_parameters():
         predicted_budget("dot_product", eps=0.1)
     with pytest.raises(ValueError):
         predicted_budget("nonsense", D=1.0, eps=0.1, m=1, n=1)
+
+
+def closed_form_budget(kind, m=None, n=None, D=None, eps=None, C=2.0):
+    """The five per-kind closed forms, written out branch by branch: the oracle."""
+    if eps is None or not 0.0 < eps:
+        raise ValueError("eps must be given and positive")
+    if kind == "square":
+        return BoundBudget(target_eps=eps, depth_bound=C * log2(1.0 / eps),
+                           width_bound=4.0, weight_bound=4.0, depth_constant=C)
+    if D is None or not D > 0:
+        raise ValueError("D must be given and positive")
+    weight = max(4.0, 2.0 * D * D)
+    if kind == "scalar_product":
+        return BoundBudget(target_eps=eps, depth_bound=C * log2(D * D / eps),
+                           width_bound=12.0, weight_bound=weight, depth_constant=C)
+    if n is None or n < 1:
+        raise ValueError("n must be given and at least 1")
+    if kind == "dot_product":
+        return BoundBudget(target_eps=eps, depth_bound=C * log2(n * D * D / eps),
+                           width_bound=12.0 * n, weight_bound=weight, depth_constant=C)
+    if m is None or m < 1:
+        raise ValueError("m must be given and at least 1")
+    if kind == "matvec":
+        return BoundBudget(target_eps=eps, depth_bound=C * log2(n * D * D / eps),
+                           width_bound=12.0 * m * n, weight_bound=weight, depth_constant=C)
+    if kind == "complex_matvec":
+        return BoundBudget(target_eps=eps, depth_bound=C * log2(4.0 * n * D * D / eps),
+                           width_bound=48.0 * m * n, weight_bound=weight, depth_constant=C)
+    raise ValueError(f"no budget formula for kind {kind!r}")
+
+
+def budget_outcome(budget_fn, kind, m, n, D, eps, C):
+    """Every field of the budget as float hex, or the error message."""
+    try:
+        budget = budget_fn(kind, m=m, n=n, D=D, eps=eps, C=C)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return tuple(
+        None if value is None else (type(value).__name__, float(value).hex())
+        for value in (budget.target_eps, budget.depth_bound, budget.width_bound,
+                      budget.weight_bound, budget.connectivity_bound,
+                      budget.neuron_bound, budget.depth_constant)
+    )
+
+
+# Non-dyadic D, n, eps and C make a reordered product or sum show in the last bits.
+BUDGET_GRID = dict(
+    m=(None, 0, 1, 3, 8),
+    n=(None, 0, 1, 3, 4, 7),
+    D=(None, 0.0, 0.3, 1.0, 1.7, 2.0, 2.9, 3.0),
+    eps=(None, 0.0, 2.0 ** -5, 0.07, 0.1, 0.7, 3.0),
+    C=(0.5, 1.0, 1.7, 2.0),
+)
+
+
+def test_predicted_budget_matches_the_closed_forms_bit_for_bit():
+    budgeted = sorted(kind for kind, entry in KINDS.items() if entry.width_factor is not None)
+    assert budgeted == sorted(["square", "scalar_product", "dot_product", "matvec",
+                               "complex_matvec"])
+    budgets = 0
+    for kind in budgeted:
+        for m, n, D, eps, C in itertools.product(*BUDGET_GRID.values()):
+            expected = budget_outcome(closed_form_budget, kind, m, n, D, eps, C)
+            got = budget_outcome(predicted_budget, kind, m, n, D, eps, C)
+            assert got == expected, (kind, m, n, D, eps, C)
+            budgets += expected[0] != "error"
+    assert budgets == 13680
+
+
+@pytest.mark.parametrize("kind", ["affine_v1", "affine_v2", "affine_v3", "nonsense"])
+def test_predicted_budget_has_no_formula_for_affine_or_unknown_kinds(kind):
+    with pytest.raises(ValueError, match="no budget formula"):
+        predicted_budget(kind, m=1, n=1, D=1.0, eps=0.1)
+    with pytest.raises(ValueError, match="no budget formula"):
+        predicted_budget(kind)
+
+
+def test_every_kind_row_builds_a_network_of_its_kind_within_budget():
+    small = {"m": 2, "n": 3, "D": 1.5, "eps": 2.0 ** -4}
+    for kind, entry in KINDS.items():
+        assert entry.params == ("m", "n", "D", "eps")[4 - len(entry.params):]
+        if entry.builder is None:
+            assert entry.params == () and entry.width_factor is None
+            continue
+        args = {name: small[name] for name in entry.params}
+        net = entry.builder(*args.values())
+        assert net.record.kind == kind
+        assert check_budget(net, predicted_budget(kind, **args)).passed, kind
 
 
 def test_bound_budget_validates_positivity():

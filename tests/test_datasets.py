@@ -17,9 +17,24 @@ from matvecnet import (
     unpack_complex,
     unpack_matvec,
 )
-from matvecnet.rng import normals, stream
+from matvecnet.rng import box_muller, stream
 
 QPSK = 1.0 / np.sqrt(2.0)
+
+
+def normals(gen, count):
+    """`count` standard normal deviates, consuming exactly 2*ceil(count/2) uniforms."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    pairs = (count + 1) // 2
+    if pairs == 0:
+        return np.zeros(0)
+    u = gen.random((2, pairs))
+    z1, z2 = box_muller(u[0], u[1])
+    out = np.empty(2 * pairs)
+    out[0::2] = z1
+    out[1::2] = z2
+    return out[:count]
 
 
 # ---------------------------------------------------------------- packing
@@ -140,6 +155,12 @@ def test_equispaced_validates_arguments():
     for half_width in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             equispaced_real_dataset(2, 2, 5, half_width=half_width)
+    # 2h overflows at 1e308; at 1e200 the entries are finite but W x is not
+    for half_width in (1e308, 1e200):
+        with pytest.raises(ValueError, match="half_width"):
+            equispaced_real_dataset(2, 2, 5, half_width=half_width)
+    ds = equispaced_real_dataset(2, 2, 5, half_width=1e150)
+    assert np.all(np.isfinite(ds.inputs)) and np.all(np.isfinite(ds.targets))
 
 
 # ---------------------------------------------------------------- qpsk
@@ -198,6 +219,9 @@ def test_qpsk_validates_arguments():
         qpsk_rayleigh_dataset(0, 2, 5)
     with pytest.raises(ValueError):
         qpsk_rayleigh_dataset(2, 2, 5, clip=0.0)
+    for clip in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="clip"):
+            qpsk_rayleigh_dataset(2, 2, 5, clip=clip)
 
 
 # ---------------------------------------------------------------- per-row oracle

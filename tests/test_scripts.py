@@ -1,0 +1,29 @@
+"""The example scripts run end to end against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_squaring_error_decay_matches_the_law_at_every_order():
+    lines = run_script("squaring_error_decay.py", "--max-order", "6").splitlines()
+    assert len(lines) == 1 + 7  # header and orders 0..6
+    assert not any("deviates" in line for line in lines)
+
+
+def test_reproduce_operating_points_runs():
+    out = run_script("reproduce_operating_points.py", "--samples", "200")
+    assert out.count("budget overall: pass") == 4
