@@ -58,7 +58,7 @@ row. The exact affine kinds have rows with neither builder nor budget:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log2
+from math import isfinite, log2, prod
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -285,6 +285,30 @@ def _product_order(D: float, eps: float) -> int:
     return order
 
 
+def _scalar_accuracy(D: float, eps: float, *divisors: float) -> float:
+    """The accuracy left to each scalar product when a builder splits eps, checked.
+
+    The share is eps divided by each divisor in turn, as the builders pass
+    it down. D must be positive and finite and the share must lie in
+    (0, 1/2); the message names the eps the caller gave as well as the share.
+    """
+    if not (D > 0 and isfinite(D)):
+        raise ValueError(f"D must be positive and finite, got {D}")
+    share = eps
+    for divisor in divisors:
+        share = share / divisor
+    if not 0.0 < share < 0.5:
+        parts = prod(divisors)
+        if parts == 1:
+            raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+        split = "eps" + "".join(f"/{d:g}" for d in divisors if d != 1)
+        raise ValueError(
+            f"{split} must lie in (0, 1/2), since eps is split among {parts:g} "
+            f"scalar products; got eps={eps}, so {split} = {share}"
+        )
+    return share
+
+
 def scalar_product_net(D: float, eps: float) -> Fnn:
     """Network approximating (w, x) -> w*x on [-D, D]^2 to within eps.
 
@@ -306,10 +330,7 @@ def scalar_product_net(D: float, eps: float) -> Fnn:
     For D >= 1/8 the last term is dominated, matching the claimed bound
     max(4, 2 D^2).
     """
-    if not (D > 0 and isfinite(D)):
-        raise ValueError(f"D must be positive and finite, got {D}")
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    _scalar_accuracy(D, eps)
     order = _product_order(D, eps)
     square = square_net_of_order(order)
     gamma = 1.0 / (2.0 * D)
@@ -351,7 +372,7 @@ def dot_product_net(n: int, D: float, eps: float) -> Fnn:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    scalar = scalar_product_net(D, eps / n)
+    scalar = scalar_product_net(D, _scalar_accuracy(D, eps, n))
     terms = []
     for i in range(n):
         selector = np.zeros((2, 2 * n))
@@ -425,6 +446,7 @@ def complex_matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
     """
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
+    _scalar_accuracy(D, eps, 4.0, n)
     core = matvec_net(m, n, D, eps / 4.0)
     block = n * m
     width = 2 * n * (m + 1)

@@ -57,7 +57,7 @@ def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
 
 def _indices(k: int, name: str, values: list, bound: int) -> np.ndarray:
     """A list of JSON integers in [0, bound) as an index array."""
-    if not all(type(v) is int for v in values):
+    if not set(map(type, values)) <= {int}:
         raise ValueError(f"not a network document: layer {k} '{name}' must hold integers")
     idx = np.array(values, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= bound):
@@ -91,7 +91,7 @@ def _sparse_layer(k: int, entry) -> Layer:
     order = np.lexsort((c, r))
     if np.any((np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)):
         raise ValueError(f"not a network document: layer {k} repeats a coordinate")
-    if not all(type(v) in (int, float) for v in (*values, *bias)):
+    if not set(map(type, values)) | set(map(type, bias)) <= {int, float}:
         raise ValueError(f"not a network document: layer {k} needs numbers")
     try:
         values = np.array(values, dtype=np.float64)

@@ -24,6 +24,9 @@ height.
 The loop carries tangents for a seed matrix S (N_0 x g): the first block is
 W_1 S through the CSR kernel, and every later layer multiplies it by its
 weights and masks it with its activations, so the outputs' tangents are J S.
+The block is held as (width, g, count), samples innermost: a layer multiplies
+its (width, g * count) reshape, and the mask and every other elementwise step
+run over contiguous rows of samples. Callers get (count, N_K, g).
 :func:`jacobian` seeds with the identity. :func:`_tangent_seeds` compresses
 the seed (Curtis, Powell & Reid 1974): input columns that never reach a common
 output share one seed column, found from the layers' sparsity patterns. Every
@@ -340,8 +343,9 @@ def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, vi
     ``net`` is a network or its :class:`Plan`; both give the same results,
     bit for bit. Returns the outputs (count, N_K) and, with a seed matrix
     ``seeds`` of shape (N_0, g), the output tangents J S (count, N_K, g),
-    else None. Calls ``visit`` with each hidden pre-activation block
-    (width, count) before it is rectified in place.
+    else None. Tangents run as a (width, g, count) block, samples innermost,
+    and come out as a transposed view of it. Calls ``visit`` with each hidden
+    pre-activation block (width, count) before it is rectified in place.
     """
     last = len(net.layers) - 1
     count = X.shape[0]
@@ -349,23 +353,23 @@ def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, vi
     T = None
     if seeds is not None:
         g = seeds.shape[1]
-        T = np.repeat((net.layers[0].weights @ seeds)[:, None, :], count, axis=1)
+        T = np.repeat((net.layers[0].weights @ seeds)[:, :, None], count, axis=2)
     for k, layer in enumerate(net.layers):
         # The single-threaded C loop that evaluates a row sums its entries in
         # stored order: ascending columns in a layer, the layer's order in a plan.
         Z = layer.weights @ Z
         Z += layer.bias[:, None]
         if T is not None and k:
-            T = (layer.weights @ T.reshape(T.shape[0], -1)).reshape(Z.shape[0], count, g)
+            T = (layer.weights @ T.reshape(T.shape[0], -1)).reshape(Z.shape[0], g, count)
         if k < last:
             if visit is not None:
                 visit(Z)
             np.maximum(Z, 0.0, out=Z)
             if T is not None:
-                T *= (Z > 0.0)[:, :, None]
+                T *= (Z > 0.0)[:, None, :]
     if isinstance(net, Plan):
         Z, T = Z[net.output], None if T is None else T[net.output]
-    return Z.T, None if T is None else T.transpose(1, 0, 2)
+    return Z.T, None if T is None else T.transpose(2, 0, 1)
 
 
 class TangentSeeds(NamedTuple):

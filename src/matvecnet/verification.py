@@ -7,11 +7,13 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 :func:`.rng.uniform_rows`, so reports are bit-reproducible for a given
 (network, seed, sample count) and the sample set for k samples is a prefix
 of the set for any larger count. The reference products of a chunk are one
-stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` runs each
-sub-batch through one layer pass that yields values and compressed tangents
-(input columns that reach disjoint outputs share a seed column) and flags
-samples on a kink as it goes; it redraws only the kinked indices, on lanes
-1, 2, ..., decompresses the Jacobians and takes draws and sums in per-sample
+stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` draws a
+chunk once too and cuts it into sub-batches. It runs each sub-batch through
+one layer pass that yields values and compressed tangents (input columns
+that reach disjoint outputs share a seed column) and flags samples on a kink
+as it goes. It redraws only the kinked indices, on lanes 1, 2, ..., with one
+draw per lane over the span from the first to the last pending index of the
+sub-batch; it then decompresses the Jacobians and takes sums in per-sample
 order. Sub-batch heights follow from the network's width and seed count.
 
 Every estimator evaluates through the network's plan of distinct neurons
@@ -279,16 +281,20 @@ def sobolev_error_matvec(
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
         sup = grad = total_sq = 0.0
         used = skipped = 0
+        drawn = _uniform_rows(seed, lo, hi, width, D)
         for start in range(lo, hi, step):
-            xs = _uniform_rows(seed, start, min(start + step, hi), width, D)
+            xs = drawn[start - lo:start - lo + step]
             values, tangents, ok = screened(xs)
             pending = np.flatnonzero(~ok)
             for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
                 if not pending.size:
                     break
-                redraw = np.vstack([
-                    _uniform_rows(seed, i, i + 1, width, D, lane) for i in (start + pending).tolist()
-                ])
+                # One pass over the span of pending indices; rows depend on
+                # (seed, index, lane) alone, so the others are dropped unused.
+                first = int(pending[0])
+                redraw = _uniform_rows(
+                    seed, start + first, start + int(pending[-1]) + 1, width, D, lane,
+                )[pending - first]
                 r_values, r_tangents, ok = screened(redraw)
                 hit = pending[ok]
                 xs[hit], values[hit], tangents[hit] = redraw[ok], r_values[ok], r_tangents[ok]

@@ -72,6 +72,25 @@ def test_build_rejects_out_of_range_eps(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--kind", "dot_product", "--n", "3", "--D", "1", "--eps", "2"],
+     "eps/3 must lie in (0, 1/2), since eps is split among 3 scalar products; "
+     "got eps=2.0, so eps/3 = 0.6666666666666666"),
+    (["--kind", "matvec", "--m", "2", "--n", "2", "--D", "1", "--eps", "5"],
+     "eps/2 must lie in (0, 1/2), since eps is split among 2 scalar products; "
+     "got eps=5.0, so eps/2 = 2.5"),
+    (["--kind", "complex_matvec", "--m", "2", "--n", "3", "--D", "1", "--eps", "13"],
+     "eps/4/3 must lie in (0, 1/2), since eps is split among 12 scalar products; "
+     "got eps=13.0, so eps/4/3 = 1.0833333333333333"),
+])
+def test_build_eps_message_names_the_requested_eps(args, message, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, stderr = run(["build", *args, "--out", str(out)], capsys)
+    assert code == 2
+    assert stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_build_rejects_an_eps_that_overflows(tmp_path, capsys):
     out = tmp_path / "sq.json"
     code, _, stderr = run(

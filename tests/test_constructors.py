@@ -265,6 +265,24 @@ def test_matvec_rejects_bad_shape_arguments():
         matvec_net(2, 0, 1.0, 0.1)
 
 
+def test_split_eps_keeps_the_accepted_range():
+    # each scalar product takes any share in (0, 1/2), as passed down, and no more
+    assert dot_product_net(3, 1.0, 1.4999999).record.eps == 1.4999999
+    assert complex_matvec_net(1, 2, 1.0, 3.9999999).record.eps == 3.9999999
+    for build in (
+        lambda: dot_product_net(3, 1.0, 1.5),
+        lambda: matvec_net(2, 3, 1.0, 0.0),
+        lambda: complex_matvec_net(1, 2, 1.0, 4.0),
+    ):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1/2\), since eps is split"):
+            build()
+    # a bad D is still named before a bad eps, and one product keeps the plain message
+    with pytest.raises(ValueError, match="^D must be positive and finite"):
+        complex_matvec_net(1, 2, -1.0, 4.0)
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1/2\), got 0.5$"):
+        dot_product_net(1, 1.0, 0.5)
+
+
 # ---------------------------------------------------------------- complex matvec
 
 

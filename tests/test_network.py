@@ -161,6 +161,16 @@ def test_stacked_forms_equal_single_rows(seed, count, zero_rows):
         for stacked_pre, pre in zip(pres, single):
             assert stacked_pre[i].tobytes() == pre.tobytes()
         assert jac[i].tobytes() == jacobian(net, x).tobytes()
+    # a one-row stack keeps its stack axis
+    one = jacobian(net, xs[:1])
+    assert one.shape == (1, net.output_dim, net.input_dim)
+    assert one.tobytes() == jac[:1].tobytes()
+    assert [p.tobytes() for p in preactivations(net, xs[:1])] == [p[:1].tobytes() for p in pres]
+    # a one-column seed carries one input direction: that column of the Jacobian
+    for c in range(net.input_dim):
+        tangents = _forward(net, xs, np.eye(net.input_dim)[:, [c]])[1]
+        assert tangents.shape == (len(xs), net.output_dim, 1)
+        assert tangents[..., 0].tobytes() == jac[..., c].tobytes()
 
 
 def test_stacked_jacobian_on_a_kink_uses_zero_slope():

@@ -313,6 +313,50 @@ def test_matvec_jacobian_truth_equals_the_double_loop(m, n):
         assert _matvec_jacobian_truth(row, m, n).tobytes() == expected.tobytes()
 
 
+def record_draws(monkeypatch):
+    """Record the (lo, hi, lane) of every draw the estimators make."""
+    calls = []
+
+    def recorded(seed, lo, hi, width, D, lane=0):
+        calls.append((lo, hi, lane))
+        return real(seed, lo, hi, width, D, lane)
+
+    real = verification._uniform_rows
+    monkeypatch.setattr(verification, "_uniform_rows", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sobolev_draws_each_chunk_once(monkeypatch, jobs):
+    calls = record_draws(monkeypatch)
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    samples = 2 * REDUCE_CHUNK + 5
+    sobolev_error_matvec(net, 2, 2, 1.0, samples, seed=4, jobs=jobs)
+    assert sorted((lo, hi) for lo, hi, lane in calls if lane == 0) == [
+        (0, REDUCE_CHUNK), (REDUCE_CHUNK, 2 * REDUCE_CHUNK), (2 * REDUCE_CHUNK, samples),
+    ]
+
+
+def test_sobolev_draws_each_redraw_lane_once_per_sub_batch(monkeypatch):
+    calls = record_draws(monkeypatch)
+    make, m, n, D, samples = SOBOLEV_CASES["rho"]
+    report = sobolev_error_matvec(make(), m, n, D, samples, seed=17)
+    assert report.kinks_skipped == 0
+    # the plan is 2 wide with one seed column, so a sub-batch is a whole chunk
+    redraws = [(lo // REDUCE_CHUNK, lane) for lo, hi, lane in calls if lane >= 1]
+    assert all(lo // REDUCE_CHUNK == (hi - 1) // REDUCE_CHUNK for lo, hi, _ in calls)
+    assert redraws and len(redraws) == len(set(redraws))
+
+
+def test_sobolev_stuck_network_draws_once_per_lane(monkeypatch):
+    calls = record_draws(monkeypatch)
+    make, m, n, D, _ = SOBOLEV_CASES["stuck"]
+    report = sobolev_error_matvec(make(), m, n, D, 2000, seed=17)
+    assert report.kinks_skipped == 2000
+    # 2,000 samples are one chunk and one sub-batch: each lane is one pass over all of it
+    assert calls == [(0, 2000, lane) for lane in range(MAX_RESAMPLE_ATTEMPTS)]
+
+
 def test_sobolev_independent_of_worker_count():
     net = matvec_net(1, 1, 1.0, 2.0 ** -3)
     serial = sobolev_error_matvec(net, 1, 1, 1.0, samples=40, seed=13, jobs=1)
