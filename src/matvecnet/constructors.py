@@ -276,10 +276,7 @@ def _product_order(D: float, eps: float) -> int:
     polarization identity, is 2D * 2^(-m) <= eps. The returned m is the
     smallest satisfying both.
     """
-    delta = eps / (6.0 * D * D)
-    if not delta > 0:
-        raise ValueError(f"D={D!r} is too large for eps={eps!r}: eps / (6 D^2) underflows to 0")
-    order = sawtooth_order(delta)
+    order = sawtooth_order(eps / (6.0 * D * D))
     while 2.0 * D * 2.0 ** (-order) > eps:
         order += 1
     return order
@@ -289,23 +286,30 @@ def _scalar_accuracy(D: float, eps: float, *divisors: float) -> float:
     """The accuracy left to each scalar product when a builder splits eps, checked.
 
     The share is eps divided by each divisor in turn, as the builders pass
-    it down. D must be positive and finite and the share must lie in
-    (0, 1/2); the message names the eps the caller gave as well as the share.
+    it down. D must be positive and finite, the share must lie in (0, 1/2),
+    and the share over 6 D^2, from which :func:`_product_order` starts, must
+    not underflow to 0; the message names the eps the caller gave as well as
+    the share.
     """
     if not (D > 0 and isfinite(D)):
         raise ValueError(f"D must be positive and finite, got {D}")
     share = eps
     for divisor in divisors:
         share = share / divisor
+    parts = prod(divisors)
+    split = "eps" + "".join(f"/{d:g}" for d in divisors if d != 1)
     if not 0.0 < share < 0.5:
-        parts = prod(divisors)
         if parts == 1:
             raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-        split = "eps" + "".join(f"/{d:g}" for d in divisors if d != 1)
         raise ValueError(
             f"{split} must lie in (0, 1/2), since eps is split among {parts:g} "
             f"scalar products; got eps={eps}, so {split} = {share}"
         )
+    if not share / (6.0 * D * D) > 0:
+        given = f"eps={eps}" if parts == 1 else (
+            f"eps={eps}, split among {parts:g} scalar products as {split} = {share}"
+        )
+        raise ValueError(f"D={D} is too large for {given}: {split} / (6 D^2) underflows to 0")
     return share
 
 

@@ -21,6 +21,18 @@ computes each column on its own, so stacked results are bit-identical to
 computing samples one at a time, and batches may be cut into slices of any
 height.
 
+The loop allocates no block per layer. Each call (or, in :func:`_batch`,
+each batch, for all its slices) makes one :class:`Workspace`, and every
+layer writes into a zeroed slice of one of its two buffers through scipy's
+multi-vector CSR kernel (``csr_matvecs``, the one ``weights @ Z`` runs),
+then adds the bias and rectifies in place. The public ``@`` would return a
+fresh zeroed array per layer instead: at matvec(8,4,D=2) a 1 MiB block,
+which the allocator hands back to the system and faults in again on every
+layer of every slice, costing more time than the arithmetic. The kernel
+sums each row as ((0 + a_0 x_0) + a_1 x_1) + ... in stored order either
+way, so the bits do not change. Workspaces belong to one call, never to the
+module, so threads never share one, and results are copied out of them.
+
 The loop carries tangents for a seed matrix S (N_0 x g): the first block is
 W_1 S through the CSR kernel, and every later layer multiplies it by its
 weights and masks it with its activations, so the outputs' tangents are J S.
@@ -56,10 +68,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import prod
 from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvecs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .constructors import ConstructionRecord
@@ -77,10 +91,11 @@ __all__ = [
     "metrics",
 ]
 
-# Batch evaluation cuts its inputs into slices whose widest activation block
-# (max width x rows, float64) stays within this many bytes, so that each CSR row
-# sweep reads activations from the core's own cache rather than from memory.
-# Per-sample results do not depend on the slice height.
+# Batch evaluation cuts its inputs into slices whose two value blocks (max width
+# x rows, float64, one read and one written by each layer) together stay within
+# this many bytes, so that each CSR row sweep reads activations from the core's
+# own cache rather than from memory. Per-sample results do not depend on the
+# slice height.
 SLICE_BYTES = 2 ** 20
 
 
@@ -337,7 +352,52 @@ def _distinct(fnn: Fnn) -> Plan:
     return Plan(tuple(steps), index)
 
 
-def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None):
+class Workspace(NamedTuple):
+    """The buffers one evaluation call runs every layer and slice through.
+
+    Flat float64 arrays: ``values`` holds two blocks of up to ``width x
+    rows`` entries, ``tangents`` two of up to ``width x g x rows`` and
+    ``mask`` the activation flags of one value block. Each layer reads one
+    block of a pair and writes the other, into its leading entries.
+    """
+
+    values: tuple[np.ndarray, np.ndarray]
+    tangents: tuple[np.ndarray, np.ndarray]
+    mask: np.ndarray
+
+
+def _workspace(width: int, rows: int, groups: int = 0) -> Workspace:
+    """Buffers for slices of at most ``rows`` samples through layers at most ``width`` wide."""
+    size = width * rows
+    return Workspace(
+        (np.empty(size), np.empty(size)),
+        (np.empty(size * groups), np.empty(size * groups)),
+        np.empty(size if groups else 0, dtype=bool),
+    )
+
+
+def _product(weights: sparse.csr_array, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``weights @ block`` into the leading entries of ``buffer``, which it returns reshaped.
+
+    ``block`` is a C-contiguous (n_col, ...) array whose trailing axes run as
+    columns. This is the kernel ``@`` runs for a stack of columns, called
+    into a zeroed slice of the buffer rather than a fresh array. The kernel
+    checks no sizes, so they are checked here, as ``@`` does.
+    """
+    rows, cols = weights.shape
+    columns = prod(block.shape[1:])
+    out = buffer[:rows * columns]
+    if block.shape[0] != cols or out.size != rows * columns:
+        raise ValueError(f"dimension mismatch: a {rows} x {cols} layer cannot map a block of "
+                         f"shape {block.shape} into {buffer.size} entries")
+    out.fill(0.0)
+    csr_matvecs(rows, cols, columns, weights.indptr, weights.indices, weights.data,
+                block.reshape(-1), out)
+    return out.reshape((rows,) + block.shape[1:])
+
+
+def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None,
+             space: Workspace | None = None):
     """The layer loop behind every evaluation function; the rows of X run as columns.
 
     ``net`` is a network or its :class:`Plan`; both give the same results,
@@ -346,29 +406,42 @@ def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, vi
     else None. Tangents run as a (width, g, count) block, samples innermost,
     and come out as a transposed view of it. Calls ``visit`` with each hidden
     pre-activation block (width, count) before it is rectified in place.
+
+    Every block lives in ``space`` (one made for this call when None), which
+    must hold ``count`` samples of the widest layer, with g tangent columns
+    when seeded. The outputs are copied out of it.
     """
     last = len(net.layers) - 1
     count = X.shape[0]
-    Z = np.ascontiguousarray(X.T)
+    g = 0 if seeds is None else seeds.shape[1]
+    if space is None:
+        space = _workspace(max(net.widths), count, g)
+    Z = space.values[0][:X.size].reshape(X.shape[1], count)
+    np.copyto(Z, X.T)
     T = None
     if seeds is not None:
-        g = seeds.shape[1]
-        T = np.repeat((net.layers[0].weights @ seeds)[:, :, None], count, axis=2)
+        first = net.layers[0].weights @ seeds
+        T = space.tangents[0][:first.size * count].reshape(first.shape + (count,))
+        np.copyto(T, first[:, :, None])
     for k, layer in enumerate(net.layers):
         # The single-threaded C loop that evaluates a row sums its entries in
         # stored order: ascending columns in a layer, the layer's order in a plan.
-        Z = layer.weights @ Z
+        Z = _product(layer.weights, Z, space.values[(k + 1) % 2])
         Z += layer.bias[:, None]
         if T is not None and k:
-            T = (layer.weights @ T.reshape(T.shape[0], -1)).reshape(Z.shape[0], g, count)
+            T = _product(layer.weights, T, space.tangents[k % 2])
         if k < last:
             if visit is not None:
                 visit(Z)
             np.maximum(Z, 0.0, out=Z)
             if T is not None:
-                T *= (Z > 0.0)[:, None, :]
+                active = space.mask[:Z.size].reshape(Z.shape)
+                np.greater(Z, 0.0, out=active)
+                T *= active[:, None, :]
     if isinstance(net, Plan):
         Z, T = Z[net.output], None if T is None else T[net.output]
+    else:
+        Z, T = Z.copy(), None if T is None else T.copy()
     return Z.T, None if T is None else T.transpose(2, 0, 1)
 
 
@@ -447,11 +520,16 @@ def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
 
 
 def _batch(net: Fnn | Plan, X: np.ndarray) -> np.ndarray:
-    """Outputs of a network or plan for the rows of X, in slices sized from its widest layer."""
+    """Outputs of a network or plan for the rows of X, in slices sized from its widest layer.
+
+    Every slice runs through one workspace, made for this call.
+    """
     out = np.empty((X.shape[0], net.output_dim), dtype=np.float64)
-    rows = max(1, min(4096, SLICE_BYTES // (8 * max(net.widths))))
+    width = max(net.widths)
+    rows = max(1, min(4096, SLICE_BYTES // (16 * width)))
+    space = _workspace(width, min(rows, X.shape[0]))
     for lo in range(0, X.shape[0], rows):
-        out[lo:lo + rows] = _forward(net, X[lo:lo + rows])[0]
+        out[lo:lo + rows] = _forward(net, X[lo:lo + rows], space=space)[0]
     return out
 
 

@@ -49,7 +49,8 @@ import numpy as np
 from .constructors import BoundBudget, square_net_of_order
 from .datasets import Dataset, _matvec, unpack_matvec
 from .network import (
-    SLICE_BYTES, Fnn, NetworkMetrics, _batch, _distinct, _forward, _tangent_seeds, jacobian, metrics,
+    SLICE_BYTES, Fnn, NetworkMetrics, _batch, _distinct, _forward, _tangent_seeds, _workspace,
+    jacobian, metrics,
 )
 from .rng import uniform_rows
 
@@ -258,7 +259,8 @@ def sobolev_error_matvec(
     exactly on kinks by design. Each chunk runs in sub-batches whose widest
     value and tangent blocks (widest distinct layer x rows x (seed columns +
     1), float64) stay within a quarter of SLICE_BYTES, so threads keep peak
-    memory low.
+    memory low; every sub-batch and redraw of a chunk runs through one
+    workspace, made for the chunk.
     """
     width = n * (m + 1)
     plan = _distinct(f)
@@ -266,14 +268,14 @@ def sobolev_error_matvec(
     step = (SLICE_BYTES // 4) // (8 * max(plan.widths) * (seeds.matrix.shape[1] + 1))
     step = max(1, min(REDUCE_CHUNK, step))
 
-    def screened(xs: np.ndarray):
+    def screened(xs: np.ndarray, space):
         """Values, compressed tangents and an off-kink flag per row, in one pass."""
         ok = np.ones(len(xs), dtype=bool)
 
         def screen(Z: np.ndarray) -> None:
             ok[:] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
 
-        values, tangents = _forward(plan, xs, seeds.matrix, screen)
+        values, tangents = _forward(plan, xs, seeds.matrix, screen, space)
         # Row-major, as _batch returns them: a row mean over m > 8
         # entries sums in an order that depends on the memory layout.
         return np.ascontiguousarray(values), tangents, ok
@@ -282,9 +284,10 @@ def sobolev_error_matvec(
         sup = grad = total_sq = 0.0
         used = skipped = 0
         drawn = _uniform_rows(seed, lo, hi, width, D)
+        space = _workspace(max(plan.widths), min(step, hi - lo), seeds.matrix.shape[1])
         for start in range(lo, hi, step):
             xs = drawn[start - lo:start - lo + step]
-            values, tangents, ok = screened(xs)
+            values, tangents, ok = screened(xs, space)
             pending = np.flatnonzero(~ok)
             for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
                 if not pending.size:
@@ -295,7 +298,7 @@ def sobolev_error_matvec(
                 redraw = _uniform_rows(
                     seed, start + first, start + int(pending[-1]) + 1, width, D, lane,
                 )[pending - first]
-                r_values, r_tangents, ok = screened(redraw)
+                r_values, r_tangents, ok = screened(redraw, space)
                 hit = pending[ok]
                 xs[hit], values[hit], tangents[hit] = redraw[ok], r_values[ok], r_tangents[ok]
                 pending = pending[~ok]

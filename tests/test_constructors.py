@@ -283,6 +283,18 @@ def test_split_eps_keeps_the_accepted_range():
         dot_product_net(1, 1.0, 0.5)
 
 
+def test_underflow_message_names_the_given_eps_and_its_share():
+    share = r"eps/2 = 0\.03125: eps/2 / \(6 D\^2\) underflows to 0$"
+    with pytest.raises(ValueError, match=r"^D=1e\+200 is too large for eps=0\.0625, split among 2 "
+                       r"scalar products as " + share):
+        matvec_net(2, 2, 1e200, 2.0 ** -4)
+    with pytest.raises(ValueError, match=r"^D=1e\+200 is too large for eps=0\.0625, split among 12 "
+                       r"scalar products as eps/4/3 = 0\.005208333333333333: "):
+        complex_matvec_net(2, 3, 1e200, 2.0 ** -4)
+    with pytest.raises(ValueError, match=r"^D=1e\+200 is too large for eps=0\.0625: eps / "):
+        scalar_product_net(1e200, 2.0 ** -4)
+
+
 # ---------------------------------------------------------------- complex matvec
 
 

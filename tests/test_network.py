@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from matvecnet import (
     validate,
 )
 from matvecnet.interchange import network_document, network_from_document
-from matvecnet.network import SLICE_BYTES, _batch, _distinct, _forward, _tangent_seeds
+from matvecnet.network import (
+    SLICE_BYTES, _batch, _distinct, _forward, _product, _tangent_seeds, _workspace,
+)
 
 
 def test_layer_coerces_and_freezes():
@@ -86,7 +89,8 @@ def test_output_layer_is_affine_not_rectified():
 
 
 def test_evaluate_batch_matches_single_across_chunks():
-    # a hidden layer 2000 wide cuts the batch into slices of 65 rows
+    # a hidden layer 2000 wide cuts the batch into slices of 32 rows, whose
+    # two value blocks fit in SLICE_BYTES
     rng = np.random.default_rng(3)
     hidden = rng.uniform(-2.0, 2.0, (2000, 3))
     hidden[rng.random(hidden.shape) < 0.3] = 0.0
@@ -94,12 +98,94 @@ def test_evaluate_batch_matches_single_across_chunks():
         Layer(hidden, rng.uniform(-1.0, 1.0, 2000)),
         Layer(rng.uniform(-1.0, 1.0, (5, 2000)), rng.uniform(-1.0, 1.0, 5)),
     ))
-    step = SLICE_BYTES // (8 * 2000)
-    assert step == 65
+    step = SLICE_BYTES // (16 * 2000)
+    assert step == 32
     xs = rng.uniform(-5, 5, (2 * step + 7, 3))
     batch = evaluate_batch(net, xs)
     for i in (0, step - 1, step, len(xs) - 1):
         assert batch[i].tobytes() == evaluate(net, xs[i]).tobytes()
+
+
+# Entries of the plan's form: products a * x that are +-0.0, or underflow to it.
+_KERNEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 0.5, -3.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+)
+
+
+@st.composite
+def plan_matrices(draw):
+    """A CSR matrix like a plan's: unsorted, repeated column indices and empty rows."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=rows, max_size=rows))
+    nnz = sum(lengths)
+    indices = draw(st.lists(st.integers(0, cols - 1), min_size=nnz, max_size=nnz))
+    data = draw(st.lists(_KERNEL_VALUES.filter(lambda v: v != 0.0), min_size=nnz, max_size=nnz))
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    return sparse.csr_array(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=index),
+         np.cumsum([0] + lengths).astype(index)),
+        shape=(rows, cols),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=plan_matrices(), count=st.integers(1, 300), groups=st.integers(1, 3),
+       data=st.data())
+def test_kernel_into_a_zeroed_buffer_matches_matmul(weights, count, groups, data):
+    rows, cols = weights.shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.array(data.draw(st.lists(_KERNEL_VALUES, min_size=1, max_size=8)))
+    Z = rng.choice(pool, (cols, count))
+    T = rng.choice(pool, (cols, groups, count))
+    # a stale buffer, longer than the block: the product must zero what it writes
+    buffer = np.full(rows * groups * count + 3, np.nan)
+    assert _product(weights, Z, buffer).tobytes() == (weights @ Z).tobytes()
+    expected = (weights @ T.reshape(cols, -1)).reshape(rows, groups, count)
+    assert _product(weights, T, buffer).tobytes() == expected.tobytes()
+    assert np.isnan(buffer[rows * groups * count:]).all()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _product(weights, Z, buffer[:rows * count - 1])
+
+
+def test_batch_allocates_one_workspace_per_call():
+    plan = _distinct(matvec_net(8, 4, 2.0, 2.0 ** -5))
+    xs = np.random.default_rng(4).uniform(-2.0, 2.0, (2048, plan.widths[0]))
+    tracemalloc.start()
+    try:
+        out = _batch(plan, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    width = max(plan.widths)
+    rows = SLICE_BYTES // (16 * width)
+    assert (width, rows) == (272, 240)
+    # two value blocks, the outputs and a margin far below one block per layer,
+    # which holds numpy's 64 KiB ufunc buffer for the broadcast bias
+    assert peak <= 2 * width * rows * 8 + out.nbytes + 128 * 1024
+
+
+def test_results_do_not_alias_a_workspace():
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    plan = _distinct(net)
+    seeds = _tangent_seeds(net).matrix
+    rng = np.random.default_rng(8)
+    first_xs, second_xs = rng.uniform(-1.0, 1.0, (2, 50, net.input_dim))
+
+    def results(xs):
+        return [evaluate_batch(net, xs), jacobian(net, xs), *preactivations(net, xs)]
+
+    first = results(first_xs)
+    kept = [a.copy() for a in first]
+    results(second_xs)
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+    # one workspace shared by two passes, as the Sobolev sub-batches share one
+    for each in (net, plan):
+        space = _workspace(max(each.widths), len(first_xs), seeds.shape[1])
+        first = _forward(each, first_xs, seeds, space=space)
+        kept = [a.copy() for a in first]
+        _forward(each, second_xs, seeds, space=space)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
 
 
 def test_evaluate_batch_empty():
@@ -450,6 +536,9 @@ def test_validate_rejects_chain_mismatch():
     with pytest.raises(StructureError) as exc:
         validate(net)
     assert exc.value.layer_index == 2
+    # the layer loop checks the chain too, before its kernel reads out of bounds
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        evaluate_batch(net, np.ones((3, 3)))
 
 
 def test_validate_rejects_bias_shape():

@@ -1,6 +1,7 @@
 """The example scripts run end to end against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,7 @@ def test_squaring_error_decay_matches_the_law_at_every_order():
 def test_reproduce_operating_points_runs():
     out = run_script("reproduce_operating_points.py", "--samples", "200")
     assert out.count("budget overall: pass") == 4
+    # every stage reports its time and minor page faults
+    stages = [line for line in out.splitlines() if line.startswith("elapsed:")]
+    assert len(stages) == 4
+    assert all(re.fullmatch(r"elapsed: \d+\.\ds, minor page faults: \d+", line) for line in stages)
