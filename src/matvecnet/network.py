@@ -21,21 +21,36 @@ computes each column on its own, so stacked results are bit-identical to
 computing samples one at a time, and batches may be cut into slices of any
 height.
 
+The loop runs each layer as one kernel pass and one in-place rectify. A
+layer's kernel (:attr:`Layer.kernel`) is its weights over ``fan_in + 1``
+columns: row i holds its stored entries in stored order, then ``b_i`` at
+column ``fan_in``, which reads a constant neuron of value 1.0. A hidden
+layer's kernel ends with that neuron's own row, a single 1.0 at column
+``fan_in``, so the next layer can read it; rho(1.0) = 1.0 keeps it there.
+The kernel sums row i as ((0 + a_0 x_0) + a_1 x_1) + ... + b_i * 1.0,
+which is the sum the stored layer computes followed by its bias add, and
+b_i * 1.0 = b_i exactly, so the bits do not change. A +-0.0 bias is left
+out of its row: the sum starts at +0.0, and in round-to-nearest a sum that
+starts at +0.0 is never -0.0, so adding +-0.0 to it changes nothing. The
+constant neuron never shows: pre-activations, the kink screen and outputs
+see only the real neurons.
+
 The loop allocates no block per layer. Each call (or, in :func:`_batch`,
 each batch, for all its slices) makes one :class:`Workspace`, and every
 layer writes into a zeroed slice of one of its two buffers through scipy's
 multi-vector CSR kernel (``csr_matvecs``, the one ``weights @ Z`` runs),
-then adds the bias and rectifies in place. The public ``@`` would return a
-fresh zeroed array per layer instead: at matvec(8,4,D=2) a 1 MiB block,
-which the allocator hands back to the system and faults in again on every
-layer of every slice, costing more time than the arithmetic. The kernel
-sums each row as ((0 + a_0 x_0) + a_1 x_1) + ... in stored order either
-way, so the bits do not change. Workspaces belong to one call, never to the
-module, so threads never share one, and results are copied out of them.
+called on the kernel's raw arrays. The public ``@`` would return a fresh
+zeroed array per layer instead: at matvec(8,4,D=2) a 1 MiB block, which the
+allocator hands back to the system and faults in again on every layer of
+every slice, costing more time than the arithmetic. Workspaces belong to
+one call, never to the module, so threads never share one, and results are
+copied out of them.
 
 The loop carries tangents for a seed matrix S (N_0 x g): the first block is
-W_1 S through the CSR kernel, and every later layer multiplies it by its
-weights and masks it with its activations, so the outputs' tangents are J S.
+the first kernel times [S; 0], and every later layer multiplies it by its
+kernel and masks it with its activations, so the outputs' tangents are J S.
+The constant neuron's tangent is +0.0 and its mask entry 1, so every bias
+term of a tangent sum is b_i * (+0.0) = +-0.0, which changes no bit.
 The block is held as (width, g, count), samples innermost: a layer multiplies
 its (width, g * count) reshape, and the mask and every other elementwise step
 run over contiguous rows of samples. Callers get (count, N_K, g).
@@ -59,9 +74,10 @@ out of order, and its matrices are never canonicalised. By induction over
 the layers, a merged neuron would have run the same operations in the same
 order on bit-equal operands as the neuron standing for it, so its value,
 pre-activation and tangents are the same bits, and so are the outputs,
-which the plan copies back out. Building a plan takes milliseconds, so the
-estimators build one per call; the one-off public functions run the stored
-layers.
+which the plan copies back out. A plan holds only kernels, built directly
+in the form above. Building a plan takes milliseconds, so the estimators
+build one per call; the one-off public functions run the stored layers'
+kernels.
 """
 
 from __future__ import annotations
@@ -112,11 +128,12 @@ class StructureError(ValueError):
 
 
 class Csr(NamedTuple):
-    """The arrays of a matrix in canonical compressed sparse row form.
+    """The read-only arrays of a matrix in compressed sparse row form.
 
-    Row i holds ``data[indptr[i]:indptr[i+1]]`` in the strictly ascending
-    columns ``indices[indptr[i]:indptr[i+1]]``; no stored value is zero,
-    -0.0 included, and the arrays are read-only.
+    Row i holds ``data[indptr[i]:indptr[i+1]]`` in the columns
+    ``indices[indptr[i]:indptr[i+1]]``. A layer's weights are canonical: the
+    columns of a row strictly ascend and no stored value is zero, -0.0
+    included. A kernel (:func:`_kernel`) keeps each row in stored order.
     """
 
     data: np.ndarray
@@ -131,7 +148,7 @@ class Csr(NamedTuple):
 
 
 def _csr(data, indices, indptr, shape) -> Csr:
-    """Freeze canonical CSR arrays that nothing else holds, with scipy's index type."""
+    """Freeze CSR arrays that nothing else holds, with scipy's index type."""
     index = np.int32 if max(*shape, len(data)) < 2 ** 31 else np.int64
     parts = (np.asarray(data, np.float64), np.asarray(indices, index), np.asarray(indptr, index))
     for part in parts:
@@ -161,6 +178,28 @@ def _canonical(a) -> Csr:
     return _csr(arr[rows, cols], cols, indptr, arr.shape)
 
 
+def _kernel(data, indices, indptr, bias: np.ndarray, fan_in: int, hidden: bool) -> Csr:
+    """The kernel of a layer's rows: a CSR matrix over ``fan_in + 1`` columns.
+
+    Row i keeps its entries in the given order and ends with ``bias[i]`` at
+    column ``fan_in``, unless that is +-0.0. A hidden layer's kernel gets one
+    more row, the constant neuron: a single 1.0 at column ``fan_in``.
+    """
+    kept = bias != 0.0  # drops -0.0 too
+    ends = indptr[1:] + np.cumsum(kept)  # where each row ends, its bias included
+    slots = ends[kept] - 1
+    size = len(data) + len(slots)
+    entry = np.ones(size + hidden, dtype=bool)  # False at the bias and constant slots
+    entry[slots] = False
+    entry[size:] = False
+    values, columns = np.empty(size + hidden), np.empty(size + hidden, dtype=indices.dtype)
+    values[entry], columns[entry] = data, indices
+    values[slots], values[size:] = bias[kept], 1.0
+    columns[slots], columns[size:] = fan_in, fan_in
+    indptr = np.concatenate(([0], ends, [size + 1][:hidden]))
+    return _csr(values, columns, indptr, (len(bias) + hidden, fan_in + 1))
+
+
 def _as_vector(a) -> np.ndarray:
     arr = np.array(a, dtype=np.float64, copy=True).reshape(-1)
     arr.setflags(write=False)
@@ -172,10 +211,10 @@ class Layer:
     """One affine stage: weight matrix of shape N_k x N_{k-1} and bias of length N_k.
 
     The weights may be given dense or as any scipy sparse matrix. A layer
-    keeps the arrays of their canonical CSR form; ``weights`` is the scipy
-    CSR matrix over those arrays, made on first use. Combining networks
-    creates many layers that are never evaluated, and making a scipy matrix
-    costs more than all the rest of such a layer.
+    keeps the arrays of their canonical CSR form. Two forms are made from
+    them on first use, since combining networks creates many layers that are
+    never evaluated: ``kernel``, which evaluation runs, and ``weights``, the
+    scipy CSR matrix over those arrays, which only network assembly uses.
     """
 
     _csr: Csr = field(repr=False)
@@ -194,6 +233,15 @@ class Layer:
     def _set(self, csr: Csr, bias) -> None:
         object.__setattr__(self, "_csr", csr)
         object.__setattr__(self, "bias", _as_vector(bias))
+
+    @cached_property
+    def kernel(self) -> Csr:
+        """Weights and bias as one CSR matrix with the constant neuron (see :func:`_kernel`).
+
+        The constant neuron's row is last; as an output layer, the layer runs
+        without it (:attr:`Fnn.kernels`).
+        """
+        return _kernel(*self._csr[:3], self.bias, self.fan_in, hidden=True)
 
     @cached_property
     def weights(self) -> sparse.csr_array:
@@ -245,6 +293,12 @@ class Fnn:
         """All layer widths N_0, N_1, ..., N_K."""
         return (self.input_dim,) + tuple(l.fan_out for l in self.layers)
 
+    @property
+    def kernels(self) -> tuple[Csr, ...]:
+        """The layers' kernels, the output layer's without the constant neuron's row."""
+        *hidden, (data, indices, indptr, (rows, cols)) = (layer.kernel for layer in self.layers)
+        return (*hidden, Csr(data, indices, indptr[:-1], (rows - 1, cols)))
+
     def with_record(self, record) -> "Fnn":
         return Fnn(self.layers, record)
 
@@ -271,40 +325,37 @@ def validate(fnn: Fnn) -> None:
     for k, layer in enumerate(fnn.layers, start=1):
         if layer.bias.ndim != 1:
             raise StructureError("dimension-mismatch", k)
-        if layer.weights.shape[0] != layer.bias.shape[0]:
+        if layer.fan_out != layer.bias.shape[0]:
             raise StructureError("dimension-mismatch", k)
-        if layer.weights.shape[0] < 1 or layer.weights.shape[1] < 1:
+        if layer.fan_out < 1 or layer.fan_in < 1:
             raise StructureError("dimension-mismatch", k)
         if prev_out is not None and layer.fan_in != prev_out:
             raise StructureError("dimension-mismatch", k)
-        if not (np.isfinite(layer.weights.data).all() and np.isfinite(layer.bias).all()):
+        if not (np.isfinite(layer._csr.data).all() and np.isfinite(layer.bias).all()):
             raise StructureError("nonfinite-entry", k)
         prev_out = layer.fan_out
-
-
-class _Step(NamedTuple):
-    """One layer of a :class:`Plan`: a row per distinct neuron, over the previous layer's."""
-
-    weights: sparse.csr_array
-    bias: np.ndarray
 
 
 class Plan(NamedTuple):
     """A network reduced to its distinct neurons; :func:`_distinct` builds it.
 
-    ``layers[k]`` has one row per distinct neuron of layer k + 1, over the
-    distinct neurons of layer k (the inputs for k = 0), with each row's
-    entries in the stored layer's order, so its column indices may be
-    unsorted or repeated. ``output[i]`` is the distinct neuron of output i.
+    ``kernels[k]`` (see :func:`_kernel`) has one row per distinct neuron of
+    layer k + 1, over the distinct neurons of layer k (the inputs for
+    k = 0) and the constant neuron, with each row's entries in the stored
+    layer's order, so its column indices may be unsorted or repeated; the
+    output layer's has no constant neuron. ``output[i]`` is the distinct
+    neuron of output i.
     """
 
-    layers: tuple[_Step, ...]
+    kernels: tuple[Csr, ...]
     output: np.ndarray
 
     @property
     def widths(self) -> tuple[int, ...]:
         """Distinct widths of all layers, the input layer included."""
-        return (self.layers[0].weights.shape[1],) + tuple(s.weights.shape[0] for s in self.layers)
+        *hidden, last = self.kernels
+        return ((self.kernels[0].shape[1] - 1,) + tuple(k.shape[0] - 1 for k in hidden)
+                + (last.shape[0],))
 
     @property
     def output_dim(self) -> int:
@@ -320,10 +371,10 @@ def _distinct(fnn: Fnn) -> Plan:
     exactly, by sorting their bits, never by a hash; inputs are never
     merged. The first neuron of each group stands for it.
     """
-    steps = []
+    kernels = []
     width = fnn.input_dim
     index = np.arange(width)  # the distinct neuron of each neuron of the previous layer
-    for layer in fnn.layers:
+    for k, layer in enumerate(fnn.layers, start=1):
         data, indices, indptr, (rows, _) = layer._csr
         cols = index[indices]
         lengths = np.diff(indptr)
@@ -341,24 +392,23 @@ def _distinct(fnn: Fnn) -> Plan:
             first[members] = members[reps[group]]
         kept = first == np.arange(rows)
         entries = np.repeat(kept, lengths)
-        weights = sparse.csr_array(
-            (data[entries], cols[entries].astype(indices.dtype),
-             np.concatenate(([0], np.cumsum(lengths[kept]))).astype(indptr.dtype)),
-            shape=(int(kept.sum()), width),
-        )
-        steps.append(_Step(weights, layer.bias[kept]))
-        width = weights.shape[0]
+        kernels.append(_kernel(
+            data[entries], cols[entries], np.concatenate(([0], np.cumsum(lengths[kept]))),
+            layer.bias[kept], width, hidden=k < fnn.depth,
+        ))
+        width = int(kept.sum())
         index = (np.cumsum(kept) - 1)[first]
-    return Plan(tuple(steps), index)
+    return Plan(tuple(kernels), index)
 
 
 class Workspace(NamedTuple):
     """The buffers one evaluation call runs every layer and slice through.
 
-    Flat float64 arrays: ``values`` holds two blocks of up to ``width x
-    rows`` entries, ``tangents`` two of up to ``width x g x rows`` and
-    ``mask`` the activation flags of one value block. Each layer reads one
-    block of a pair and writes the other, into its leading entries.
+    Flat float64 arrays: ``values`` holds two blocks of up to ``(width + 1)
+    x rows`` entries, ``tangents`` two of up to ``(width + 1) x g x rows``
+    and ``mask`` the activation flags of one value block; the extra row is
+    the constant neuron's. Each layer reads one block of a pair and writes
+    the other, into its leading entries.
     """
 
     values: tuple[np.ndarray, np.ndarray]
@@ -368,7 +418,7 @@ class Workspace(NamedTuple):
 
 def _workspace(width: int, rows: int, groups: int = 0) -> Workspace:
     """Buffers for slices of at most ``rows`` samples through layers at most ``width`` wide."""
-    size = width * rows
+    size = (width + 1) * rows
     return Workspace(
         (np.empty(size), np.empty(size)),
         (np.empty(size * groups), np.empty(size * groups)),
@@ -376,23 +426,23 @@ def _workspace(width: int, rows: int, groups: int = 0) -> Workspace:
     )
 
 
-def _product(weights: sparse.csr_array, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """``weights @ block`` into the leading entries of ``buffer``, which it returns reshaped.
+def _product(kernel: Csr, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``kernel @ block`` into the leading entries of ``buffer``, which it returns reshaped.
 
     ``block`` is a C-contiguous (n_col, ...) array whose trailing axes run as
-    columns. This is the kernel ``@`` runs for a stack of columns, called
-    into a zeroed slice of the buffer rather than a fresh array. The kernel
-    checks no sizes, so they are checked here, as ``@`` does.
+    columns. This is the kernel scipy's ``@`` runs for a stack of columns,
+    called on raw CSR arrays into a zeroed slice of the buffer rather than a
+    fresh array. The kernel checks no sizes, so they are checked here, as
+    ``@`` does.
     """
-    rows, cols = weights.shape
+    data, indices, indptr, (rows, cols) = kernel
     columns = prod(block.shape[1:])
     out = buffer[:rows * columns]
     if block.shape[0] != cols or out.size != rows * columns:
         raise ValueError(f"dimension mismatch: a {rows} x {cols} layer cannot map a block of "
                          f"shape {block.shape} into {buffer.size} entries")
     out.fill(0.0)
-    csr_matvecs(rows, cols, columns, weights.indptr, weights.indices, weights.data,
-                block.reshape(-1), out)
+    csr_matvecs(rows, cols, columns, indptr, indices, data, block.reshape(-1), out)
     return out.reshape((rows,) + block.shape[1:])
 
 
@@ -403,36 +453,42 @@ def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, vi
     ``net`` is a network or its :class:`Plan`; both give the same results,
     bit for bit. Returns the outputs (count, N_K) and, with a seed matrix
     ``seeds`` of shape (N_0, g), the output tangents J S (count, N_K, g),
-    else None. Tangents run as a (width, g, count) block, samples innermost,
-    and come out as a transposed view of it. Calls ``visit`` with each hidden
-    pre-activation block (width, count) before it is rectified in place.
+    else None. Tangents run as a (width + 1, g, count) block, samples
+    innermost, and come out as a transposed view of it. Calls ``visit`` with
+    each hidden pre-activation block (width, count), the constant neuron
+    left out, before it is rectified in place.
 
     Every block lives in ``space`` (one made for this call when None), which
     must hold ``count`` samples of the widest layer, with g tangent columns
     when seeded. The outputs are copied out of it.
     """
-    last = len(net.layers) - 1
-    count = X.shape[0]
+    kernels = net.kernels
+    last = len(kernels) - 1
+    count, n_in = X.shape
     g = 0 if seeds is None else seeds.shape[1]
     if space is None:
         space = _workspace(max(net.widths), count, g)
-    Z = space.values[0][:X.size].reshape(X.shape[1], count)
-    np.copyto(Z, X.T)
+    # The inputs, then the constant neuron every bias term reads.
+    Z = space.values[0][:(n_in + 1) * count].reshape(n_in + 1, count)
+    np.copyto(Z[:-1], X.T)
+    Z[-1] = 1.0
     T = None
     if seeds is not None:
-        first = net.layers[0].weights @ seeds
+        S = np.zeros((n_in + 1, g))
+        S[:-1] = seeds
+        first = _product(kernels[0], S, np.empty(kernels[0].shape[0] * g))
         T = space.tangents[0][:first.size * count].reshape(first.shape + (count,))
         np.copyto(T, first[:, :, None])
-    for k, layer in enumerate(net.layers):
+    for k, kernel in enumerate(kernels):
         # The single-threaded C loop that evaluates a row sums its entries in
-        # stored order: ascending columns in a layer, the layer's order in a plan.
-        Z = _product(layer.weights, Z, space.values[(k + 1) % 2])
-        Z += layer.bias[:, None]
+        # stored order (ascending columns in a layer, the layer's order in a
+        # plan) and the bias last.
+        Z = _product(kernel, Z, space.values[(k + 1) % 2])
         if T is not None and k:
-            T = _product(layer.weights, T, space.tangents[k % 2])
+            T = _product(kernel, T, space.tangents[k % 2])
         if k < last:
             if visit is not None:
-                visit(Z)
+                visit(Z[:-1])
             np.maximum(Z, 0.0, out=Z)
             if T is not None:
                 active = space.mask[:Z.size].reshape(Z.shape)
@@ -566,10 +622,10 @@ def metrics(fnn: Fnn) -> NetworkMetrics:
     connectivity = 0
     max_weight = 0.0
     for layer in fnn.layers:
-        connectivity += layer.weights.nnz + int(np.count_nonzero(layer.bias))
+        connectivity += len(layer._csr.data) + int(np.count_nonzero(layer.bias))
         max_weight = max(
             max_weight,
-            float(np.abs(layer.weights.data).max(initial=0.0)),
+            float(np.abs(layer._csr.data).max(initial=0.0)),
             float(np.abs(layer.bias).max(initial=0.0)),
         )
     widths = fnn.widths

@@ -31,7 +31,7 @@ from matvecnet import (
 )
 from matvecnet.interchange import network_document, network_from_document
 from matvecnet.network import (
-    SLICE_BYTES, _batch, _distinct, _forward, _product, _tangent_seeds, _workspace,
+    SLICE_BYTES, Csr, _batch, _distinct, _forward, _product, _tangent_seeds, _workspace,
 )
 
 
@@ -115,37 +115,35 @@ _KERNEL_VALUES = st.one_of(
 
 @st.composite
 def plan_matrices(draw):
-    """A CSR matrix like a plan's: unsorted, repeated column indices and empty rows."""
+    """Raw CSR arrays like a plan's: unsorted, repeated column indices and empty rows."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     lengths = draw(st.lists(st.integers(0, 6), min_size=rows, max_size=rows))
     nnz = sum(lengths)
     indices = draw(st.lists(st.integers(0, cols - 1), min_size=nnz, max_size=nnz))
     data = draw(st.lists(_KERNEL_VALUES.filter(lambda v: v != 0.0), min_size=nnz, max_size=nnz))
     index = draw(st.sampled_from([np.int32, np.int64]))
-    return sparse.csr_array(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=index),
-         np.cumsum([0] + lengths).astype(index)),
-        shape=(rows, cols),
-    )
+    return Csr(np.array(data, dtype=np.float64), np.array(indices, dtype=index),
+               np.cumsum([0] + lengths).astype(index), (rows, cols))
 
 
 @settings(max_examples=200, deadline=None)
-@given(weights=plan_matrices(), count=st.integers(1, 300), groups=st.integers(1, 3),
+@given(kernel=plan_matrices(), count=st.integers(1, 300), groups=st.integers(1, 3),
        data=st.data())
-def test_kernel_into_a_zeroed_buffer_matches_matmul(weights, count, groups, data):
-    rows, cols = weights.shape
+def test_kernel_into_a_zeroed_buffer_matches_matmul(kernel, count, groups, data):
+    rows, cols = kernel.shape
+    weights = sparse.csr_array(kernel[:3], shape=kernel.shape)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     pool = np.array(data.draw(st.lists(_KERNEL_VALUES, min_size=1, max_size=8)))
     Z = rng.choice(pool, (cols, count))
     T = rng.choice(pool, (cols, groups, count))
     # a stale buffer, longer than the block: the product must zero what it writes
     buffer = np.full(rows * groups * count + 3, np.nan)
-    assert _product(weights, Z, buffer).tobytes() == (weights @ Z).tobytes()
+    assert _product(kernel, Z, buffer).tobytes() == (weights @ Z).tobytes()
     expected = (weights @ T.reshape(cols, -1)).reshape(rows, groups, count)
-    assert _product(weights, T, buffer).tobytes() == expected.tobytes()
+    assert _product(kernel, T, buffer).tobytes() == expected.tobytes()
     assert np.isnan(buffer[rows * groups * count:]).all()
     with pytest.raises(ValueError, match="dimension mismatch"):
-        _product(weights, Z, buffer[:rows * count - 1])
+        _product(kernel, Z, buffer[:rows * count - 1])
 
 
 def test_batch_allocates_one_workspace_per_call():
@@ -160,9 +158,11 @@ def test_batch_allocates_one_workspace_per_call():
     width = max(plan.widths)
     rows = SLICE_BYTES // (16 * width)
     assert (width, rows) == (272, 240)
-    # two value blocks, the outputs and a margin far below one block per layer,
-    # which holds numpy's 64 KiB ufunc buffer for the broadcast bias
-    assert peak <= 2 * width * rows * 8 + out.nbytes + 128 * 1024
+    # two value blocks (with the constant neuron's row), the outputs and a
+    # margin far below one block per layer, which holds the gathered outputs
+    # of one slice (15 KiB) and small objects; with the bias in the kernel,
+    # no broadcast add takes numpy's 64 KiB ufunc buffer
+    assert peak <= 2 * (width + 1) * rows * 8 + out.nbytes + 32 * 1024
 
 
 def test_results_do_not_alias_a_workspace():
@@ -387,19 +387,42 @@ def oracle_plan(net):
     return steps, index
 
 
+def kernel_rows(kernel):
+    """Each row of a kernel as (column, weight bits) pairs, in stored order."""
+    data, indices, indptr, _ = kernel
+    return [list(zip(indices[a:b].tolist(), data[a:b].view(np.int64).tolist()))
+            for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
+
+def expected_kernel_rows(layer, kept, columns, width, hidden):
+    """The kernel rows a plan layer must hold: the kept rows' entries, then
+    each nonzero bias at the constant neuron's column ``width``, and for a
+    hidden layer the constant neuron's own row."""
+    data, _, indptr, _ = layer._csr
+    bits = data.view(np.int64).tolist()
+    rows, at = [], 0
+    for i in kept:
+        length = int(indptr[i + 1] - indptr[i])
+        row = list(zip(columns[at:at + length], bits[indptr[i]:indptr[i + 1]]))
+        at += length
+        if layer.bias[i] != 0.0:
+            row.append((width, int(layer.bias[i:i + 1].view(np.int64)[0])))
+        rows.append(row)
+    if hidden:
+        rows.append([(width, int(np.float64(1.0).view(np.int64)))])
+    return rows
+
+
 def assert_plan_equals_stored(net, xs):
     """The plan groups like the oracle, keeps stored entry order, and runs bit-equal."""
     plan = _distinct(net)
     steps, output = oracle_plan(net)
     assert plan.output.tolist() == output
     assert plan.widths == (net.input_dim,) + tuple(len(kept) for kept, _ in steps)
-    for step, layer, (kept, columns) in zip(plan.layers, net.layers, steps):
-        data, _, indptr, _ = layer._csr
-        W = step.weights
-        assert W.indices.tolist() == columns
-        assert W.data.tobytes() == b"".join(data[indptr[i]:indptr[i + 1]].tobytes() for i in kept)
-        assert W.indptr.tolist() == np.cumsum([0] + [indptr[i + 1] - indptr[i] for i in kept]).tolist()
-        assert step.bias.tobytes() == layer.bias[kept].tobytes()
+    for k, (kernel, layer, (kept, columns)) in enumerate(zip(plan.kernels, net.layers, steps)):
+        assert kernel_rows(kernel) == expected_kernel_rows(
+            layer, kept, columns, plan.widths[k], hidden=k < net.depth - 1,
+        )
     assert _batch(plan, xs).tobytes() == evaluate_batch(net, xs).tobytes()
     for seed in (np.eye(net.input_dim), _tangent_seeds(net).matrix):
         planned, stored = _forward(plan, xs, seed), _forward(net, xs, seed)
@@ -471,12 +494,14 @@ def test_plan_keeps_each_named_case():
     plan = assert_plan_equals_stored(net, xs)
     # hidden: 0 = 2 and 5 = 6 merge, 3 and 4 stay apart
     assert plan.widths == (2, 5, 6, 2)
-    second = plan.layers[1].weights
-    rows = [second.indices[second.indptr[i]:second.indptr[i + 1]].tolist() for i in range(6)]
-    # the reverse read stays apart from row 0; the double read repeats a column
-    assert rows[:3] == [[0, 1], [1, 0], [0, 0]]
-    # the two zero-bias neurons feed rows that stay apart
-    assert rows[4:] == [[2, 4], [3, 4]]
+    rows = [[c for c, _ in row] for row in kernel_rows(plan.kernels[1])]
+    # every row ends with its bias -0.25 at column 5, which reads the constant
+    # neuron; the reverse read stays apart from row 0; the double read repeats
+    # a column
+    assert rows[:3] == [[0, 1, 5], [1, 0, 5], [0, 0, 5]]
+    # the two zero-bias neurons feed rows that stay apart; the constant
+    # neuron's own row comes last
+    assert rows[4:] == [[2, 4, 5], [3, 4, 5], [5]]
     assert plan.output.tolist() == [0, 1, 0]
 
 
@@ -508,6 +533,153 @@ def test_plan_of_every_construction_runs_bit_equal(net):
 ])
 def test_plan_widths_at_the_operating_points(make, width):
     assert max(_distinct(make()).widths) == width
+
+
+def unfolded(net, xs):
+    """Values, pre-activations and Jacobians by the formula before the bias fold.
+
+    Each layer is ``np.maximum(W @ z + b[:, None], 0.0)`` with scipy's ``@``,
+    and the tangents are ``W @ T`` masked by ``z > 0``, as the layer loop
+    computed them when it added the bias in a sweep of its own.
+    """
+    Z = xs.T.copy()
+    T = np.repeat((net.layers[0].weights @ np.eye(net.input_dim))[:, :, None], len(xs), axis=2)
+    pres = []
+    for k, layer in enumerate(net.layers):
+        Z = layer.weights @ Z + layer.bias[:, None]
+        if k:
+            T = (layer.weights @ T.reshape(layer.fan_in, -1)).reshape(layer.fan_out, -1, len(xs))
+        if k < net.depth - 1:
+            pres.append(Z.T.copy())
+            T = T * (Z > 0.0)[:, None, :]
+            Z = np.maximum(Z, 0.0)
+    return Z.T.copy(), pres, T.transpose(2, 0, 1).copy()
+
+
+def assert_folded_equals_unfolded(net, xs):
+    """Stored layers and plan, folded, against :func:`unfolded`, byte for byte."""
+    values, pres, jac = unfolded(net, xs)
+    assert evaluate_batch(net, xs).tobytes() == values.tobytes()
+    assert [p.tobytes() for p in preactivations(net, xs)] == [p.tobytes() for p in pres]
+    assert jacobian(net, xs).tobytes() == jac.tobytes()
+    plan = _distinct(net)
+    steps, _ = oracle_plan(net)
+    planned_pres: list = []
+    planned = _forward(plan, xs, np.eye(net.input_dim),
+                       visit=lambda Z: planned_pres.append(Z.T.copy()))
+    assert _batch(plan, xs).tobytes() == values.tobytes()
+    assert planned[0].tobytes() == values.tobytes()
+    assert planned[1].tobytes() == jac.tobytes()
+    assert [p.tobytes() for p in planned_pres] == [
+        pre[:, kept].tobytes() for pre, (kept, _) in zip(pres, steps)
+    ]
+
+
+# Biases at the edges of the fold: signed zeros, subnormal-scale, huge.
+_FOLD_BIASES = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1e300, -1e300])
+# Weights whose products with the tiny inputs underflow to +-0.0; 0.0 leaves
+# an entry out, so rows come out empty too.
+_FOLD_WEIGHTS = st.sampled_from([0.0, 0.0, 1e-300, -1e-300, 0.5, -1.5, 2.0, -1.0])
+_FOLD_INPUTS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0.75, -2.0, 1.25])
+
+
+@st.composite
+def folding_networks(draw):
+    """A small network, with empty rows that have nonzero biases, and inputs for it."""
+    depth = draw(st.integers(1, 4))
+    widths = [draw(st.integers(1, 5)) for _ in range(depth + 1)]
+    layers = []
+    for k in range(depth):
+        w = np.array(draw(st.lists(_FOLD_WEIGHTS, min_size=widths[k] * widths[k + 1],
+                                   max_size=widths[k] * widths[k + 1])))
+        w = w.reshape(widths[k + 1], widths[k])
+        w[draw(st.integers(0, widths[k + 1]))::widths[k + 1] + 1] = 0.0  # maybe one empty row
+        b = draw(st.lists(_FOLD_BIASES, min_size=widths[k + 1], max_size=widths[k + 1]))
+        layers.append(Layer(w, b))
+    count = draw(st.integers(1, 5))
+    xs = draw(st.lists(_FOLD_INPUTS, min_size=count * widths[0], max_size=count * widths[0]))
+    return Fnn(tuple(layers)), np.array(xs).reshape(count, widths[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=folding_networks())
+def test_folded_loop_matches_the_unfolded_formula(case):
+    assert_folded_equals_unfolded(*case)
+
+
+def test_folded_loop_matches_the_unfolded_formula_on_constructions():
+    for net in (matvec_net(2, 2, 1.0, 2.0 ** -4), complex_matvec_net(1, 2, 1.5, 2.0 ** -4)):
+        xs = np.random.default_rng(12).uniform(-1.5, 1.5, (30, net.input_dim))
+        xs[:3] = 0.0
+        xs[3:6] = -0.0
+        assert_folded_equals_unfolded(net, xs)
+
+
+def test_folded_bias_keeps_the_rounding_of_each_named_row():
+    # each layer has a row whose sum cancels exactly, with bias -0.0, an
+    # empty row with bias -0.0 and an empty row with bias 0.5; the hidden
+    # layer also passes x_0 on, for the output row to cancel against
+    hidden = Layer([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], [-0.0, -0.0, 0.5, 0.0])
+    output = Layer([[0.0, 0.0, 1.5, -1.0], [0.0] * 4, [0.0] * 4], [-0.0, -0.0, 0.5])
+    net = Fnn((hidden, output))
+    one = np.float64(1.0).view(np.int64)
+    # the kernel drops the +-0.0 biases and ends with the constant neuron's row
+    assert hidden.kernel.shape == (5, 3)
+    assert kernel_rows(hidden.kernel) == [
+        [(0, one), (1, np.float64(-1.0).view(np.int64))],
+        [], [(2, np.float64(0.5).view(np.int64))], [(0, one)], [(2, one)],
+    ]
+    xs = np.array([[0.75, 0.75], [-0.0, -0.0], [0.0, 0.0]])
+    # (0 + x) + (-x) = +0.0, and +0.0 + -0.0 = +0.0: no -0.0 anywhere
+    pres = np.array([[0.0, 0.0, 0.5, 0.75], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.5, 0.0]])
+    outputs = np.array([[0.0, 0.0, 0.5], [0.75, 0.0, 0.5], [0.75, 0.0, 0.5]])
+    assert preactivations(net, xs)[0].tobytes() == pres.tobytes()
+    assert evaluate_batch(net, xs).tobytes() == outputs.tobytes()
+    assert _batch(_distinct(net), xs).tobytes() == outputs.tobytes()
+    # the output layer alone is not rectified, so a -0.0 from it would show
+    alone = Fnn((output,))
+    outputs = np.array([[0.0, 0.0, 0.5]] * 3)
+    assert evaluate_batch(alone, np.zeros((3, 4))).tobytes() == outputs.tobytes()
+    assert evaluate_batch(alone, np.full((3, 4), -0.0)).tobytes() == outputs.tobytes()
+    for each in (net, alone):
+        assert_folded_equals_unfolded(each, np.vstack((np.full(each.input_dim, -0.0),
+                                                       np.full(each.input_dim, 0.75))))
+
+
+def test_constant_neuron_never_shows():
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    plan = _distinct(net)
+    xs = np.random.default_rng(13).uniform(-1.0, 1.0, (7, net.input_dim))
+    assert [p.shape for p in preactivations(net, xs)] == [(7, w) for w in net.widths[1:-1]]
+    assert [p.shape for p in preactivations(net, xs[0])] == [(w,) for w in net.widths[1:-1]]
+    assert jacobian(net, xs).shape == (7, net.output_dim, net.input_dim)
+    assert jacobian(net, xs[0]).shape == (net.output_dim, net.input_dim)
+    # the kink screen sees the real neurons only
+    for each in (net, plan):
+        seen: list = []
+        values, tangents = _forward(each, xs, np.eye(net.input_dim),
+                                    visit=lambda Z: seen.append(Z.shape))
+        assert seen == [(w, 7) for w in each.widths[1:-1]]
+        assert values.shape == (7, net.output_dim)
+        assert tangents.shape == (7, net.output_dim, net.input_dim)
+    # kernels: one row per neuron plus the constant neuron's, the output's without it
+    assert [k.shape for k in plan.kernels] == [
+        (w + (k < net.depth - 1), w_in + 1)
+        for k, (w_in, w) in enumerate(zip(plan.widths[:-1], plan.widths[1:]))
+    ]
+    assert [k.shape for k in net.kernels] == [
+        (layer.fan_out + (k < net.depth - 1), layer.fan_in + 1)
+        for k, layer in enumerate(net.layers)
+    ]
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), (12, 13216, 3788, 384, 8.0)),
+    (lambda: complex_matvec_net(8, 4, 3.0, 2.0 ** -5), (15, 70144, 19672, 1536, 18.0)),
+])
+def test_metrics_at_the_operating_points(make, expected):
+    got = metrics(make())
+    assert (got.depth, got.connectivity, got.neurons, got.max_width, got.max_weight) == expected
 
 
 def test_square_net_first_layer_drops_its_copy():
