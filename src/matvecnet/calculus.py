@@ -17,12 +17,13 @@ The operators are
 * :func:`compose_selection`, rewiring a network to read a subset of a wider
   input through a 0/1 selection matrix.
 
-Weights stay in their canonical CSR form: stacking and rewiring work on the
-CSR arrays of the layers directly, without making scipy matrices for the many
-intermediate layers a construction passes through. A merged interface layer
-multiplies the outer CSR matrix by the inner weights in the single-threaded
-CSR kernel, which sums each entry in ascending inner index, so built networks
-are bit-identical across runs and environments.
+Weights stay in their canonical CSR form: stacking, scaling and rewiring work
+on the CSR arrays of the layers directly, without making scipy matrices for
+the many intermediate layers a construction passes through. A merged
+interface layer runs the outer layer's raw CSR arrays over the inner weights
+through the evaluation kernel (``network._product``), the single-threaded
+kernel scipy's ``@`` runs, which sums each entry in ascending inner index, so
+built networks are bit-identical across runs and environments.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .network import Csr, Fnn, Layer, _csr
+from .network import Csr, Fnn, Layer, _csr, _nonzero, _product
 
 __all__ = [
     "identity_fnn",
@@ -69,10 +70,11 @@ def identity_fnn(d: int, K: int) -> Fnn:
 
 def _merge_affine(outer: Layer, inner: Layer) -> Layer:
     """The affine layer computing outer(inner(.)): weights W_o W_i, bias W_o b_i + b_o."""
-    # The right factor is dense: a sparse product would make three more scipy
-    # matrices, which costs more than all the arithmetic of the small merges
-    # that constructions do.
-    return Layer(outer.weights @ inner._csr.toarray(), outer.weights @ inner.bias + outer.bias)
+    # The right factor is dense: a sparse product costs more than all the
+    # arithmetic of the small merges that constructions do.
+    rows, cols = outer.fan_out, inner.fan_in
+    weights = _product(outer.weights, inner.weights.toarray(), np.empty(rows * cols))
+    return Layer(weights, _product(outer.weights, inner.bias, np.empty(rows)) + outer.bias)
 
 
 def concatenate(f1: Fnn, f2: Fnn) -> Fnn:
@@ -111,13 +113,13 @@ def _stack(layers: Sequence[Layer], diagonal: bool) -> Csr:
     indices, indptr = [], [np.zeros(1, dtype=np.int64)]
     rows = cols = nnz = 0
     for layer in layers:
-        W = layer._csr
+        W = layer.weights
         indices.append(np.add(W.indices, cols, dtype=np.int64))
         indptr.append(np.add(W.indptr[1:], nnz, dtype=np.int64))
         rows += W.shape[0]
         cols += W.shape[1] if diagonal else 0
         nnz += len(W.data)
-    data = np.concatenate([layer._csr.data for layer in layers])
+    data = np.concatenate([layer.weights.data for layer in layers])
     shape = (rows, cols if diagonal else layers[0].fan_in)
     return _csr(data, np.concatenate(indices), np.concatenate(indptr), shape)
 
@@ -151,7 +153,8 @@ def parallelize_shared(fnns: Sequence[Fnn]) -> Fnn:
 
 def _scale_output(f: Fnn, a: float) -> Fnn:
     last = f.layers[-1]
-    return Fnn(f.layers[:-1] + (Layer(a * last.weights, a * last.bias),))
+    W = last.weights
+    return Fnn(f.layers[:-1] + (Layer._of(_nonzero(a * W.data, *W[1:]), a * last.bias),))
 
 
 def parallelize_disjoint(fnns: Sequence[Fnn], coefficients: Sequence[float] | None = None) -> Fnn:
@@ -205,7 +208,7 @@ def superpose(fnns: Sequence[Fnn], coefficients: Sequence[float], shared_input: 
         stacked = parallelize_disjoint(matched, [1.0] * len(matched))
     # The summing layer has one row per output, so its dense form is small.
     summed_w = np.hstack([
-        float(a) * f.layers[-1]._csr.toarray() for a, f in zip(coefficients, matched)
+        float(a) * f.layers[-1].weights.toarray() for a, f in zip(coefficients, matched)
     ])
     summed_b = np.zeros(d)
     for a, f in zip(coefficients, matched):
@@ -229,7 +232,7 @@ def compose_selection(f: Fnn, selector) -> Fnn:
         raise ValueError("selector rows must contain exactly one 1 and zeros elsewhere")
     picks = np.argmax(ones, axis=1)
     first = f.layers[0]
-    W = first._csr
+    W = first.weights
     rows = np.repeat(np.arange(first.fan_out), np.diff(W.indptr))
     cols = picks[W.indices]
     # A stable sort by target column within each row. With distinct picks the

@@ -43,7 +43,7 @@ def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
         meta.update(extra_meta)
     layers = []
     for layer in fnn.layers:
-        W = layer._csr
+        W = layer.weights
         rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
         layers.append({
             "shape": list(W.shape),

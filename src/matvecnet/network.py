@@ -6,12 +6,13 @@ layer except the last, which stays affine:
 
     x_0 = x,  x_k = rho(W_k x_{k-1} + b_k)  for k < K,  x_K = W_K x_{K-1} + b_K.
 
-Layers are immutable, and a weight matrix has one stored form: canonical
-compressed sparse rows (sorted column indices, no stored zeros, -0.0 included,
-read-only arrays). Five size measures are reported by :func:`metrics`: depth L
-(layer count), connectivity M (number of weight and bias entries that are not
-bit-exactly zero), neuron count N (sum of all layer widths, the input layer
-included), maximum width W, and the largest absolute weight B.
+Layers are immutable, and a weight matrix has one form, :attr:`Layer.weights`:
+the read-only arrays of its canonical compressed sparse rows (:class:`Csr`:
+sorted column indices, no stored zeros, -0.0 included). Five size measures
+are reported by :func:`metrics`: depth L (layer count), connectivity M
+(number of weight and bias entries that are not bit-exactly zero), neuron
+count N (sum of all layer widths, the input layer included), maximum width
+W, and the largest absolute weight B.
 
 Evaluation is double precision and bit-reproducible: every matrix-vector
 product accumulates in row-major (sorted column index) order through the
@@ -22,7 +23,7 @@ computing samples one at a time, and batches may be cut into slices of any
 height.
 
 The loop runs each layer as one kernel pass and one in-place rectify. A
-layer's kernel (:attr:`Layer.kernel`) is its weights over ``fan_in + 1``
+layer's kernel (:func:`_kernel`) is its weights over ``fan_in + 1``
 columns: row i holds its stored entries in stored order, then ``b_i`` at
 column ``fan_in``, which reads a constant neuron of value 1.0. A hidden
 layer's kernel ends with that neuron's own row, a single 1.0 at column
@@ -61,7 +62,13 @@ neuron then depends on at most one column of its group, so its compressed
 tangent runs the same sums on the same operands as that column's, and the
 decompressed Jacobian is bit-equal to the full one.
 
-The same loop also runs an evaluation plan (:func:`_distinct`): the network
+The loop runs a :class:`Plan`: one kernel per layer and the index of each
+output's neuron in the last one. A network holds one plan of its own,
+:attr:`Fnn._plan`, built on first use: its stored layers' kernels with
+nothing merged, each output read where it stands. The evaluation functions
+run it.
+
+The estimators run a second plan (:func:`_distinct`): the network
 reduced to its distinct neurons. The constructions copy a lot of neurons
 (a matvec builds the square chain of each |x_j| once per matrix row), so at
 matvec(8,4,D=2) the widest layer shrinks from 384 to 272 neurons and at
@@ -74,10 +81,9 @@ out of order, and its matrices are never canonicalised. By induction over
 the layers, a merged neuron would have run the same operations in the same
 order on bit-equal operands as the neuron standing for it, so its value,
 pre-activation and tangents are the same bits, and so are the outputs,
-which the plan copies back out. A plan holds only kernels, built directly
-in the form above. Building a plan takes milliseconds, so the estimators
-build one per call; the one-off public functions run the stored layers'
-kernels.
+which the plan copies back out. Grouping costs several times what building
+the stored kernels does, so the estimators, which run it over thousands of
+rows, build it once per call, and a one-off call never pays for it.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .constructors import ConstructionRecord
 
 __all__ = [
+    "Csr",
     "Layer",
     "Fnn",
     "NetworkMetrics",
@@ -108,10 +115,11 @@ __all__ = [
 ]
 
 # Batch evaluation cuts its inputs into slices whose two value blocks (max width
-# x rows, float64, one read and one written by each layer) together stay within
-# this many bytes, so that each CSR row sweep reads activations from the core's
-# own cache rather than from memory. Per-sample results do not depend on the
-# slice height.
+# x rows, float64, one read and one written by each layer), and two tangent
+# blocks g times their size when it carries g seed columns, together stay
+# within this many bytes, so that each CSR row sweep reads activations from the
+# core's own cache rather than from memory. Per-sample results do not depend on
+# the slice height.
 SLICE_BYTES = 2 ** 20
 
 
@@ -156,17 +164,21 @@ def _csr(data, indices, indptr, shape) -> Csr:
     return Csr(*parts, (int(shape[0]), int(shape[1])))
 
 
+def _nonzero(data, indices, indptr, shape) -> Csr:
+    """CSR arrays with sorted, unique columns, frozen with their stored zeros dropped."""
+    nonzero = data != 0.0  # drops -0.0 too
+    if not nonzero.all():
+        kept = np.concatenate(([0], np.cumsum(nonzero)))
+        data, indices, indptr = data[nonzero], indices[nonzero], kept[indptr]
+    return _csr(data, indices, indptr, shape)
+
+
 def _canonical(a) -> Csr:
     """The canonical CSR arrays of a weight matrix, dense or sparse; a 1-D input is one row."""
     if sparse.issparse(a):
         W = sparse.csr_array(a.reshape(1, -1) if a.ndim == 1 else a, dtype=np.float64, copy=True)
         W.sum_duplicates()
-        data, indices, indptr = W.data, W.indices, W.indptr
-        nonzero = data != 0.0  # drops -0.0 too
-        if not nonzero.all():
-            kept = np.concatenate(([0], np.cumsum(nonzero)))
-            data, indices, indptr = data[nonzero], indices[nonzero], kept[indptr]
-        return _csr(data, indices, indptr, W.shape)
+        return _nonzero(W.data, W.indices, W.indptr, W.shape)
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -211,13 +223,12 @@ class Layer:
     """One affine stage: weight matrix of shape N_k x N_{k-1} and bias of length N_k.
 
     The weights may be given dense or as any scipy sparse matrix. A layer
-    keeps the arrays of their canonical CSR form. Two forms are made from
-    them on first use, since combining networks creates many layers that are
-    never evaluated: ``kernel``, which evaluation runs, and ``weights``, the
-    scipy CSR matrix over those arrays, which only network assembly uses.
+    keeps them in one form, ``weights``: the read-only arrays of their
+    canonical CSR form (:class:`Csr`). It makes nothing else from them;
+    evaluation runs the kernels of a network's plan (:attr:`Fnn._plan`).
     """
 
-    _csr: Csr = field(repr=False)
+    weights: Csr = field(repr=False)
     bias: np.ndarray
 
     def __init__(self, weights, bias):
@@ -231,31 +242,16 @@ class Layer:
         return layer
 
     def _set(self, csr: Csr, bias) -> None:
-        object.__setattr__(self, "_csr", csr)
+        object.__setattr__(self, "weights", csr)
         object.__setattr__(self, "bias", _as_vector(bias))
-
-    @cached_property
-    def kernel(self) -> Csr:
-        """Weights and bias as one CSR matrix with the constant neuron (see :func:`_kernel`).
-
-        The constant neuron's row is last; as an output layer, the layer runs
-        without it (:attr:`Fnn.kernels`).
-        """
-        return _kernel(*self._csr[:3], self.bias, self.fan_in, hidden=True)
-
-    @cached_property
-    def weights(self) -> sparse.csr_array:
-        W = sparse.csr_array(self._csr[:3], shape=self._csr.shape)
-        W.has_canonical_format = True
-        return W
 
     @property
     def fan_in(self) -> int:
-        return self._csr.shape[1]
+        return self.weights.shape[1]
 
     @property
     def fan_out(self) -> int:
-        return self._csr.shape[0]
+        return self.weights.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +260,8 @@ class Fnn:
 
     The record is free-form provenance written by the constructors module; it
     travels with the network through serialization but plays no role in
-    evaluation.
+    evaluation. The evaluation functions run :attr:`_plan`, built on first
+    use, since combining networks creates many that are never evaluated.
     """
 
     layers: tuple[Layer, ...]
@@ -293,11 +290,14 @@ class Fnn:
         """All layer widths N_0, N_1, ..., N_K."""
         return (self.input_dim,) + tuple(l.fan_out for l in self.layers)
 
-    @property
-    def kernels(self) -> tuple[Csr, ...]:
-        """The layers' kernels, the output layer's without the constant neuron's row."""
-        *hidden, (data, indices, indptr, (rows, cols)) = (layer.kernel for layer in self.layers)
-        return (*hidden, Csr(data, indices, indptr[:-1], (rows - 1, cols)))
+    @cached_property
+    def _plan(self) -> "Plan":
+        """The stored layers as a :class:`Plan` with nothing merged: each layer's kernel."""
+        kernels = tuple(
+            _kernel(*layer.weights[:3], layer.bias, layer.fan_in, hidden=k < self.depth)
+            for k, layer in enumerate(self.layers, start=1)
+        )
+        return Plan(kernels, np.arange(self.output_dim))
 
     def with_record(self, record) -> "Fnn":
         return Fnn(self.layers, record)
@@ -331,20 +331,21 @@ def validate(fnn: Fnn) -> None:
             raise StructureError("dimension-mismatch", k)
         if prev_out is not None and layer.fan_in != prev_out:
             raise StructureError("dimension-mismatch", k)
-        if not (np.isfinite(layer._csr.data).all() and np.isfinite(layer.bias).all()):
+        if not (np.isfinite(layer.weights.data).all() and np.isfinite(layer.bias).all()):
             raise StructureError("nonfinite-entry", k)
         prev_out = layer.fan_out
 
 
 class Plan(NamedTuple):
-    """A network reduced to its distinct neurons; :func:`_distinct` builds it.
+    """What the layer loop runs: a network's stored layers (:attr:`Fnn._plan`)
+    or its distinct neurons (:func:`_distinct`).
 
-    ``kernels[k]`` (see :func:`_kernel`) has one row per distinct neuron of
-    layer k + 1, over the distinct neurons of layer k (the inputs for
-    k = 0) and the constant neuron, with each row's entries in the stored
-    layer's order, so its column indices may be unsorted or repeated; the
-    output layer's has no constant neuron. ``output[i]`` is the distinct
-    neuron of output i.
+    ``kernels[k]`` (see :func:`_kernel`) has one row per neuron of layer
+    k + 1, over the neurons of layer k (the inputs for k = 0) and the
+    constant neuron, with each row's entries in the stored layer's order;
+    in a distinct plan, its column indices may be unsorted or repeated. The
+    output layer's kernel has no constant neuron. ``output[i]`` is the
+    neuron of output i in the last layer.
     """
 
     kernels: tuple[Csr, ...]
@@ -356,10 +357,6 @@ class Plan(NamedTuple):
         *hidden, last = self.kernels
         return ((self.kernels[0].shape[1] - 1,) + tuple(k.shape[0] - 1 for k in hidden)
                 + (last.shape[0],))
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.output)
 
 
 def _distinct(fnn: Fnn) -> Plan:
@@ -375,7 +372,7 @@ def _distinct(fnn: Fnn) -> Plan:
     width = fnn.input_dim
     index = np.arange(width)  # the distinct neuron of each neuron of the previous layer
     for k, layer in enumerate(fnn.layers, start=1):
-        data, indices, indptr, (rows, _) = layer._csr
+        data, indices, indptr, (rows, _) = layer.weights
         cols = index[indices]
         lengths = np.diff(indptr)
         first = np.empty(rows, dtype=np.intp)
@@ -446,28 +443,29 @@ def _product(kernel: Csr, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return out.reshape((rows,) + block.shape[1:])
 
 
-def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None,
+def _forward(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None,
              space: Workspace | None = None):
     """The layer loop behind every evaluation function; the rows of X run as columns.
 
-    ``net`` is a network or its :class:`Plan`; both give the same results,
-    bit for bit. Returns the outputs (count, N_K) and, with a seed matrix
-    ``seeds`` of shape (N_0, g), the output tangents J S (count, N_K, g),
-    else None. Tangents run as a (width + 1, g, count) block, samples
-    innermost, and come out as a transposed view of it. Calls ``visit`` with
-    each hidden pre-activation block (width, count), the constant neuron
-    left out, before it is rectified in place.
+    Every plan of a network gives the same results, bit for bit. Returns
+    the outputs (count, N_K) and, with a seed matrix ``seeds`` of shape
+    (N_0, g), the output tangents J S (count, N_K, g), else None. Tangents
+    run as a (width + 1, g, count) block, samples innermost, and come out
+    transposed. Calls ``visit`` with each hidden pre-activation block
+    (width, count), the constant neuron left out, before it is rectified in
+    place.
 
     Every block lives in ``space`` (one made for this call when None), which
     must hold ``count`` samples of the widest layer, with g tangent columns
-    when seeded. The outputs are copied out of it.
+    when seeded. Outputs and tangents are gathered out of it through
+    ``plan.output``, which copies them.
     """
-    kernels = net.kernels
+    kernels = plan.kernels
     last = len(kernels) - 1
     count, n_in = X.shape
     g = 0 if seeds is None else seeds.shape[1]
     if space is None:
-        space = _workspace(max(net.widths), count, g)
+        space = _workspace(max(plan.widths), count, g)
     # The inputs, then the constant neuron every bias term reads.
     Z = space.values[0][:(n_in + 1) * count].reshape(n_in + 1, count)
     np.copyto(Z[:-1], X.T)
@@ -494,10 +492,7 @@ def _forward(net: Fnn | Plan, X: np.ndarray, seeds: np.ndarray | None = None, vi
                 active = space.mask[:Z.size].reshape(Z.shape)
                 np.greater(Z, 0.0, out=active)
                 T *= active[:, None, :]
-    if isinstance(net, Plan):
-        Z, T = Z[net.output], None if T is None else T[net.output]
-    else:
-        Z, T = Z.copy(), None if T is None else T.copy()
+    Z, T = Z[plan.output], None if T is None else T[plan.output]
     return Z.T, None if T is None else T.transpose(2, 0, 1)
 
 
@@ -527,8 +522,8 @@ def _tangent_seeds(fnn: Fnn) -> TangentSeeds:
     """
     reach = None
     for layer in fnn.layers:
-        pattern = sparse.csr_array((np.ones(len(layer._csr.data)), *layer._csr[1:3]),
-                                   shape=layer._csr.shape)
+        pattern = sparse.csr_array((np.ones(len(layer.weights.data)), *layer.weights[1:3]),
+                                   shape=layer.weights.shape)
         reach = pattern if reach is None else pattern @ reach
         reach.data[:] = 1.0
     reach = reach.toarray() != 0.0
@@ -557,7 +552,7 @@ def _inputs(fnn: Fnn, x) -> tuple[np.ndarray, bool]:
 
 def evaluate(fnn: Fnn, x) -> np.ndarray:
     """Forward pass for a single input vector of length N_0."""
-    return _forward(fnn, _inputs(fnn, np.reshape(x, -1))[0])[0][0]
+    return _forward(fnn._plan, _inputs(fnn, np.reshape(x, -1))[0])[0][0]
 
 
 def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
@@ -572,21 +567,30 @@ def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
         return np.empty((0, fnn.output_dim), dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fnn.input_dim:
         raise StructureError("dimension-mismatch", 1)
-    return _batch(fnn, X)
+    return _batch(fnn._plan, X)[0]
 
 
-def _batch(net: Fnn | Plan, X: np.ndarray) -> np.ndarray:
-    """Outputs of a network or plan for the rows of X, in slices sized from its widest layer.
+def _batch(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None):
+    """:func:`_forward` over the rows of X in slices of at most 4096 rows whose
+    value and tangent blocks stay within ``SLICE_BYTES``, or of one row where
+    one row's blocks are larger.
 
-    Every slice runs through one workspace, made for this call.
+    Returns the outputs (count, N_K) and, with seeds (N_0 x g), the
+    tangents (count, N_K, g), else None. Every slice runs through one
+    workspace, made for this call.
     """
-    out = np.empty((X.shape[0], net.output_dim), dtype=np.float64)
-    width = max(net.widths)
-    rows = max(1, min(4096, SLICE_BYTES // (16 * width)))
-    space = _workspace(width, min(rows, X.shape[0]))
-    for lo in range(0, X.shape[0], rows):
-        out[lo:lo + rows] = _forward(net, X[lo:lo + rows], space=space)[0]
-    return out
+    count, n_out = X.shape[0], len(plan.output)
+    g = 0 if seeds is None else seeds.shape[1]
+    out = np.empty((count, n_out), dtype=np.float64)
+    tangents = None if seeds is None else np.empty((count, n_out, g))
+    width = max(plan.widths)
+    rows = max(1, min(4096, SLICE_BYTES // (16 * width * (1 + g))))
+    space = _workspace(width, min(rows, count), g)
+    for lo in range(0, count, rows):
+        out[lo:lo + rows], T = _forward(plan, X[lo:lo + rows], seeds, space=space)
+        if T is not None:
+            tangents[lo:lo + rows] = T
+    return out, tangents
 
 
 def preactivations(fnn: Fnn, x) -> list[np.ndarray]:
@@ -598,7 +602,7 @@ def preactivations(fnn: Fnn, x) -> list[np.ndarray]:
     """
     X, stacked = _inputs(fnn, x)
     pres: list[np.ndarray] = []
-    _forward(fnn, X, visit=lambda Z: pres.append(Z.T.copy()))
+    _forward(fnn._plan, X, visit=lambda Z: pres.append(Z.T.copy()))
     return pres if stacked else [pre[0] for pre in pres]
 
 
@@ -610,10 +614,12 @@ def jacobian(fnn: Fnn, x) -> np.ndarray:
     layer k. At a pre-activation that is exactly zero the mask entry is 0 (the
     inactive branch), a fixed convention for points on a kink. A stack x of
     shape (count, N_0) gives (count, N_K, N_0), entry i bit-equal to the
-    result for ``x[i]``.
+    result for ``x[i]``. A stack runs in slices sized as in
+    :func:`evaluate_batch`, with the tangent blocks counted, so its working
+    memory is that of one slice, not of the whole stack.
     """
     X, stacked = _inputs(fnn, x)
-    J = _forward(fnn, X, np.eye(fnn.input_dim))[1]
+    J = _batch(fnn._plan, X, np.eye(fnn.input_dim))[1]
     return J if stacked else J[0]
 
 
@@ -622,10 +628,10 @@ def metrics(fnn: Fnn) -> NetworkMetrics:
     connectivity = 0
     max_weight = 0.0
     for layer in fnn.layers:
-        connectivity += len(layer._csr.data) + int(np.count_nonzero(layer.bias))
+        connectivity += len(layer.weights.data) + int(np.count_nonzero(layer.bias))
         max_weight = max(
             max_weight,
-            float(np.abs(layer._csr.data).max(initial=0.0)),
+            float(np.abs(layer.weights.data).max(initial=0.0)),
             float(np.abs(layer.bias).max(initial=0.0)),
         )
     widths = fnn.widths

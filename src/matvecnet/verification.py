@@ -209,13 +209,13 @@ def sup_error_matvec(
 
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
         xs = _uniform_rows(seed, lo, hi, width, D)
-        err = np.abs(_batch(plan, xs) - _matvec_targets(xs, m, n))
+        err = np.abs(_batch(plan, xs)[0] - _matvec_targets(xs, m, n))
         return float(np.max(err)), 0.0, float(np.sum(np.mean(err * err, axis=1))), hi - lo, 0
 
     sup, _, total_sq, _, _ = _reduce_chunks(f, m, n, samples, jobs, work)
 
     probes = probe_inputs(m, n, D)
-    probe_err = np.abs(_batch(plan, probes) - _matvec_targets(probes, m, n))
+    probe_err = np.abs(_batch(plan, probes)[0] - _matvec_targets(probes, m, n))
     sup = max(sup, float(np.max(probe_err)))
 
     return ErrorReport(
@@ -336,7 +336,7 @@ def dataset_error_report(f: Fnn, ds: Dataset) -> ErrorReport:
             f"dimension mismatch: dataset is {ds.inputs.shape[1]} -> "
             f"{ds.targets.shape[1]}, network is {f.input_dim} -> {f.output_dim}"
         )
-    err = np.abs(_batch(_distinct(f), ds.inputs) - ds.targets)
+    err = np.abs(_batch(_distinct(f), ds.inputs)[0] - ds.targets)
     half = ds.meta.get("clip", ds.meta.get("half_width", 0.0))
     return ErrorReport(
         sup_error=float(np.max(err)),
@@ -357,7 +357,7 @@ def square_error_report(net: Fnn) -> ErrorReport:
     report's seed is 0.
     """
     grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-    err = np.abs(_batch(_distinct(net), grid[:, None])[:, 0] - grid * grid)
+    err = np.abs(_batch(_distinct(net), grid[:, None])[0][:, 0] - grid * grid)
     return ErrorReport(
         sup_error=float(np.max(err)),
         mse=float(np.mean(err * err)),

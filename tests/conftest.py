@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from matvecnet import Fnn, Layer
+
+
+def scipy_csr(csr) -> sparse.csr_array:
+    """A scipy matrix over a layer's or kernel's CSR arrays, for scipy's ``@`` as an oracle."""
+    return sparse.csr_array(csr[:3], shape=csr.shape)
 
 
 def random_fnn(

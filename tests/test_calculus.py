@@ -19,7 +19,7 @@ from matvecnet import (
     superpose,
 )
 
-from conftest import random_fnn
+from conftest import random_fnn, scipy_csr
 
 
 def last_layer_nnz(f):
@@ -191,6 +191,48 @@ def test_parallelize_disjoint_rejects_coefficient_mismatch():
         parallelize_disjoint([identity_fnn(1, 2)], coefficients=(1.0, 2.0))
 
 
+# Entries at the edges of a merge: signed zeros, products that underflow or
+# overflow, and values with no finite binary expansion.
+_MERGE_VALUES = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200, 0.1, -1 / 3, 0.7, -2.5])
+
+
+@st.composite
+def merge_layers(draw):
+    """The inner and outer layer of a merge, each with maybe one empty row."""
+    d_in, d_mid, d_out = (draw(st.integers(1, 5)) for _ in range(3))
+    layers = []
+    for rows, cols in ((d_mid, d_in), (d_out, d_mid)):
+        W = np.array(draw(st.lists(_MERGE_VALUES, min_size=rows * cols, max_size=rows * cols)))
+        W = W.reshape(rows, cols)
+        empty = draw(st.integers(0, rows))  # rows empties none
+        W[empty:empty + 1] = 0.0
+        layers.append(Layer(W, draw(st.lists(_MERGE_VALUES, min_size=rows, max_size=rows))))
+    return layers
+
+
+def assert_same_layer(got, want):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got.weights, part), getattr(want.weights, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.weights.shape == want.weights.shape
+    assert got.bias.tobytes() == want.bias.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(layers=merge_layers(), a=st.sampled_from([0.0, -1.0, 0.5]))
+def test_merge_and_scaling_match_the_scipy_formula(layers, a):
+    inner, outer = layers
+    W_o = scipy_csr(outer.weights)
+    # 1e200 * 1e200 overflows and 0.0 * inf is nan, on both sides alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        merged = concatenate(Fnn((outer,)), Fnn((inner,)))
+        want = Layer(W_o @ inner.weights.toarray(), W_o @ inner.bias + outer.bias)
+        scaled = parallelize_disjoint([merged], [a])
+        want_scaled = Layer(a * scipy_csr(want.weights), a * want.bias)
+    assert_same_layer(merged.layers[0], want)
+    assert_same_layer(scaled.layers[0], want_scaled)
+
+
 # ---------------------------------------------------------------- superpose
 
 
@@ -302,7 +344,7 @@ def test_compose_selection_adds_repeated_columns_in_input_order():
     want = [[(a + b) + c, 0.0] for a, b, c in rows]
     assert want[0][0] == 0.0 and want[2][0] == tiny
     assert first.toarray().tolist() == want
-    assert first.nnz == 2
+    assert len(first.data) == 2
 
 
 def test_compose_selection_rejects_bad_selectors():

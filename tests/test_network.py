@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_fnn
+from conftest import random_fnn, scipy_csr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -14,7 +14,10 @@ from matvecnet import (
     StructureError,
     affine_representation,
     complex_matvec_net,
+    concatenate,
+    dataset_error_report,
     dot_product_net,
+    equispaced_real_dataset,
     evaluate,
     evaluate_batch,
     jacobian,
@@ -25,8 +28,12 @@ from matvecnet import (
     preactivations,
     save_fnn,
     scalar_product_net,
+    sobolev_error_matvec,
+    square_error_report,
     square_net,
     square_net_of_order,
+    square_slope_sup,
+    sup_error_matvec,
     validate,
 )
 from matvecnet.interchange import network_document, network_from_document
@@ -37,7 +44,7 @@ from matvecnet.network import (
 
 def test_layer_coerces_and_freezes():
     layer = Layer([[1, 2], [3, 4]], [0, 1])
-    assert layer.weights.dtype == np.float64
+    assert layer.weights.data.dtype == np.float64
     assert layer.bias.dtype == np.float64
     assert not layer.weights.data.flags.writeable
     assert layer.fan_in == 2 and layer.fan_out == 2
@@ -52,12 +59,12 @@ def test_layer_stores_canonical_csr():
     )
     for given_weights in (dense, dense.tolist(), unsorted, sparse.coo_array(dense)):
         W = Layer(given_weights, np.zeros(3)).weights
-        assert isinstance(W, sparse.csr_array)
-        assert W.nnz == np.count_nonzero(dense) == 4
+        assert isinstance(W, Csr)
+        assert len(W.data) == np.count_nonzero(dense) == 4
         assert W.indptr.tolist() == [0, 2, 2, 4]
         assert W.indices.tolist() == [2, 3, 0, 3]
         assert W.data.tolist() == [3.0, 1.0, 2.0, -5.0]
-        assert W.has_canonical_format
+        assert scipy_csr(W).has_canonical_format
         assert not any(a.flags.writeable for a in (W.data, W.indices, W.indptr))
     with pytest.raises(ValueError):
         Layer(np.ones((1, 1, 1)), np.zeros(1))
@@ -74,6 +81,55 @@ def test_layer_copies_sparse_weights():
 def test_layer_accepts_row_vector_weights():
     layer = Layer([1.0, -1.0], [0.0])
     assert layer.weights.shape == (1, 2)
+
+
+def assert_one_form(net):
+    for layer in net.layers:
+        assert vars(layer).keys() == {"weights", "bias"}
+        assert type(layer.weights) is Csr
+
+
+def test_layers_keep_one_form_through_evaluation_and_files(tmp_path):
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    assert_one_form(net)
+    xs = np.random.default_rng(16).uniform(-1.0, 1.0, (5, net.input_dim))
+    evaluate(net, xs[0])
+    evaluate_batch(net, xs)
+    preactivations(net, xs)
+    jacobian(net, xs)
+    assert_one_form(net)
+    sup_error_matvec(net, 2, 2, 1.0, samples=50, seed=0)
+    sobolev_error_matvec(net, 2, 2, 1.0, samples=50, seed=0)
+    dataset_error_report(net, equispaced_real_dataset(2, 2, 20, half_width=1.0))
+    assert_one_form(net)
+    square = square_net_of_order(3)
+    square_error_report(square)
+    square_slope_sup(square, points=64)
+    assert_one_form(square)
+    save_fnn(net, tmp_path / "net.json")
+    back = load_fnn(tmp_path / "net.json")
+    assert_one_form(back)
+    assert evaluate_batch(back, xs).tobytes() == evaluate_batch(net, xs).tobytes()
+    assert_one_form(back)
+
+
+def test_evaluation_and_merges_build_no_scipy_matrix(monkeypatch):
+    rng = np.random.default_rng(17)
+    inner = random_fnn(rng, n_in=3, depth=2, n_out=4)
+    outer = random_fnn(rng, n_in=4, depth=2)
+    xs = rng.uniform(-2.0, 2.0, (6, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy matrix was built")
+
+    monkeypatch.setattr(sparse, "csr_array", refuse)
+    monkeypatch.setattr(sparse, "csr_matrix", refuse)
+    net = concatenate(outer, inner)
+    assert net.depth == 3
+    evaluate(net, xs[0])
+    evaluate_batch(net, xs)
+    preactivations(net, xs)
+    jacobian(net, xs)
 
 
 def test_evaluate_hand_computed():
@@ -131,7 +187,7 @@ def plan_matrices(draw):
        data=st.data())
 def test_kernel_into_a_zeroed_buffer_matches_matmul(kernel, count, groups, data):
     rows, cols = kernel.shape
-    weights = sparse.csr_array(kernel[:3], shape=kernel.shape)
+    weights = scipy_csr(kernel)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     pool = np.array(data.draw(st.lists(_KERNEL_VALUES, min_size=1, max_size=8)))
     Z = rng.choice(pool, (cols, count))
@@ -151,7 +207,7 @@ def test_batch_allocates_one_workspace_per_call():
     xs = np.random.default_rng(4).uniform(-2.0, 2.0, (2048, plan.widths[0]))
     tracemalloc.start()
     try:
-        out = _batch(plan, xs)
+        out = _batch(plan, xs)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,9 +221,32 @@ def test_batch_allocates_one_workspace_per_call():
     assert peak <= 2 * (width + 1) * rows * 8 + out.nbytes + 32 * 1024
 
 
+def test_stacked_jacobian_runs_in_slices_of_bounded_memory():
+    net = matvec_net(8, 4, 2.0, 2.0 ** -5)
+    xs = np.random.default_rng(14).uniform(-2.0, 2.0, (2048, net.input_dim))
+    # the first call builds the network's plan, which the network keeps
+    first = jacobian(net, xs[0])
+    tracemalloc.start()
+    try:
+        J = jacobian(net, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    width, g = max(net.widths), net.input_dim
+    rows = SLICE_BYTES // (16 * width * (1 + g))
+    assert (width, g, rows) == (384, 36, 4)
+    # the workspace stays within SLICE_BYTES; the margin holds the outputs
+    # the slices compute beside their tangents (128 KiB) and small objects
+    outputs = len(xs) * net.output_dim * 8
+    assert peak <= J.nbytes + SLICE_BYTES + outputs + 32 * 1024
+    # first and last row of a slice, first of the next, and the last row
+    assert J[0].tobytes() == first.tobytes()
+    for i in (rows - 1, rows, 2 * rows - 1, len(xs) - 1):
+        assert J[i].tobytes() == jacobian(net, xs[i]).tobytes()
+
+
 def test_results_do_not_alias_a_workspace():
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
-    plan = _distinct(net)
     seeds = _tangent_seeds(net).matrix
     rng = np.random.default_rng(8)
     first_xs, second_xs = rng.uniform(-1.0, 1.0, (2, 50, net.input_dim))
@@ -180,7 +259,7 @@ def test_results_do_not_alias_a_workspace():
     results(second_xs)
     assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
     # one workspace shared by two passes, as the Sobolev sub-batches share one
-    for each in (net, plan):
+    for each in (net._plan, _distinct(net)):
         space = _workspace(max(each.widths), len(first_xs), seeds.shape[1])
         first = _forward(each, first_xs, seeds, space=space)
         kept = [a.copy() for a in first]
@@ -254,7 +333,7 @@ def test_stacked_forms_equal_single_rows(seed, count, zero_rows):
     assert [p.tobytes() for p in preactivations(net, xs[:1])] == [p[:1].tobytes() for p in pres]
     # a one-column seed carries one input direction: that column of the Jacobian
     for c in range(net.input_dim):
-        tangents = _forward(net, xs, np.eye(net.input_dim)[:, [c]])[1]
+        tangents = _forward(net._plan, xs, np.eye(net.input_dim)[:, [c]])[1]
         assert tangents.shape == (len(xs), net.output_dim, 1)
         assert tangents[..., 0].tobytes() == jac[..., c].tobytes()
 
@@ -275,14 +354,14 @@ def masked_layer_product(net, x):
     J = net.layers[0].weights.toarray()
     for layer, pre in zip(net.layers[1:], preactivations(net, x)):
         J *= (pre > 0.0)[:, None]
-        J = layer.weights @ J
+        J = scipy_csr(layer.weights) @ J
     return J
 
 
 def expanded_jacobians(net, xs):
     """Jacobians from one pass over the compressed seed, decompressed."""
     seeds = _tangent_seeds(net)
-    return seeds.expand(_forward(net, xs, seeds.matrix)[1])
+    return seeds.expand(_forward(net._plan, xs, seeds.matrix)[1])
 
 
 def assert_expansion_equals_jacobian(net, xs):
@@ -370,7 +449,7 @@ def oracle_plan(net):
     index = list(range(net.input_dim))
     steps = []
     for layer in net.layers:
-        data, indices, indptr, _ = layer._csr
+        data, indices, indptr, _ = layer.weights
         groups: dict = {}
         kept, columns, next_index = [], [], []
         for i in range(layer.fan_out):
@@ -398,7 +477,7 @@ def expected_kernel_rows(layer, kept, columns, width, hidden):
     """The kernel rows a plan layer must hold: the kept rows' entries, then
     each nonzero bias at the constant neuron's column ``width``, and for a
     hidden layer the constant neuron's own row."""
-    data, _, indptr, _ = layer._csr
+    data, _, indptr, _ = layer.weights
     bits = data.view(np.int64).tolist()
     rows, at = [], 0
     for i in kept:
@@ -423,9 +502,9 @@ def assert_plan_equals_stored(net, xs):
         assert kernel_rows(kernel) == expected_kernel_rows(
             layer, kept, columns, plan.widths[k], hidden=k < net.depth - 1,
         )
-    assert _batch(plan, xs).tobytes() == evaluate_batch(net, xs).tobytes()
+    assert _batch(plan, xs)[0].tobytes() == evaluate_batch(net, xs).tobytes()
     for seed in (np.eye(net.input_dim), _tangent_seeds(net).matrix):
-        planned, stored = _forward(plan, xs, seed), _forward(net, xs, seed)
+        planned, stored = _forward(plan, xs, seed), _forward(net._plan, xs, seed)
         assert planned[0].tobytes() == stored[0].tobytes()
         assert planned[1].tobytes() == stored[1].tobytes()
     # the kink screen sees each distinct pre-activation row, and no other
@@ -543,12 +622,14 @@ def unfolded(net, xs):
     computed them when it added the bias in a sweep of its own.
     """
     Z = xs.T.copy()
-    T = np.repeat((net.layers[0].weights @ np.eye(net.input_dim))[:, :, None], len(xs), axis=2)
+    T = np.repeat((scipy_csr(net.layers[0].weights) @ np.eye(net.input_dim))[:, :, None],
+                  len(xs), axis=2)
     pres = []
     for k, layer in enumerate(net.layers):
-        Z = layer.weights @ Z + layer.bias[:, None]
+        weights = scipy_csr(layer.weights)
+        Z = weights @ Z + layer.bias[:, None]
         if k:
-            T = (layer.weights @ T.reshape(layer.fan_in, -1)).reshape(layer.fan_out, -1, len(xs))
+            T = (weights @ T.reshape(layer.fan_in, -1)).reshape(layer.fan_out, -1, len(xs))
         if k < net.depth - 1:
             pres.append(Z.T.copy())
             T = T * (Z > 0.0)[:, None, :]
@@ -567,7 +648,7 @@ def assert_folded_equals_unfolded(net, xs):
     planned_pres: list = []
     planned = _forward(plan, xs, np.eye(net.input_dim),
                        visit=lambda Z: planned_pres.append(Z.T.copy()))
-    assert _batch(plan, xs).tobytes() == values.tobytes()
+    assert _batch(plan, xs)[0].tobytes() == values.tobytes()
     assert planned[0].tobytes() == values.tobytes()
     assert planned[1].tobytes() == jac.tobytes()
     assert [p.tobytes() for p in planned_pres] == [
@@ -624,8 +705,9 @@ def test_folded_bias_keeps_the_rounding_of_each_named_row():
     net = Fnn((hidden, output))
     one = np.float64(1.0).view(np.int64)
     # the kernel drops the +-0.0 biases and ends with the constant neuron's row
-    assert hidden.kernel.shape == (5, 3)
-    assert kernel_rows(hidden.kernel) == [
+    kernel = net._plan.kernels[0]
+    assert kernel.shape == (5, 3)
+    assert kernel_rows(kernel) == [
         [(0, one), (1, np.float64(-1.0).view(np.int64))],
         [], [(2, np.float64(0.5).view(np.int64))], [(0, one)], [(2, one)],
     ]
@@ -635,7 +717,7 @@ def test_folded_bias_keeps_the_rounding_of_each_named_row():
     outputs = np.array([[0.0, 0.0, 0.5], [0.75, 0.0, 0.5], [0.75, 0.0, 0.5]])
     assert preactivations(net, xs)[0].tobytes() == pres.tobytes()
     assert evaluate_batch(net, xs).tobytes() == outputs.tobytes()
-    assert _batch(_distinct(net), xs).tobytes() == outputs.tobytes()
+    assert _batch(_distinct(net), xs)[0].tobytes() == outputs.tobytes()
     # the output layer alone is not rectified, so a -0.0 from it would show
     alone = Fnn((output,))
     outputs = np.array([[0.0, 0.0, 0.5]] * 3)
@@ -655,7 +737,7 @@ def test_constant_neuron_never_shows():
     assert jacobian(net, xs).shape == (7, net.output_dim, net.input_dim)
     assert jacobian(net, xs[0]).shape == (net.output_dim, net.input_dim)
     # the kink screen sees the real neurons only
-    for each in (net, plan):
+    for each in (net._plan, plan):
         seen: list = []
         values, tangents = _forward(each, xs, np.eye(net.input_dim),
                                     visit=lambda Z: seen.append(Z.shape))
@@ -667,7 +749,7 @@ def test_constant_neuron_never_shows():
         (w + (k < net.depth - 1), w_in + 1)
         for k, (w_in, w) in enumerate(zip(plan.widths[:-1], plan.widths[1:]))
     ]
-    assert [k.shape for k in net.kernels] == [
+    assert [k.shape for k in net._plan.kernels] == [
         (layer.fan_out + (k < net.depth - 1), layer.fan_in + 1)
         for k, layer in enumerate(net.layers)
     ]

@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import scipy_csr
 
 from matvecnet import (
     Dataset,
@@ -172,7 +173,7 @@ def test_sup_error_flags_a_broken_network():
     eps = 2.0 ** -4
     net = matvec_net(1, 1, 1.0, eps)
     last = net.layers[-1]
-    broken = Fnn(net.layers[:-1] + (Layer(1.25 * last.weights, last.bias),))
+    broken = Fnn(net.layers[:-1] + (Layer(1.25 * scipy_csr(last.weights), last.bias),))
     report = sup_error_matvec(broken, 1, 1, 1.0, samples=500, seed=2)
     assert report.sup_error > eps
 
