@@ -36,16 +36,20 @@ starts at +0.0 is never -0.0, so adding +-0.0 to it changes nothing. The
 constant neuron never shows: pre-activations, the kink screen and outputs
 see only the real neurons.
 
-The loop allocates no block per layer. Each call (or, in :func:`_batch`,
-each batch, for all its slices) makes one :class:`Workspace`, and every
-layer writes into a zeroed slice of one of its two buffers through scipy's
-multi-vector CSR kernel (``csr_matvecs``, the one ``weights @ Z`` runs),
-called on the kernel's raw arrays. The public ``@`` would return a fresh
-zeroed array per layer instead: at matvec(8,4,D=2) a 1 MiB block, which the
-allocator hands back to the system and faults in again on every layer of
-every slice, costing more time than the arithmetic. Workspaces belong to
-one call, never to the module, so threads never share one, and results are
-copied out of them.
+Every evaluation, public or by an estimator, runs through :func:`_batch`,
+the one place that cuts rows into slices and sizes them. It makes one
+:class:`Workspace` per call, shared by all its slices, and runs the layer
+loop (:func:`_forward`) on each slice in it; a caller that needs the hidden
+pre-activations (the public :func:`preactivations`, the Sobolev kink
+screen) passes a visitor that sees each slice's blocks. The loop allocates
+no block per layer: every layer writes into a zeroed slice of one of the
+workspace's two buffers through scipy's multi-vector CSR kernel
+(``csr_matvecs``, the one ``weights @ Z`` runs), called on the kernel's raw
+arrays. The public ``@`` would return a fresh zeroed array per layer
+instead: at matvec(8,4,D=2) a 1 MiB block, which the allocator hands back
+to the system and faults in again on every layer of every slice, costing
+more time than the arithmetic. Workspaces belong to one call, never to the
+module, so threads never share one, and results are copied out of them.
 
 The loop carries tangents for a seed matrix S (N_0 x g): the first block is
 the first kernel times [S; 0], and every later layer multiplies it by its
@@ -65,8 +69,8 @@ decompressed Jacobian is bit-equal to the full one.
 The loop runs a :class:`Plan`: one kernel per layer and the index of each
 output's neuron in the last one. A network holds one plan of its own,
 :attr:`Fnn._plan`, built on first use: its stored layers' kernels with
-nothing merged, each output read where it stands. The evaluation functions
-run it.
+nothing merged, each output read where it stands. The public evaluation
+functions run it.
 
 The estimators run a second plan (:func:`_distinct`): the network
 reduced to its distinct neurons. The constructions copy a lot of neurons
@@ -443,35 +447,29 @@ def _product(kernel: Csr, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return out.reshape((rows,) + block.shape[1:])
 
 
-def _forward(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None,
-             space: Workspace | None = None):
-    """The layer loop behind every evaluation function; the rows of X run as columns.
+def _forward(plan: Plan, X: np.ndarray, rows: slice, space: Workspace,
+             seeds: np.ndarray | None = None, visit=None):
+    """The layer loop over one slice of :func:`_batch`: the rows ``rows`` of X, as columns.
 
-    Every plan of a network gives the same results, bit for bit. Returns
-    the outputs (count, N_K) and, with a seed matrix ``seeds`` of shape
-    (N_0, g), the output tangents J S (count, N_K, g), else None. Tangents
-    run as a (width + 1, g, count) block, samples innermost, and come out
-    transposed. Calls ``visit`` with each hidden pre-activation block
-    (width, count), the constant neuron left out, before it is rectified in
-    place.
-
-    Every block lives in ``space`` (one made for this call when None), which
-    must hold ``count`` samples of the widest layer, with g tangent columns
-    when seeded. Outputs and tangents are gathered out of it through
-    ``plan.output``, which copies them.
+    Returns the slice's outputs (count, N_K) and, with a seed matrix
+    ``seeds`` of shape (N_0, g), its output tangents J S (count, N_K, g),
+    else None. Tangents run as a (width + 1, g, count) block, samples
+    innermost, and come out transposed. Calls ``visit`` as :func:`_batch`
+    describes. Every block lives in ``space``, which holds the slice;
+    outputs and tangents are gathered out of it through ``plan.output``,
+    which copies them.
     """
     kernels = plan.kernels
     last = len(kernels) - 1
+    X = X[rows]
     count, n_in = X.shape
-    g = 0 if seeds is None else seeds.shape[1]
-    if space is None:
-        space = _workspace(max(plan.widths), count, g)
     # The inputs, then the constant neuron every bias term reads.
     Z = space.values[0][:(n_in + 1) * count].reshape(n_in + 1, count)
     np.copyto(Z[:-1], X.T)
     Z[-1] = 1.0
     T = None
     if seeds is not None:
+        g = seeds.shape[1]
         S = np.zeros((n_in + 1, g))
         S[:-1] = seeds
         first = _product(kernels[0], S, np.empty(kernels[0].shape[0] * g))
@@ -486,7 +484,7 @@ def _forward(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=N
             T = _product(kernel, T, space.tangents[k % 2])
         if k < last:
             if visit is not None:
-                visit(Z[:-1])
+                visit(rows, k, Z[:-1])
             np.maximum(Z, 0.0, out=Z)
             if T is not None:
                 active = space.mask[:Z.size].reshape(Z.shape)
@@ -496,8 +494,35 @@ def _forward(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=N
     return Z.T, None if T is None else T.transpose(2, 0, 1)
 
 
+def _batch(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None):
+    """Every evaluation: :func:`_forward` over the rows of X, slice by slice.
+
+    Returns the outputs (count, N_K) and, with seeds (N_0 x g), the
+    tangents (count, N_K, g), else None, both in C order. Calls
+    ``visit(rows, k, Z)`` with each slice's pre-activation block Z
+    (width_k, len(rows)) of hidden layer k, counted from 0, the constant
+    neuron left out, before it is rectified in place; ``rows`` is the slice
+    of X that Z holds. Slices hold at most 4096 rows whose value and tangent
+    blocks stay within ``SLICE_BYTES``, or one row where one row's blocks
+    are larger. Every slice runs through one workspace, made for this call.
+    """
+    count, n_out = X.shape[0], len(plan.output)
+    g = 0 if seeds is None else seeds.shape[1]
+    out = np.empty((count, n_out), dtype=np.float64)
+    tangents = None if seeds is None else np.empty((count, n_out, g))
+    width = max(plan.widths)
+    height = max(1, min(4096, SLICE_BYTES // (16 * width * (1 + g))))
+    space = _workspace(width, min(height, count), g)
+    for lo in range(0, count, height):
+        rows = slice(lo, min(lo + height, count))
+        out[rows], T = _forward(plan, X, rows, space, seeds, visit)
+        if T is not None:
+            tangents[rows] = T
+    return out, tangents
+
+
 class TangentSeeds(NamedTuple):
-    """A compressed seed for :func:`_forward` and how to undo it.
+    """A compressed seed for :func:`_batch` and how to undo it.
 
     ``reach[i, c]`` says whether output i depends structurally on input c,
     ``group[c]`` is the seed column of input c, and ``matrix`` is the 0/1
@@ -540,19 +565,24 @@ def _tangent_seeds(fnn: Fnn) -> TangentSeeds:
     return TangentSeeds(reach, group, matrix)
 
 
-def _inputs(fnn: Fnn, x) -> tuple[np.ndarray, bool]:
-    """Inputs as rows: a 2-D x as it is, anything else as one vector; and whether x was 2-D."""
+def _inputs(fnn: Fnn, x, batch: bool = False) -> tuple[np.ndarray, bool]:
+    """Inputs as rows, and whether x was a stack: a 2-D x is, anything else is one vector.
+
+    A ``batch`` takes stacks only, and an empty sequence as an empty stack.
+    """
     X = np.asarray(x, dtype=np.float64)
+    if batch and X.shape == (0,):
+        X = X.reshape(0, fnn.input_dim)
     stacked = X.ndim == 2
     X = X if stacked else X.reshape(1, -1)
-    if X.shape[1] != fnn.input_dim:
+    if X.shape[1] != fnn.input_dim or batch and not stacked:
         raise StructureError("dimension-mismatch", 1)
     return X, stacked
 
 
 def evaluate(fnn: Fnn, x) -> np.ndarray:
     """Forward pass for a single input vector of length N_0."""
-    return _forward(fnn._plan, _inputs(fnn, np.reshape(x, -1))[0])[0][0]
+    return _batch(fnn._plan, _inputs(fnn, np.reshape(x, -1))[0])[0][0]
 
 
 def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
@@ -562,47 +592,26 @@ def evaluate_batch(fnn: Fnn, xs) -> np.ndarray:
     An empty batch yields an empty (0, N_K) array. Inputs run in slices of
     at most 4096 rows, fewer for wide networks (see ``SLICE_BYTES``).
     """
-    X = np.asarray(xs, dtype=np.float64)
-    if X.size == 0:
-        return np.empty((0, fnn.output_dim), dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != fnn.input_dim:
-        raise StructureError("dimension-mismatch", 1)
-    return _batch(fnn._plan, X)[0]
-
-
-def _batch(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None):
-    """:func:`_forward` over the rows of X in slices of at most 4096 rows whose
-    value and tangent blocks stay within ``SLICE_BYTES``, or of one row where
-    one row's blocks are larger.
-
-    Returns the outputs (count, N_K) and, with seeds (N_0 x g), the
-    tangents (count, N_K, g), else None. Every slice runs through one
-    workspace, made for this call.
-    """
-    count, n_out = X.shape[0], len(plan.output)
-    g = 0 if seeds is None else seeds.shape[1]
-    out = np.empty((count, n_out), dtype=np.float64)
-    tangents = None if seeds is None else np.empty((count, n_out, g))
-    width = max(plan.widths)
-    rows = max(1, min(4096, SLICE_BYTES // (16 * width * (1 + g))))
-    space = _workspace(width, min(rows, count), g)
-    for lo in range(0, count, rows):
-        out[lo:lo + rows], T = _forward(plan, X[lo:lo + rows], seeds, space=space)
-        if T is not None:
-            tangents[lo:lo + rows] = T
-    return out, tangents
+    return _batch(fnn._plan, _inputs(fnn, xs, batch=True)[0])[0]
 
 
 def preactivations(fnn: Fnn, x) -> list[np.ndarray]:
     """Pre-activation vectors W_k x_{k-1} + b_k of the hidden layers (k < K).
 
     A stack x of shape (count, N_0) gives (count, N_k) arrays, row i
-    bit-equal to the result for ``x[i]``. Used by verification code to
-    detect inputs that sit on a kink of the piecewise-linear function.
+    bit-equal to the result for ``x[i]``; it runs in slices sized as in
+    :func:`evaluate_batch`, each written into the arrays as it passes, so
+    its working memory beyond them is that of one slice. Used by
+    verification code to detect inputs that sit on a kink of the
+    piecewise-linear function.
     """
     X, stacked = _inputs(fnn, x)
-    pres: list[np.ndarray] = []
-    _forward(fnn._plan, X, visit=lambda Z: pres.append(Z.T.copy()))
+    pres = [np.empty((len(X), width)) for width in fnn.widths[1:-1]]
+
+    def keep(rows: slice, k: int, Z: np.ndarray) -> None:
+        pres[k][rows] = Z.T
+
+    _batch(fnn._plan, X, visit=keep)
     return pres if stacked else [pre[0] for pre in pres]
 
 

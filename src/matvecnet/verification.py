@@ -8,13 +8,15 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 (network, seed, sample count) and the sample set for k samples is a prefix
 of the set for any larger count. The reference products of a chunk are one
 stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` draws a
-chunk once too and cuts it into sub-batches. It runs each sub-batch through
-one layer pass that yields values and compressed tangents (input columns
-that reach disjoint outputs share a seed column) and flags samples on a kink
-as it goes. It redraws only the kinked indices, on lanes 1, 2, ..., with one
-draw per lane over the span from the first to the last pending index of the
-sub-batch; it then decompresses the Jacobians and takes sums in per-sample
-order. Sub-batch heights follow from the network's width and seed count.
+chunk once too and runs it through one :func:`.network._batch` call, which
+runs every evaluation in slices. It yields values and compressed
+tangents (input columns that reach disjoint outputs share a seed column)
+and flags samples on a kink as it goes, slice by slice, with one workspace
+per call. It redraws only the kinked indices, on lanes 1, 2, ..., with one
+draw and one ``_batch`` call per lane over the span from the chunk's first
+to its last pending index; it then decompresses the Jacobians and takes
+sums in per-sample order. Slice heights are ``_batch``'s own, from the
+network's width and seed count.
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
@@ -48,10 +50,7 @@ import numpy as np
 
 from .constructors import BoundBudget, square_net_of_order
 from .datasets import Dataset, _matvec, unpack_matvec
-from .network import (
-    SLICE_BYTES, Fnn, NetworkMetrics, _batch, _distinct, _forward, _tangent_seeds, _workspace,
-    jacobian, metrics,
-)
+from .network import Fnn, NetworkMetrics, _batch, _distinct, _tangent_seeds, jacobian, metrics
 from .rng import uniform_rows
 
 __all__ = [
@@ -256,66 +255,55 @@ def sobolev_error_matvec(
     KINK_TOL, since the network Jacobian is ambiguous on a kink; rejected
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
-    exactly on kinks by design. Each chunk runs in sub-batches whose widest
-    value and tangent blocks (widest distinct layer x rows x (seed columns +
-    1), float64) stay within a quarter of SLICE_BYTES, so threads keep peak
-    memory low; every sub-batch and redraw of a chunk runs through one
-    workspace, made for the chunk.
+    exactly on kinks by design. A chunk and each of its redraw lanes run as
+    one :func:`.network._batch` call, which yields values and compressed
+    tangents and screens every hidden pre-activation block for kinks on the
+    way, slice by slice.
     """
     width = n * (m + 1)
     plan = _distinct(f)
     seeds = _tangent_seeds(f)
-    step = (SLICE_BYTES // 4) // (8 * max(plan.widths) * (seeds.matrix.shape[1] + 1))
-    step = max(1, min(REDUCE_CHUNK, step))
 
-    def screened(xs: np.ndarray, space):
+    def screened(xs: np.ndarray):
         """Values, compressed tangents and an off-kink flag per row, in one pass."""
         ok = np.ones(len(xs), dtype=bool)
 
-        def screen(Z: np.ndarray) -> None:
-            ok[:] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
+        def screen(rows: slice, k: int, Z: np.ndarray) -> None:
+            ok[rows] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
 
-        values, tangents = _forward(plan, xs, seeds.matrix, screen, space)
-        # Row-major, as _batch returns them: a row mean over m > 8
-        # entries sums in an order that depends on the memory layout.
-        return np.ascontiguousarray(values), tangents, ok
+        return (*_batch(plan, xs, seeds.matrix, screen), ok)
 
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
-        sup = grad = total_sq = 0.0
-        used = skipped = 0
-        drawn = _uniform_rows(seed, lo, hi, width, D)
-        space = _workspace(max(plan.widths), min(step, hi - lo), seeds.matrix.shape[1])
-        for start in range(lo, hi, step):
-            xs = drawn[start - lo:start - lo + step]
-            values, tangents, ok = screened(xs, space)
-            pending = np.flatnonzero(~ok)
-            for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
-                if not pending.size:
-                    break
-                # One pass over the span of pending indices; rows depend on
-                # (seed, index, lane) alone, so the others are dropped unused.
-                first = int(pending[0])
-                redraw = _uniform_rows(
-                    seed, start + first, start + int(pending[-1]) + 1, width, D, lane,
-                )[pending - first]
-                r_values, r_tangents, ok = screened(redraw, space)
-                hit = pending[ok]
-                xs[hit], values[hit], tangents[hit] = redraw[ok], r_values[ok], r_tangents[ok]
-                pending = pending[~ok]
-            skipped += pending.size
-            if pending.size:
-                xs, values, tangents = (np.delete(a, pending, axis=0) for a in (xs, values, tangents))
-                if not len(xs):
-                    continue
-            err = np.abs(values - _matvec_targets(xs, m, n))
-            dev = np.abs(seeds.expand(tangents) - _matvec_jacobian_truth(xs, m, n))
-            sup = max(sup, float(np.max(err)))
-            grad = max(grad, float(np.max(dev)))
-            # Summed sample by sample in index order, like a per-sample loop.
-            for sq in np.mean(err * err, axis=1).tolist():
-                total_sq += sq
-            used += len(xs)
-        return sup, grad, total_sq, used, skipped
+        xs = _uniform_rows(seed, lo, hi, width, D)
+        values, tangents, ok = screened(xs)
+        pending = np.flatnonzero(~ok)
+        for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
+            if not pending.size:
+                break
+            # One draw over the span of pending indices; rows depend on
+            # (seed, index, lane) alone, so the others are dropped unused.
+            first = int(pending[0])
+            redraw = _uniform_rows(
+                seed, lo + first, lo + int(pending[-1]) + 1, width, D, lane,
+            )[pending - first]
+            r_values, r_tangents, ok = screened(redraw)
+            hit = pending[ok]
+            xs[hit], values[hit], tangents[hit] = redraw[ok], r_values[ok], r_tangents[ok]
+            pending = pending[~ok]
+        if pending.size:
+            xs, values, tangents = (np.delete(a, pending, axis=0) for a in (xs, values, tangents))
+            if not len(xs):
+                return 0.0, 0.0, 0.0, 0, pending.size
+        err = np.abs(values - _matvec_targets(xs, m, n))
+        # In place: a chunk's expanded Jacobians take 4.7 MB at matvec(8,4).
+        dev = seeds.expand(tangents)
+        dev -= _matvec_jacobian_truth(xs, m, n)
+        np.abs(dev, out=dev)
+        total_sq = 0.0
+        # Summed sample by sample in index order, like a per-sample loop.
+        for sq in np.mean(err * err, axis=1).tolist():
+            total_sq += sq
+        return float(np.max(err)), float(np.max(dev)), total_sq, len(xs), pending.size
 
     sup, grad, total_sq, used, skipped = _reduce_chunks(f, m, n, samples, jobs, work)
     return ErrorReport(

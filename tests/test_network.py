@@ -37,9 +37,8 @@ from matvecnet import (
     validate,
 )
 from matvecnet.interchange import network_document, network_from_document
-from matvecnet.network import (
-    SLICE_BYTES, Csr, _batch, _distinct, _forward, _product, _tangent_seeds, _workspace,
-)
+import matvecnet.network as network
+from matvecnet.network import SLICE_BYTES, Csr, _batch, _distinct, _product, _tangent_seeds
 
 
 def test_layer_coerces_and_freezes():
@@ -245,7 +244,32 @@ def test_stacked_jacobian_runs_in_slices_of_bounded_memory():
         assert J[i].tobytes() == jacobian(net, xs[i]).tobytes()
 
 
-def test_results_do_not_alias_a_workspace():
+def test_stacked_preactivations_run_in_slices_of_bounded_memory():
+    net = matvec_net(8, 4, 2.0, 2.0 ** -5)
+    xs = np.random.default_rng(15).uniform(-2.0, 2.0, (2048, net.input_dim))
+    # the first call builds the network's plan, which the network keeps
+    first = preactivations(net, xs[0])
+    tracemalloc.start()
+    try:
+        pres = preactivations(net, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = SLICE_BYTES // (16 * max(net.widths))
+    assert rows == 170
+    # the workspace stays within SLICE_BYTES; the margin holds the outputs
+    # the slices compute beside the pre-activations (128 KiB) and small objects
+    results = sum(pre.nbytes for pre in pres)
+    outputs = len(xs) * net.output_dim * 8
+    assert peak <= results + SLICE_BYTES + outputs + 32 * 1024
+    # first and last row of a slice, first of the next, and the last row
+    assert [pre[0].tobytes() for pre in pres] == [pre.tobytes() for pre in first]
+    for i in (rows - 1, rows, 2 * rows - 1, len(xs) - 1):
+        single = preactivations(net, xs[i])
+        assert [pre[i].tobytes() for pre in pres] == [pre.tobytes() for pre in single]
+
+
+def test_results_do_not_alias_a_workspace(monkeypatch):
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
     seeds = _tangent_seeds(net).matrix
     rng = np.random.default_rng(8)
@@ -258,19 +282,38 @@ def test_results_do_not_alias_a_workspace():
     kept = [a.copy() for a in first]
     results(second_xs)
     assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
-    # one workspace shared by two passes, as the Sobolev sub-batches share one
+    # one call of two 50-row slices, which share its workspace, against a call per slice
+    xs = np.vstack((first_xs, second_xs))
     for each in (net._plan, _distinct(net)):
-        space = _workspace(max(each.widths), len(first_xs), seeds.shape[1])
-        first = _forward(each, first_xs, seeds, space=space)
-        kept = [a.copy() for a in first]
-        _forward(each, second_xs, seeds, space=space)
-        assert [a.tobytes() for a in first] == [a.tobytes() for a in kept]
+        per_row = 16 * max(each.widths) * (1 + seeds.shape[1])
+        monkeypatch.setattr(network, "SLICE_BYTES", 50 * per_row)
+        seen = set()
+        both = _batch(each, xs, seeds, visit=lambda rows, k, Z: seen.add((rows.start, rows.stop)))
+        assert seen == {(0, 50), (50, 100)}
+        apart = [_batch(each, part, seeds) for part in (first_xs, second_xs)]
+        for whole, *parts in zip(both, *apart):
+            assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_evaluate_batch_empty():
     net = random_fnn(np.random.default_rng(0), n_in=2, n_out=4)
-    out = evaluate_batch(net, np.zeros((0, 2)))
-    assert out.shape == (0, 4)
+    for empty in (np.zeros((0, 2)), []):
+        assert evaluate_batch(net, empty).shape == (0, 4)
+
+
+def test_evaluation_rejects_inputs_of_the_wrong_width():
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    wrong = [np.zeros((3, 0)), np.zeros((3, net.input_dim + 1)), np.zeros((0, net.input_dim - 1))]
+    for function in (evaluate_batch, preactivations, jacobian):
+        for xs in wrong:
+            with pytest.raises(StructureError) as exc:
+                function(net, xs)
+            assert (exc.value.kind, exc.value.layer_index) == ("dimension-mismatch", 1)
+    # one vector of the wrong length, and a batch that is one vector
+    for function, x in ((evaluate, np.zeros(net.input_dim + 1)), (preactivations, []),
+                        (jacobian, np.zeros(1)), (evaluate_batch, np.zeros(net.input_dim))):
+        with pytest.raises(StructureError, match="dimension-mismatch at layer 1"):
+            function(net, x)
 
 
 def test_preactivations_track_hidden_layers():
@@ -333,7 +376,7 @@ def test_stacked_forms_equal_single_rows(seed, count, zero_rows):
     assert [p.tobytes() for p in preactivations(net, xs[:1])] == [p[:1].tobytes() for p in pres]
     # a one-column seed carries one input direction: that column of the Jacobian
     for c in range(net.input_dim):
-        tangents = _forward(net._plan, xs, np.eye(net.input_dim)[:, [c]])[1]
+        tangents = _batch(net._plan, xs, np.eye(net.input_dim)[:, [c]])[1]
         assert tangents.shape == (len(xs), net.output_dim, 1)
         assert tangents[..., 0].tobytes() == jac[..., c].tobytes()
 
@@ -361,7 +404,7 @@ def masked_layer_product(net, x):
 def expanded_jacobians(net, xs):
     """Jacobians from one pass over the compressed seed, decompressed."""
     seeds = _tangent_seeds(net)
-    return seeds.expand(_forward(net._plan, xs, seeds.matrix)[1])
+    return seeds.expand(_batch(net._plan, xs, seeds.matrix)[1])
 
 
 def assert_expansion_equals_jacobian(net, xs):
@@ -504,12 +547,12 @@ def assert_plan_equals_stored(net, xs):
         )
     assert _batch(plan, xs)[0].tobytes() == evaluate_batch(net, xs).tobytes()
     for seed in (np.eye(net.input_dim), _tangent_seeds(net).matrix):
-        planned, stored = _forward(plan, xs, seed), _forward(net._plan, xs, seed)
+        planned, stored = _batch(plan, xs, seed), _batch(net._plan, xs, seed)
         assert planned[0].tobytes() == stored[0].tobytes()
         assert planned[1].tobytes() == stored[1].tobytes()
     # the kink screen sees each distinct pre-activation row, and no other
     planned_pres: list = []
-    _forward(plan, xs, visit=lambda Z: planned_pres.append({row.tobytes() for row in Z}))
+    _batch(plan, xs, visit=lambda rows, k, Z: planned_pres.append({row.tobytes() for row in Z}))
     stored_pres = [{row.tobytes() for row in pre.T} for pre in preactivations(net, xs)]
     assert planned_pres == stored_pres
     return plan
@@ -646,8 +689,8 @@ def assert_folded_equals_unfolded(net, xs):
     plan = _distinct(net)
     steps, _ = oracle_plan(net)
     planned_pres: list = []
-    planned = _forward(plan, xs, np.eye(net.input_dim),
-                       visit=lambda Z: planned_pres.append(Z.T.copy()))
+    planned = _batch(plan, xs, np.eye(net.input_dim),
+                     visit=lambda rows, k, Z: planned_pres.append(Z.T.copy()))
     assert _batch(plan, xs)[0].tobytes() == values.tobytes()
     assert planned[0].tobytes() == values.tobytes()
     assert planned[1].tobytes() == jac.tobytes()
@@ -739,8 +782,8 @@ def test_constant_neuron_never_shows():
     # the kink screen sees the real neurons only
     for each in (net._plan, plan):
         seen: list = []
-        values, tangents = _forward(each, xs, np.eye(net.input_dim),
-                                    visit=lambda Z: seen.append(Z.shape))
+        values, tangents = _batch(each, xs, np.eye(net.input_dim),
+                                  visit=lambda rows, k, Z: seen.append(Z.shape))
         assert seen == [(w, 7) for w in each.widths[1:-1]]
         assert values.shape == (7, net.output_dim)
         assert tangents.shape == (7, net.output_dim, net.input_dim)

@@ -40,7 +40,8 @@ from matvecnet import (
 )
 import matvecnet.verification as verification
 from matvecnet.datasets import unpack_matvec
-from matvecnet.network import SLICE_BYTES
+import matvecnet.network as network
+from matvecnet.network import _distinct, _tangent_seeds
 from matvecnet.rng import stream
 from matvecnet.verification import (
     KINK_TOL,
@@ -273,7 +274,7 @@ SOBOLEV_CASES = {
     "matvec(2,2)": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, REDUCE_CHUNK + 300),
     "matvec(1,1)": (lambda: matvec_net(1, 1, 1.0, 2.0 ** -3), 1, 1, 1.0, REDUCE_CHUNK + 300),
     # seed compression merges 36 input columns into 8 (20 into 10), and the
-    # width-sized sub-batches (9 and 16 rows) end inside the chunk
+    # width-sized slices (26 and 42 rows) end inside the chunk
     "matvec(8,4)": (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), 8, 4, 2.0, 301),
     "matvec(3,5)": (lambda: matvec_net(3, 5, 1.0, 2.0 ** -4), 3, 5, 1.0, 250),
     # every draw sits on a kink: all lanes are tried, then the index is skipped
@@ -338,12 +339,11 @@ def test_sobolev_draws_each_chunk_once(monkeypatch, jobs):
     ]
 
 
-def test_sobolev_draws_each_redraw_lane_once_per_sub_batch(monkeypatch):
+def test_sobolev_draws_each_redraw_lane_once_per_chunk(monkeypatch):
     calls = record_draws(monkeypatch)
     make, m, n, D, samples = SOBOLEV_CASES["rho"]
     report = sobolev_error_matvec(make(), m, n, D, samples, seed=17)
     assert report.kinks_skipped == 0
-    # the plan is 2 wide with one seed column, so a sub-batch is a whole chunk
     redraws = [(lo // REDUCE_CHUNK, lane) for lo, hi, lane in calls if lane >= 1]
     assert all(lo // REDUCE_CHUNK == (hi - 1) // REDUCE_CHUNK for lo, hi, _ in calls)
     assert redraws and len(redraws) == len(set(redraws))
@@ -354,7 +354,7 @@ def test_sobolev_stuck_network_draws_once_per_lane(monkeypatch):
     make, m, n, D, _ = SOBOLEV_CASES["stuck"]
     report = sobolev_error_matvec(make(), m, n, D, 2000, seed=17)
     assert report.kinks_skipped == 2000
-    # 2,000 samples are one chunk and one sub-batch: each lane is one pass over all of it
+    # 2,000 samples are one chunk: each lane is one pass over all of it
     assert calls == [(0, 2000, lane) for lane in range(MAX_RESAMPLE_ATTEMPTS)]
 
 
@@ -421,21 +421,53 @@ def test_estimators_plan_once_per_call(monkeypatch):
     assert built == [net, net, net, square]
 
 
-def test_sobolev_sub_batches_are_sized_from_the_plan(monkeypatch):
-    heights = []
+def record_slices(monkeypatch):
+    """Record the rows of every slice the estimators' batches run, one list per call."""
+    calls = []
 
-    def recorded(net, xs, *args):
-        heights.append(len(xs))
-        return real_forward(net, xs, *args)
+    def recorded(plan, xs, seeds=None, visit=None):
+        slices = []
+        calls.append(slices)
 
-    real_forward = verification._forward
-    monkeypatch.setattr(verification, "_forward", recorded)
+        def seen(rows, k, Z):
+            if k == 0:
+                slices.append((rows.start, rows.stop))
+            visit(rows, k, Z)
+
+        return real(plan, xs, seeds, seen)
+
+    real = verification._batch
+    monkeypatch.setattr(verification, "_batch", recorded)
+    return calls
+
+
+def test_sobolev_slices_are_sized_from_the_plan(monkeypatch):
+    calls = record_slices(monkeypatch)
     net = matvec_net(8, 4, 2.0, 2.0 ** -5)
     sobolev_error_matvec(net, 8, 4, 2.0, 40, seed=0)
     # 272 distinct neurons in the widest layer, 8 seed columns
-    step = (SLICE_BYTES // 4) // (8 * 272 * 9)
-    assert step == 13
-    assert heights[0] == step
+    rows = network.SLICE_BYTES // (16 * 272 * 9)
+    assert rows == 26
+    assert calls[0] == [(0, rows), (rows, 40)]
+
+
+@pytest.mark.parametrize("case", ["matvec(8,4)", "rho", "stuck"])
+def test_sobolev_screens_kinks_across_slices(monkeypatch, case):
+    make, m, n, D, samples = SOBOLEV_CASES[case]
+    net = make()
+    expected = per_sample_sobolev(net, m, n, D, samples, seed=17)
+    # slices of 7 rows, so that a chunk and its redraw lanes span many
+    groups = _tangent_seeds(net).matrix.shape[1]
+    per_row = 16 * max(_distinct(net).widths) * (1 + groups)
+    monkeypatch.setattr(network, "SLICE_BYTES", 7 * per_row)
+    calls = record_slices(monkeypatch)
+    for jobs in (1, 3):
+        calls.clear()
+        got = sobolev_error_matvec(net, m, n, D, samples=samples, seed=17, jobs=jobs)
+        assert bits(got) == bits(expected)
+        assert calls[0][:2] == [(0, 7), (7, 14)]
+        # rho and stuck redraw lanes of many slices; matvec(8,4) lands on no kink here
+        assert any(len(slices) > 1 for slices in calls[1:]) == (case != "matvec(8,4)")
 
 
 # ---------------------------------------------------------------- squaring checks
