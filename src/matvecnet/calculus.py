@@ -107,9 +107,10 @@ def match_depth(f: Fnn, K: int) -> Fnn:
     return concatenate(identity_fnn(f.output_dim, K - f.depth + 1), f)
 
 
-def _stack(layers: Sequence[Layer], diagonal: bool) -> Csr:
-    """The layers' weight matrices one above the other; with ``diagonal`` each
-    gets columns of its own, which makes the block-diagonal matrix."""
+def _stack(fnns: Sequence[Fnn], k: int, diagonal: bool) -> Layer:
+    """Layer k of each network, one above the other; with ``diagonal`` each
+    gets columns of its own, which makes the weights block-diagonal."""
+    layers = [f.layers[k] for f in fnns]
     indices, indptr = [], [np.zeros(1, dtype=np.int64)]
     rows = cols = nnz = 0
     for layer in layers:
@@ -121,7 +122,8 @@ def _stack(layers: Sequence[Layer], diagonal: bool) -> Csr:
         nnz += len(W.data)
     data = np.concatenate([layer.weights.data for layer in layers])
     shape = (rows, cols if diagonal else layers[0].fan_in)
-    return _csr(data, np.concatenate(indices), np.concatenate(indptr), shape)
+    weights = _csr(data, np.concatenate(indices), np.concatenate(indptr), shape)
+    return Layer._of(weights, np.concatenate([layer.bias for layer in layers]))
 
 
 def parallelize_shared(fnns: Sequence[Fnn]) -> Fnn:
@@ -143,12 +145,7 @@ def parallelize_shared(fnns: Sequence[Fnn]) -> Fnn:
             raise ValueError("shared parallelization needs equal input dimensions")
         if f.depth != depth:
             raise ValueError("shared parallelization needs equal depths")
-    layers = [Layer._of(_stack([f.layers[0] for f in fnns], diagonal=False),
-                        np.concatenate([f.layers[0].bias for f in fnns]))]
-    for k in range(1, depth):
-        layers.append(Layer._of(_stack([f.layers[k] for f in fnns], diagonal=True),
-                                np.concatenate([f.layers[k].bias for f in fnns])))
-    return Fnn(tuple(layers))
+    return Fnn(tuple(_stack(fnns, k, diagonal=k > 0) for k in range(depth)))
 
 
 def _scale_output(f: Fnn, a: float) -> Fnn:
@@ -176,11 +173,7 @@ def parallelize_disjoint(fnns: Sequence[Fnn], coefficients: Sequence[float] | No
     scaled = [_scale_output(match_depth(f, K), float(a)) for f, a in zip(fnns, coefficients)]
     if len(scaled) == 1:
         return scaled[0]
-    layers = []
-    for k in range(K):
-        layers.append(Layer._of(_stack([f.layers[k] for f in scaled], diagonal=True),
-                                np.concatenate([f.layers[k].bias for f in scaled])))
-    return Fnn(tuple(layers))
+    return Fnn(tuple(_stack(scaled, k, diagonal=True) for k in range(K)))
 
 
 def superpose(fnns: Sequence[Fnn], coefficients: Sequence[float], shared_input: bool = False) -> Fnn:

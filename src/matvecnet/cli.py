@@ -150,28 +150,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--sobolev applies to matvec-packed networks only")
     if record.kind == "square":
         report = replace(square_error_report(net), seed=args.seed)
-        worst = report.sup_error
     elif record.kind == "complex_matvec":
         ds = qpsk_rayleigh_dataset(
             record.m, record.n, args.samples, clip=record.D, seed=args.seed,
         )
         report = dataset_error_report(net, ds)
-        worst = report.sup_error
     else:
         rows = 1 if record.m is None else record.m
         cols = 1 if record.n is None else record.n
         report = sup_error_matvec(
             net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
         )
-        worst = report.sup_error
-        if args.sobolev:
-            sob = sobolev_error_matvec(
-                net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
-            )
-            report = replace(
-                report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
-            )
-            worst = max(worst, sob.sup_error, sob.grad_sup_error)
+    worst = report.sup_error
+    if args.sobolev:  # a matvec-packed network, checked above
+        sob = sobolev_error_matvec(
+            net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
+        )
+        report = replace(
+            report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
+        )
+        worst = max(worst, sob.sup_error, sob.grad_sup_error)
 
     for line in report_lines(net, report, compliance):
         print(line)

@@ -57,7 +57,7 @@ row. The exact affine kinds have rows with neither builder nor budget:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from math import isfinite, log2, prod
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
@@ -113,16 +113,8 @@ class ConstructionRecord:
             raise ValueError(f"unknown construction kind {self.kind!r}")
 
     def as_meta(self) -> dict[str, Any]:
-        """JSON-safe dict for the interchange file's meta block."""
-        return {
-            "kind": self.kind,
-            "input_packing": self.input_packing,
-            "m": self.m,
-            "n": self.n,
-            "D": self.D,
-            "eps": self.eps,
-            "sawtooth_order": self.sawtooth_order,
-        }
+        """JSON-safe dict for the interchange file's meta block, in field order."""
+        return asdict(self)
 
     @classmethod
     def from_meta(cls, meta: Mapping[str, Any]) -> "ConstructionRecord":
@@ -247,15 +239,8 @@ def square_net(eps: float) -> Fnn:
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    order = sawtooth_order(eps)
-    net = square_net_of_order(order)
-    record = ConstructionRecord(
-        kind="square",
-        input_packing="x (scalar in [0,1])",
-        eps=float(eps),
-        sawtooth_order=order,
-    )
-    return net.with_record(record)
+    net = square_net_of_order(sawtooth_order(eps))
+    return net.with_record(replace(net.record, eps=float(eps)))
 
 
 _ABS_PAIRS = np.array([

@@ -51,20 +51,23 @@ to the system and faults in again on every layer of every slice, costing
 more time than the arithmetic. Workspaces belong to one call, never to the
 module, so threads never share one, and results are copied out of them.
 
-The loop carries tangents for a seed matrix S (N_0 x g): the first block is
-the first kernel times [S; 0], and every later layer multiplies it by its
-kernel and masks it with its activations, so the outputs' tangents are J S.
-The constant neuron's tangent is +0.0 and its mask entry 1, so every bias
-term of a tangent sum is b_i * (+0.0) = +-0.0, which changes no bit.
-The block is held as (width, g, count), samples innermost: a layer multiplies
-its (width, g * count) reshape, and the mask and every other elementwise step
-run over contiguous rows of samples. Callers get (count, N_K, g).
-:func:`jacobian` seeds with the identity. :func:`_tangent_seeds` compresses
-the seed (Curtis, Powell & Reid 1974): input columns that never reach a common
-output share one seed column, found from the layers' sparsity patterns. Every
-neuron then depends on at most one column of its group, so its compressed
-tangent runs the same sums on the same operands as that column's, and the
-decompressed Jacobian is bit-equal to the full one.
+The loop carries tangents in sparse forward mode (Griewank & Walther,
+*Evaluating Derivatives*, ch. 7): only over the structural pairs (i, c) of
+a layer, neuron i and an input c it may depend on, one row per pair, in a
+(pairs, count) block with samples innermost. The inputs' pairs are (c, c),
+with tangent 1.0. :func:`_tangents` gives each layer a pair kernel: row
+(i, c) holds a_ij at pair (j, c) for each entry j of row i that has that
+pair, in stored order. That is the sum the dense product W_k T runs, with
+the terms whose tangent is a structural zero left out. Such a tangent is
++-0.0, every term a_ij * (+-0.0) is +-0.0, and the sum starts at +0.0, so
+leaving them out changes no bit; bias terms read the constant neuron,
+whose tangent is 0, and are left out too. Each hidden layer then masks its
+block by the owners' activations. The output kernel has a row for every
+(output, input), empty where no pair exists, so the last block is the full
+Jacobian: no tangent is carried for a structural zero, and nothing needs
+decompressing. A network keeps the stored plan's pair kernels,
+:attr:`Fnn._pairs`, built on its first Jacobian, so evaluation alone never
+builds them.
 
 The loop runs a :class:`Plan`: one kernel per layer and the index of each
 output's neuron in the last one. A network holds one plan of its own,
@@ -120,7 +123,7 @@ __all__ = [
 
 # Batch evaluation cuts its inputs into slices whose two value blocks (max width
 # x rows, float64, one read and one written by each layer), and two tangent
-# blocks g times their size when it carries g seed columns, together stay
+# blocks (widest pair kernel x rows) when it carries tangents, together stay
 # within this many bytes, so that each CSR row sweep reads activations from the
 # core's own cache rather than from memory. Per-sample results do not depend on
 # the slice height.
@@ -303,6 +306,11 @@ class Fnn:
         )
         return Plan(kernels, np.arange(self.output_dim))
 
+    @cached_property
+    def _pairs(self) -> "Tangents":
+        """The pair kernels of :attr:`_plan`, built on the first Jacobian."""
+        return _tangents(self._plan)
+
     def with_record(self, record) -> "Fnn":
         return Fnn(self.layers, record)
 
@@ -402,29 +410,72 @@ def _distinct(fnn: Fnn) -> Plan:
     return Plan(tuple(kernels), index)
 
 
+class Tangents(NamedTuple):
+    """A plan's pair kernels (:func:`_tangents`), the tangent form of its layers.
+
+    A pair (i, c) of a layer says that its neuron i may depend on input c.
+    ``kernels[k]`` maps the tangents of layer k's pairs (the inputs' own
+    pairs (c, c) for k = 0) to those of layer k + 1's; ``owners[k]`` is the
+    neuron of each pair of hidden layer k + 1, whose activation masks it.
+    Pairs are numbered by neuron, then input. The output kernel has a row for
+    every (output, input), empty where no pair exists.
+    """
+
+    kernels: tuple[Csr, ...]
+    owners: tuple[np.ndarray, ...]
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i] .. starts[i] + lengths[i] - 1``, one after another."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _tangents(plan: Plan) -> Tangents:
+    """Sparse forward mode over the structural pairs of a plan.
+
+    Row (i, c) of a layer's kernel holds a_ij at pair (j, c), for each entry j
+    of row i in stored order that has that pair. Bias entries read the
+    constant neuron, which has no pairs, so they are left out.
+    """
+    n_in = plan.widths[0]
+    first = np.append(np.arange(n_in + 1), n_in)  # neuron j's pairs: first[j]:first[j + 1]
+    inputs = np.arange(n_in)  # the input of each pair
+    kernels, owners = [], []
+    for k, (data, indices, indptr, _) in enumerate(plan.kernels):
+        hidden = k < len(plan.kernels) - 1
+        rows = np.arange(len(indptr) - 1) if hidden else plan.output
+        lengths = np.diff(indptr)[rows]
+        entries = _spans(indptr[rows], lengths)
+        reads = np.diff(first)[indices[entries]]  # the pairs each entry reads
+        terms = _spans(first[indices[entries]], reads)
+        row = np.repeat(np.arange(len(rows)), lengths)  # the row of each entry
+        key = np.repeat(row, reads) * n_in + inputs[terms]  # the pair (row, input) of each term
+        order = np.argsort(key, kind="stable")  # keeps each row's entries in stored order
+        if hidden:
+            pairs, counts = np.unique(key, return_counts=True)
+        else:  # every (output, input)
+            pairs = np.arange(len(rows) * n_in)
+            counts = np.bincount(key, minlength=len(pairs))
+        kernels.append(_csr(np.repeat(data[entries], reads)[order], terms[order],
+                            np.append(0, np.cumsum(counts)), (len(pairs), first[-1])))
+        owners.append(pairs // n_in)
+        inputs = pairs % n_in
+        first = np.searchsorted(owners[-1], np.arange(len(rows) + 1))
+    return Tangents(tuple(kernels), tuple(owners[:-1]))
+
+
 class Workspace(NamedTuple):
     """The buffers one evaluation call runs every layer and slice through.
 
     Flat float64 arrays: ``values`` holds two blocks of up to ``(width + 1)
-    x rows`` entries, ``tangents`` two of up to ``(width + 1) x g x rows``
-    and ``mask`` the activation flags of one value block; the extra row is
-    the constant neuron's. Each layer reads one block of a pair and writes
-    the other, into its leading entries.
+    x rows`` entries, the extra row the constant neuron's, and ``tangents``
+    two of up to ``pairs x rows``. Each layer reads one block of a pair and
+    writes the other, into its leading entries; the block it has read then
+    holds its activation flags, as bytes.
     """
 
     values: tuple[np.ndarray, np.ndarray]
     tangents: tuple[np.ndarray, np.ndarray]
-    mask: np.ndarray
-
-
-def _workspace(width: int, rows: int, groups: int = 0) -> Workspace:
-    """Buffers for slices of at most ``rows`` samples through layers at most ``width`` wide."""
-    size = (width + 1) * rows
-    return Workspace(
-        (np.empty(size), np.empty(size)),
-        (np.empty(size * groups), np.empty(size * groups)),
-        np.empty(size if groups else 0, dtype=bool),
-    )
 
 
 def _product(kernel: Csr, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -448,16 +499,14 @@ def _product(kernel: Csr, block: np.ndarray, buffer: np.ndarray) -> np.ndarray:
 
 
 def _forward(plan: Plan, X: np.ndarray, rows: slice, space: Workspace,
-             seeds: np.ndarray | None = None, visit=None):
+             tangents: Tangents | None = None, visit=None):
     """The layer loop over one slice of :func:`_batch`: the rows ``rows`` of X, as columns.
 
-    Returns the slice's outputs (count, N_K) and, with a seed matrix
-    ``seeds`` of shape (N_0, g), its output tangents J S (count, N_K, g),
-    else None. Tangents run as a (width + 1, g, count) block, samples
-    innermost, and come out transposed. Calls ``visit`` as :func:`_batch`
-    describes. Every block lives in ``space``, which holds the slice;
-    outputs and tangents are gathered out of it through ``plan.output``,
-    which copies them.
+    Returns the slice's outputs (count, N_K) and, with a plan's pair kernels
+    ``tangents``, its Jacobians (count, N_K, N_0), else None. Calls ``visit``
+    as :func:`_batch` describes. Every block lives in ``space``, which holds
+    the slice; outputs are gathered out of it through ``plan.output``, which
+    copies them, and the Jacobians are a view of it.
     """
     kernels = plan.kernels
     last = len(kernels) - 1
@@ -468,101 +517,62 @@ def _forward(plan: Plan, X: np.ndarray, rows: slice, space: Workspace,
     np.copyto(Z[:-1], X.T)
     Z[-1] = 1.0
     T = None
-    if seeds is not None:
-        g = seeds.shape[1]
-        S = np.zeros((n_in + 1, g))
-        S[:-1] = seeds
-        first = _product(kernels[0], S, np.empty(kernels[0].shape[0] * g))
-        T = space.tangents[0][:first.size * count].reshape(first.shape + (count,))
-        np.copyto(T, first[:, :, None])
+    if tangents is not None:
+        # Each input's tangent along itself, at its pair (c, c).
+        T = space.tangents[0][:n_in * count].reshape(n_in, count)
+        T.fill(1.0)
     for k, kernel in enumerate(kernels):
         # The single-threaded C loop that evaluates a row sums its entries in
         # stored order (ascending columns in a layer, the layer's order in a
         # plan) and the bias last.
         Z = _product(kernel, Z, space.values[(k + 1) % 2])
-        if T is not None and k:
-            T = _product(kernel, T, space.tangents[k % 2])
+        if T is not None:
+            T = _product(tangents.kernels[k], T, space.tangents[(k + 1) % 2])
         if k < last:
             if visit is not None:
                 visit(rows, k, Z[:-1])
-            np.maximum(Z, 0.0, out=Z)
             if T is not None:
-                active = space.mask[:Z.size].reshape(Z.shape)
-                np.greater(Z, 0.0, out=active)
-                T *= active[:, None, :]
-    Z, T = Z[plan.output], None if T is None else T[plan.output]
-    return Z.T, None if T is None else T.transpose(2, 0, 1)
+                # Each pair's tangent times its owner's flag Z > 0, as a
+                # product, so inf * 0 = nan as in the dense form. The flags
+                # live in the blocks this layer has read.
+                idle = space.values[k % 2].view(bool)[:Z.size].reshape(Z.shape)
+                np.greater(Z, 0.0, out=idle)
+                np.logical_not(idle, out=idle)
+                # mode="clip" gathers straight into ``out``; "raise" buffers a copy.
+                idle = np.take(idle, tangents.owners[k], axis=0, mode="clip",
+                               out=space.tangents[k % 2].view(bool)[:T.size].reshape(T.shape))
+                np.multiply(T, 0.0, out=T, where=idle)
+            np.maximum(Z, 0.0, out=Z)
+    Z = Z[plan.output]
+    return Z.T, None if T is None else T.reshape(len(plan.output), n_in, count).transpose(2, 0, 1)
 
 
-def _batch(plan: Plan, X: np.ndarray, seeds: np.ndarray | None = None, visit=None):
+def _batch(plan: Plan, X: np.ndarray, tangents: Tangents | None = None, visit=None):
     """Every evaluation: :func:`_forward` over the rows of X, slice by slice.
 
-    Returns the outputs (count, N_K) and, with seeds (N_0 x g), the
-    tangents (count, N_K, g), else None, both in C order. Calls
-    ``visit(rows, k, Z)`` with each slice's pre-activation block Z
-    (width_k, len(rows)) of hidden layer k, counted from 0, the constant
+    Returns the outputs (count, N_K) and, with the plan's pair kernels
+    ``tangents``, the Jacobians (count, N_K, N_0), else None, both in C
+    order. Calls ``visit(rows, k, Z)`` with each slice's pre-activation block
+    Z (width_k, len(rows)) of hidden layer k, counted from 0, the constant
     neuron left out, before it is rectified in place; ``rows`` is the slice
     of X that Z holds. Slices hold at most 4096 rows whose value and tangent
     blocks stay within ``SLICE_BYTES``, or one row where one row's blocks
     are larger. Every slice runs through one workspace, made for this call.
     """
     count, n_out = X.shape[0], len(plan.output)
-    g = 0 if seeds is None else seeds.shape[1]
     out = np.empty((count, n_out), dtype=np.float64)
-    tangents = None if seeds is None else np.empty((count, n_out, g))
+    jacobians = None if tangents is None else np.empty((count, n_out, X.shape[1]))
     width = max(plan.widths)
-    height = max(1, min(4096, SLICE_BYTES // (16 * width * (1 + g))))
-    space = _workspace(width, min(height, count), g)
+    pairs = 0 if tangents is None else max(kernel.shape[0] for kernel in tangents.kernels)
+    height = max(1, min(4096, count, SLICE_BYTES // (16 * (width + pairs))))
+    space = Workspace((np.empty((width + 1) * height), np.empty((width + 1) * height)),
+                      (np.empty(pairs * height), np.empty(pairs * height)))
     for lo in range(0, count, height):
         rows = slice(lo, min(lo + height, count))
-        out[rows], T = _forward(plan, X, rows, space, seeds, visit)
-        if T is not None:
-            tangents[rows] = T
-    return out, tangents
-
-
-class TangentSeeds(NamedTuple):
-    """A compressed seed for :func:`_batch` and how to undo it.
-
-    ``reach[i, c]`` says whether output i depends structurally on input c,
-    ``group[c]`` is the seed column of input c, and ``matrix`` is the 0/1
-    seed matrix S (N_0 x groups) with S[c, group[c]] = 1.
-    """
-
-    reach: np.ndarray
-    group: np.ndarray
-    matrix: np.ndarray
-
-    def expand(self, tangents: np.ndarray) -> np.ndarray:
-        """Full Jacobians (count, N_K, N_0) from compressed ones (count, N_K, groups)."""
-        return np.where(self.reach, tangents[..., self.group], 0.0)
-
-
-def _tangent_seeds(fnn: Fnn) -> TangentSeeds:
-    """Group the inputs greedily, in column order, so no two in a group reach one output.
-
-    The output x input dependency pattern comes from multiplying the layers'
-    sparsity patterns; a network whose outputs all see every input gets the
-    identity seed.
-    """
-    reach = None
-    for layer in fnn.layers:
-        pattern = sparse.csr_array((np.ones(len(layer.weights.data)), *layer.weights[1:3]),
-                                   shape=layer.weights.shape)
-        reach = pattern if reach is None else pattern @ reach
-        reach.data[:] = 1.0
-    reach = reach.toarray() != 0.0
-    group = np.empty(fnn.input_dim, dtype=np.intp)
-    taken: list[np.ndarray] = []
-    for c, outputs in enumerate(reach.T):
-        g = next((g for g, used in enumerate(taken) if not (used & outputs).any()), len(taken))
-        if g == len(taken):
-            taken.append(np.zeros_like(outputs))
-        taken[g] |= outputs
-        group[c] = g
-    matrix = np.zeros((fnn.input_dim, len(taken)))
-    matrix[np.arange(fnn.input_dim), group] = 1.0
-    return TangentSeeds(reach, group, matrix)
+        out[rows], J = _forward(plan, X, rows, space, tangents, visit)
+        if J is not None:
+            jacobians[rows] = J
+    return out, jacobians
 
 
 def _inputs(fnn: Fnn, x, batch: bool = False) -> tuple[np.ndarray, bool]:
@@ -628,7 +638,7 @@ def jacobian(fnn: Fnn, x) -> np.ndarray:
     memory is that of one slice, not of the whole stack.
     """
     X, stacked = _inputs(fnn, x)
-    J = _batch(fnn._plan, X, np.eye(fnn.input_dim))[1]
+    J = _batch(fnn._plan, X, fnn._pairs)[1]
     return J if stacked else J[0]
 
 

@@ -9,14 +9,15 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 of the set for any larger count. The reference products of a chunk are one
 stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` draws a
 chunk once too and runs it through one :func:`.network._batch` call, which
-runs every evaluation in slices. It yields values and compressed
-tangents (input columns that reach disjoint outputs share a seed column)
-and flags samples on a kink as it goes, slice by slice, with one workspace
-per call. It redraws only the kinked indices, on lanes 1, 2, ..., with one
-draw and one ``_batch`` call per lane over the span from the chunk's first
-to its last pending index; it then decompresses the Jacobians and takes
-sums in per-sample order. Slice heights are ``_batch``'s own, from the
-network's width and seed count.
+runs every evaluation in slices. It yields values and full Jacobians,
+carried as sparse tangents over the plan's structural (neuron, input)
+pairs, and flags samples on a kink as it goes, slice by slice, with one
+workspace per call. It redraws only the kinked indices, on lanes 1, 2, ...,
+with one draw and one ``_batch`` call per lane over the span from the
+chunk's first to its last pending index; it then subtracts the reference
+Jacobians in place, where they are nonzero, and takes sums in per-sample
+order. Slice heights are ``_batch``'s own, from the network's width and
+its widest pair kernel.
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
@@ -50,7 +51,7 @@ import numpy as np
 
 from .constructors import BoundBudget, square_net_of_order
 from .datasets import Dataset, _matvec, unpack_matvec
-from .network import Fnn, NetworkMetrics, _batch, _distinct, _tangent_seeds, jacobian, metrics
+from .network import Fnn, NetworkMetrics, _batch, _distinct, _tangents, jacobian, metrics
 from .rng import uniform_rows
 
 __all__ = [
@@ -227,16 +228,17 @@ def sup_error_matvec(
     )
 
 
-def _matvec_jacobian_truth(rows: np.ndarray, m: int, n: int) -> np.ndarray:
-    """d(Wx)/d[vec(W), x] of one packed row (m, width) or a stack (k, m, width).
+def _subtract_matvec_jacobian(J: np.ndarray, rows: np.ndarray, m: int, n: int) -> np.ndarray:
+    """J minus d(Wx)/d[vec(W), x], in place, for stacks J (k, m, width) and rows (k, width).
 
-    x entries fill the W block, W entries the x block.
+    Only the nonzero entries of the reference are subtracted: x_j at (i, j m + i)
+    and W over the x block. The rest would subtract 0.0, which changes no bit
+    of J, -0.0 included.
     """
     W, x = unpack_matvec(rows, m, n)
-    J = np.zeros(x.shape[:-1] + (m, n * (m + 1)))
     i = np.arange(m)[:, None]
-    J[..., i, np.arange(n) * m + i] = x[..., None, :]
-    J[..., n * m:] = W
+    J[:, i, np.arange(n) * m + i] -= x[:, None, :]
+    J[:, :, n * m:] -= W
     return J
 
 
@@ -256,26 +258,26 @@ def sobolev_error_matvec(
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
     exactly on kinks by design. A chunk and each of its redraw lanes run as
-    one :func:`.network._batch` call, which yields values and compressed
-    tangents and screens every hidden pre-activation block for kinks on the
-    way, slice by slice.
+    one :func:`.network._batch` call, which yields values and Jacobians and
+    screens every hidden pre-activation block for kinks on the way, slice by
+    slice.
     """
     width = n * (m + 1)
     plan = _distinct(f)
-    seeds = _tangent_seeds(f)
+    tangents = _tangents(plan)
 
     def screened(xs: np.ndarray):
-        """Values, compressed tangents and an off-kink flag per row, in one pass."""
+        """Values, Jacobians and an off-kink flag per row, in one pass."""
         ok = np.ones(len(xs), dtype=bool)
 
         def screen(rows: slice, k: int, Z: np.ndarray) -> None:
             ok[rows] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
 
-        return (*_batch(plan, xs, seeds.matrix, screen), ok)
+        return (*_batch(plan, xs, tangents, screen), ok)
 
     def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
         xs = _uniform_rows(seed, lo, hi, width, D)
-        values, tangents, ok = screened(xs)
+        values, jacobians, ok = screened(xs)
         pending = np.flatnonzero(~ok)
         for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
             if not pending.size:
@@ -286,19 +288,17 @@ def sobolev_error_matvec(
             redraw = _uniform_rows(
                 seed, lo + first, lo + int(pending[-1]) + 1, width, D, lane,
             )[pending - first]
-            r_values, r_tangents, ok = screened(redraw)
+            r_values, r_jacobians, ok = screened(redraw)
             hit = pending[ok]
-            xs[hit], values[hit], tangents[hit] = redraw[ok], r_values[ok], r_tangents[ok]
+            xs[hit], values[hit], jacobians[hit] = redraw[ok], r_values[ok], r_jacobians[ok]
             pending = pending[~ok]
         if pending.size:
-            xs, values, tangents = (np.delete(a, pending, axis=0) for a in (xs, values, tangents))
+            xs, values, jacobians = (np.delete(a, pending, axis=0) for a in (xs, values, jacobians))
             if not len(xs):
                 return 0.0, 0.0, 0.0, 0, pending.size
         err = np.abs(values - _matvec_targets(xs, m, n))
-        # In place: a chunk's expanded Jacobians take 4.7 MB at matvec(8,4).
-        dev = seeds.expand(tangents)
-        dev -= _matvec_jacobian_truth(xs, m, n)
-        np.abs(dev, out=dev)
+        # In place: a chunk's Jacobians take 4.7 MB at matvec(8,4).
+        dev = np.abs(_subtract_matvec_jacobian(jacobians, xs, m, n), out=jacobians)
         total_sq = 0.0
         # Summed sample by sample in index order, like a per-sample loop.
         for sq in np.mean(err * err, axis=1).tolist():

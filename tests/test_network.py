@@ -38,7 +38,7 @@ from matvecnet import (
 )
 from matvecnet.interchange import network_document, network_from_document
 import matvecnet.network as network
-from matvecnet.network import SLICE_BYTES, Csr, _batch, _distinct, _product, _tangent_seeds
+from matvecnet.network import SLICE_BYTES, Csr, _batch, _distinct, _product, _tangents
 
 
 def test_layer_coerces_and_freezes():
@@ -220,6 +220,11 @@ def test_batch_allocates_one_workspace_per_call():
     assert peak <= 2 * (width + 1) * rows * 8 + out.nbytes + 32 * 1024
 
 
+def widest_pairs(tangents):
+    """The rows of the widest pair kernel: the pairs a tangent block holds."""
+    return max(kernel.shape[0] for kernel in tangents.kernels)
+
+
 def test_stacked_jacobian_runs_in_slices_of_bounded_memory():
     net = matvec_net(8, 4, 2.0, 2.0 ** -5)
     xs = np.random.default_rng(14).uniform(-2.0, 2.0, (2048, net.input_dim))
@@ -231,11 +236,12 @@ def test_stacked_jacobian_runs_in_slices_of_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    width, g = max(net.widths), net.input_dim
-    rows = SLICE_BYTES // (16 * width * (1 + g))
-    assert (width, g, rows) == (384, 36, 4)
-    # the workspace stays within SLICE_BYTES; the margin holds the outputs
-    # the slices compute beside their tangents (128 KiB) and small objects
+    width, pairs = max(net.widths), widest_pairs(net._pairs)
+    rows = SLICE_BYTES // (16 * (width + pairs))
+    assert (width, pairs, rows) == (384, 512, 73)
+    # the workspace stays within SLICE_BYTES, its activation flags included;
+    # the margin holds the outputs the slices compute beside their Jacobians
+    # (128 KiB) and small objects
     outputs = len(xs) * net.output_dim * 8
     assert peak <= J.nbytes + SLICE_BYTES + outputs + 32 * 1024
     # first and last row of a slice, first of the next, and the last row
@@ -271,7 +277,6 @@ def test_stacked_preactivations_run_in_slices_of_bounded_memory():
 
 def test_results_do_not_alias_a_workspace(monkeypatch):
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
-    seeds = _tangent_seeds(net).matrix
     rng = np.random.default_rng(8)
     first_xs, second_xs = rng.uniform(-1.0, 1.0, (2, 50, net.input_dim))
 
@@ -285,12 +290,14 @@ def test_results_do_not_alias_a_workspace(monkeypatch):
     # one call of two 50-row slices, which share its workspace, against a call per slice
     xs = np.vstack((first_xs, second_xs))
     for each in (net._plan, _distinct(net)):
-        per_row = 16 * max(each.widths) * (1 + seeds.shape[1])
+        tangents = _tangents(each)
+        per_row = 16 * (max(each.widths) + widest_pairs(tangents))
         monkeypatch.setattr(network, "SLICE_BYTES", 50 * per_row)
         seen = set()
-        both = _batch(each, xs, seeds, visit=lambda rows, k, Z: seen.add((rows.start, rows.stop)))
+        both = _batch(each, xs, tangents,
+                      visit=lambda rows, k, Z: seen.add((rows.start, rows.stop)))
         assert seen == {(0, 50), (50, 100)}
-        apart = [_batch(each, part, seeds) for part in (first_xs, second_xs)]
+        apart = [_batch(each, part, tangents) for part in (first_xs, second_xs)]
         for whole, *parts in zip(both, *apart):
             assert whole.tobytes() == np.concatenate(parts).tobytes()
 
@@ -374,11 +381,12 @@ def test_stacked_forms_equal_single_rows(seed, count, zero_rows):
     assert one.shape == (1, net.output_dim, net.input_dim)
     assert one.tobytes() == jac[:1].tobytes()
     assert [p.tobytes() for p in preactivations(net, xs[:1])] == [p[:1].tobytes() for p in pres]
-    # a one-column seed carries one input direction: that column of the Jacobian
-    for c in range(net.input_dim):
-        tangents = _batch(net._plan, xs, np.eye(net.input_dim)[:, [c]])[1]
-        assert tangents.shape == (len(xs), net.output_dim, 1)
-        assert tangents[..., 0].tobytes() == jac[..., c].tobytes()
+    # the pair kernels of either plan carry the whole Jacobian, column by column
+    for plan in (net._plan, _distinct(net)):
+        tangents = _batch(plan, xs, _tangents(plan))[1]
+        assert tangents.shape == (len(xs), net.output_dim, net.input_dim)
+        for c in range(net.input_dim):
+            assert tangents[..., c].tobytes() == jac[..., c].tobytes()
 
 
 def test_stacked_jacobian_on_a_kink_uses_zero_slope():
@@ -401,78 +409,155 @@ def masked_layer_product(net, x):
     return J
 
 
-def expanded_jacobians(net, xs):
-    """Jacobians from one pass over the compressed seed, decompressed."""
-    seeds = _tangent_seeds(net)
-    return seeds.expand(_batch(net._plan, xs, seeds.matrix)[1])
+def assert_jacobian_is_the_masked_layer_product(net, xs):
+    jac = jacobian(net, xs)
+    assert jac.shape == (len(xs), net.output_dim, net.input_dim)
+    for i, x in enumerate(xs):
+        assert jac[i].tobytes() == masked_layer_product(net, x).tobytes()
 
 
-def assert_expansion_equals_jacobian(net, xs):
-    full = jacobian(net, xs)
-    got = expanded_jacobians(net, xs)
-    assert got.shape == full.shape
-    # -0.0 and 0.0 are one value here
-    assert (got + 0.0).tobytes() == (full + 0.0).tobytes()
+def masked_negative_tangents(net, xs):
+    """How many tangents the dense form masks to -0.0: negative ones of inactive neurons."""
+    count = 0
+    for x in xs:
+        J = net.layers[0].weights.toarray()
+        for layer, pre in zip(net.layers[1:], preactivations(net, x)):
+            count += int(np.count_nonzero((J < 0.0) & (pre <= 0.0)[:, None]))
+            J = scipy_csr(layer.weights) @ (J * (pre > 0.0)[:, None])
+    return count
 
 
 @pytest.mark.parametrize("m,n,D", [(1, 1, 1.0), (2, 2, 1.0), (3, 5, 1.5), (8, 4, 2.0)])
-def test_compressed_matvec_jacobians_equal_the_full_ones(m, n, D):
+def test_matvec_jacobians_are_the_masked_layer_product(m, n, D):
     net = matvec_net(m, n, D, 2.0 ** -5)
     rng = np.random.default_rng(m * 10 + n)
     xs = rng.uniform(-D, D, (40, net.input_dim))
     xs[:4] = 0.0
     xs[4:8, : m * n] = 0.0
     xs[8:12] = D
-    assert_expansion_equals_jacobian(net, xs)
+    assert masked_negative_tangents(net, xs) > 0
+    assert_jacobian_is_the_masked_layer_product(net, xs)
 
 
-def test_compressed_dot_product_jacobians_equal_the_full_ones():
+def test_dot_product_jacobians_are_the_masked_layer_product():
     net = dot_product_net(3, 1.0, 2.0 ** -4)
-    # one output sees every input: no compression, the identity seed
-    assert np.array_equal(_tangent_seeds(net).matrix, np.eye(6))
+    # one output sees every input: its row of pairs is full
+    assert np.diff(net._pairs.kernels[-1].indptr).all()
     xs = np.random.default_rng(3).uniform(-1.0, 1.0, (25, 6))
-    assert_expansion_equals_jacobian(net, xs)
+    xs[:2] = 0.0
+    assert masked_negative_tangents(net, xs) > 0
+    assert_jacobian_is_the_masked_layer_product(net, xs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 4))
-def test_compressed_block_diagonal_jacobians_equal_the_full_ones(seed, blocks):
-    # block-diagonal layers: inputs of different blocks share seed columns
+def test_block_diagonal_jacobians_are_the_masked_layer_product(seed, blocks):
+    # block-diagonal layers: a neuron pairs with the inputs of its own block only
     rng = np.random.default_rng(seed)
     depth = int(rng.integers(1, 5))
     parts = [random_fnn(rng, depth=depth, zero_frac=0.5) for _ in range(blocks)]
     net = parallelize_disjoint(parts)
-    assert _tangent_seeds(net).matrix.shape[1] <= max(f.input_dim for f in parts)
+    assert pair_count(net._pairs) == sum(pair_count(f._pairs) for f in parts)
     xs = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 8)), net.input_dim))
     xs[rng.random(xs.shape) < 0.2] = 0.0
-    assert_expansion_equals_jacobian(net, xs)
+    assert_jacobian_is_the_masked_layer_product(net, xs)
+
+
+def pair_count(tangents):
+    """The tangents one sample carries past the inputs: every pair of a hidden or output layer."""
+    outputs = np.count_nonzero(np.diff(tangents.kernels[-1].indptr))
+    return sum(len(owner) for owner in tangents.owners) + outputs
+
+
+def output_pattern(net):
+    """Which (output, input) pairs the output pair kernel holds: its nonempty rows."""
+    return (np.diff(net._pairs.kernels[-1].indptr) > 0).reshape(net.output_dim, net.input_dim)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 5), (8, 4)])
-def test_matvec_seeds_share_a_column_per_matrix_column(m, n):
-    # W[:, j] reaches each output once, so the m entries share seed column j;
-    # x_j reaches every output and keeps a column of its own
-    seeds = _tangent_seeds(matvec_net(m, n, 1.0, 2.0 ** -4))
-    assert seeds.matrix.shape == (n * (m + 1), 2 * n)
-    assert seeds.group.tolist() == [j for j in range(n) for _ in range(m)] + list(range(n, 2 * n))
-    assert np.array_equal(seeds.matrix.sum(axis=0), [m] * n + [1] * n)
+def test_matvec_outputs_pair_with_their_matrix_row_and_x(m, n):
+    # output i reads W[i, j] and x_j for each j, and no other input
+    net = matvec_net(m, n, 1.0, 2.0 ** -4)
+    expected = np.zeros((m, n * (m + 1)), dtype=bool)
+    for i in range(m):
+        expected[i, [j * m + i for j in range(n)] + [n * m + j for j in range(n)]] = True
+    assert np.array_equal(output_pattern(net), expected)
 
 
-def test_dense_network_gets_the_identity_seed():
+def test_dense_network_pairs_every_neuron_with_every_input():
     rng = np.random.default_rng(4)
     net = Fnn((Layer(rng.uniform(0.5, 1.0, (4, 5)), np.zeros(4)),
                Layer(rng.uniform(0.5, 1.0, (2, 4)), np.zeros(2))))
-    seeds = _tangent_seeds(net)
-    assert np.array_equal(seeds.matrix, np.eye(5))
-    assert seeds.reach.all()
+    assert net._pairs.owners[0].tolist() == [i for i in range(4) for _ in range(5)]
+    assert output_pattern(net).all()
 
 
-def test_seed_groups_merge_inputs_that_reach_no_output():
-    # input 0 reaches nothing, input 1 reaches the output: one seed column
+def test_inputs_that_reach_no_output_get_no_pairs():
+    # input 0 reaches nothing, input 1 reaches the output
     net = Fnn((Layer([[0.0, 1.0]], [0.0]), Layer([[1.0]], [0.0])))
-    seeds = _tangent_seeds(net)
-    assert seeds.group.tolist() == [0, 0]
-    assert seeds.reach.tolist() == [[False, True]]
+    assert net._pairs.owners[0].tolist() == [0]
+    assert output_pattern(net).tolist() == [[False, True]]
+    assert jacobian(net, np.array([[0.5, 0.5]])).tobytes() == np.array([[[0.0, 1.0]]]).tobytes()
+
+
+@pytest.mark.parametrize("make,pairs", [
+    (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 372),
+    (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), 3864),
+    (lambda: complex_matvec_net(8, 4, 3.0, 2.0 ** -5), 16656),
+])
+def test_pair_counts_at_the_operating_points(make, pairs):
+    # through the distinct plan, as the estimators run it
+    assert pair_count(_tangents(_distinct(make()))) == pairs
+
+
+def oracle_pair_rows(plan):
+    """Each pair kernel's rows as (column, weight bits) lists, built one pair at a time."""
+    n_in = plan.widths[0]
+    pairs = [(c, c) for c in range(n_in)]  # (neuron, input), numbered in order
+    expected = []
+    for k, kernel in enumerate(plan.kernels):
+        at = {pair: p for p, pair in enumerate(pairs)}
+        rows = kernel_rows(kernel)
+        hidden = k < len(plan.kernels) - 1
+        neurons = range(len(rows)) if hidden else plan.output.tolist()
+        new_pairs, layer = [], []
+        for r, i in enumerate(neurons):
+            for c in range(n_in):
+                row = [(at[j, c], bits) for j, bits in rows[i] if (j, c) in at]
+                if row:
+                    new_pairs.append((r, c))
+                if row or not hidden:
+                    layer.append(row)
+        expected.append(layer)
+        pairs = new_pairs
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_kernels_equal_the_one_pair_at_a_time_oracle(seed):
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(1, 5))
+    widths = [int(rng.integers(1, 6))] + [int(rng.integers(1, 8)) for _ in range(depth)]
+    alphabet = np.array([-1.5, -1.0, 0.5, 1.0, 3.0])
+    net = Fnn(tuple(Layer(planted_layer(rng, widths[k + 1], widths[k], alphabet),
+                          rng.choice([0.0, -0.0, 0.25], widths[k + 1])) for k in range(depth)))
+    # the distinct plan repeats and reorders columns within a row
+    for plan in (net._plan, _distinct(net)):
+        tangents = _tangents(plan)
+        assert [kernel_rows(kernel) for kernel in tangents.kernels] == oracle_pair_rows(plan)
+        for kernel, owner in zip(tangents.kernels, tangents.owners):
+            assert len(owner) == kernel.shape[0]
+            assert np.all(np.diff(owner) >= 0)
+
+
+def test_evaluation_builds_no_pair_kernels():
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    x = np.zeros(net.input_dim)
+    evaluate(net, x), evaluate_batch(net, x[None]), preactivations(net, x)
+    assert "_plan" in vars(net) and "_pairs" not in vars(net)
+    jacobian(net, x)
+    assert "_pairs" in vars(net)
 
 
 @settings(max_examples=100, deadline=None)
@@ -546,10 +631,9 @@ def assert_plan_equals_stored(net, xs):
             layer, kept, columns, plan.widths[k], hidden=k < net.depth - 1,
         )
     assert _batch(plan, xs)[0].tobytes() == evaluate_batch(net, xs).tobytes()
-    for seed in (np.eye(net.input_dim), _tangent_seeds(net).matrix):
-        planned, stored = _batch(plan, xs, seed), _batch(net._plan, xs, seed)
-        assert planned[0].tobytes() == stored[0].tobytes()
-        assert planned[1].tobytes() == stored[1].tobytes()
+    planned, stored = _batch(plan, xs, _tangents(plan)), _batch(net._plan, xs, net._pairs)
+    assert planned[0].tobytes() == stored[0].tobytes()
+    assert planned[1].tobytes() == stored[1].tobytes()
     # the kink screen sees each distinct pre-activation row, and no other
     planned_pres: list = []
     _batch(plan, xs, visit=lambda rows, k, Z: planned_pres.append({row.tobytes() for row in Z}))
@@ -689,7 +773,7 @@ def assert_folded_equals_unfolded(net, xs):
     plan = _distinct(net)
     steps, _ = oracle_plan(net)
     planned_pres: list = []
-    planned = _batch(plan, xs, np.eye(net.input_dim),
+    planned = _batch(plan, xs, _tangents(plan),
                      visit=lambda rows, k, Z: planned_pres.append(Z.T.copy()))
     assert _batch(plan, xs)[0].tobytes() == values.tobytes()
     assert planned[0].tobytes() == values.tobytes()
@@ -782,7 +866,7 @@ def test_constant_neuron_never_shows():
     # the kink screen sees the real neurons only
     for each in (net._plan, plan):
         seen: list = []
-        values, tangents = _batch(each, xs, np.eye(net.input_dim),
+        values, tangents = _batch(each, xs, _tangents(each),
                                   visit=lambda rows, k, Z: seen.append(Z.shape))
         assert seen == [(w, 7) for w in each.widths[1:-1]]
         assert values.shape == (7, net.output_dim)

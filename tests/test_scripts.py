@@ -32,3 +32,31 @@ def test_reproduce_operating_points_runs():
     stages = [line for line in out.splitlines() if line.startswith("elapsed:")]
     assert len(stages) == 4
     assert all(re.fullmatch(r"elapsed: \d+\.\ds, minor page faults: \d+", line) for line in stages)
+
+
+def test_code_lines_leaves_out_comments_blanks_and_docstrings(tmp_path):
+    (tmp_path / "small.py").write_text('''"""A module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment counts as code
+
+
+class Box:
+    """One line."""
+
+    def f(self):
+        """Two
+        lines."""
+        text = """a string
+        that is not a docstring"""
+        return os.sep + text
+
+
+def g(): """on the def's line"""
+''')
+    (tmp_path / "empty.py").write_text("# nothing but a comment\n")
+    # import, class, def f, the two lines of text, return, def g
+    assert run_script("code_lines.py", str(tmp_path)).splitlines() == [
+        "0 empty.py", "7 small.py", "7 total",
+    ]

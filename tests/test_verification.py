@@ -41,13 +41,13 @@ from matvecnet import (
 import matvecnet.verification as verification
 from matvecnet.datasets import unpack_matvec
 import matvecnet.network as network
-from matvecnet.network import _distinct, _tangent_seeds
+from matvecnet.network import _distinct, _tangents
 from matvecnet.rng import stream
 from matvecnet.verification import (
     KINK_TOL,
     MAX_RESAMPLE_ATTEMPTS,
     REDUCE_CHUNK,
-    _matvec_jacobian_truth,
+    _subtract_matvec_jacobian,
     _matvec_targets,
     _uniform_rows,
     matvec_truth,
@@ -273,8 +273,8 @@ def bits(report):
 SOBOLEV_CASES = {
     "matvec(2,2)": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, REDUCE_CHUNK + 300),
     "matvec(1,1)": (lambda: matvec_net(1, 1, 1.0, 2.0 ** -3), 1, 1, 1.0, REDUCE_CHUNK + 300),
-    # seed compression merges 36 input columns into 8 (20 into 10), and the
-    # width-sized slices (26 and 42 rows) end inside the chunk
+    # sparse tangents over 400 (200) pairs at most, and slices sized from
+    # width and pairs (97 and 192 rows) end inside the chunk
     "matvec(8,4)": (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), 8, 4, 2.0, 301),
     "matvec(3,5)": (lambda: matvec_net(3, 5, 1.0, 2.0 ** -4), 3, 5, 1.0, 250),
     # every draw sits on a kink: all lanes are tried, then the index is skipped
@@ -288,6 +288,22 @@ SOBOLEV_CASES = {
         1, 1, 1.0, REDUCE_CHUNK + 300,
     ),
 }
+
+
+def test_reports_keep_the_bits_recorded_before_pair_tangents():
+    # recorded with the seed-compressed tangents the pair form replaced; the
+    # reference product runs through np.matmul, so mse may differ on a host
+    # whose BLAS sums in another order
+    small = sobolev_error_matvec(matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, 2000, seed=0)
+    assert bits(small)[:3] == ["0x1.ea01203998100p-12", "0x1.25406b5efd3fcp-25",
+                               "0x1.fe0bb97f02f80p-6"]
+    assert small.kinks_skipped == 0
+    net = matvec_net(8, 4, 2.0, 2.0 ** -5)
+    real = sobolev_error_matvec(net, 8, 4, 2.0, 500, seed=0)
+    assert bits(real)[:3] == ["0x1.a1e08c9b10000p-15", "0x1.0cce693fc63bep-31",
+                              "0x1.fcf0276924800p-8"]
+    values = sup_error_matvec(net, 8, 4, 2.0, 4096, seed=0)
+    assert bits(values)[:2] == ["0x1.a3ab157370000p-15", "0x1.039d268813b8bp-31"]
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
@@ -306,13 +322,20 @@ def test_sobolev_equals_the_per_sample_loop(case, jobs):
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 5), (8, 4)])
 def test_matvec_jacobian_truth_equals_the_double_loop(m, n):
-    rows = _uniform_rows(3, 0, 7, n * (m + 1), 2.0)
-    stacked = _matvec_jacobian_truth(rows, m, n)
-    assert stacked.shape == (7, m, n * (m + 1))
-    for k, row in enumerate(rows):
-        expected = loop_jacobian_truth(row, m, n)
-        assert stacked[k].tobytes() == expected.tobytes()
-        assert _matvec_jacobian_truth(row, m, n).tobytes() == expected.tobytes()
+    width = n * (m + 1)
+    rows = _uniform_rows(3, 0, 7, width, 2.0)
+    # Jacobians with signed zeros where the reference is 0.0, and where it is not
+    J = np.random.default_rng(m * 10 + n).choice([0.0, -0.0, 1.5, -0.25], (7, m, width))
+    J[0] = -0.0
+    expected = [J[k] - loop_jacobian_truth(row, m, n) for k, row in enumerate(rows)]
+    stacked = J.copy()
+    assert _subtract_matvec_jacobian(stacked, rows, m, n) is stacked
+    for k in range(len(rows)):
+        assert stacked[k].tobytes() == expected[k].tobytes()
+    # -0.0 stays where the reference is 0.0
+    zero = loop_jacobian_truth(rows[0], m, n) == 0.0
+    assert zero.sum() == m * width - 2 * m * n
+    assert (stacked[0][zero] == 0.0).all() and np.signbit(stacked[0][zero]).all()
 
 
 def record_draws(monkeypatch):
@@ -401,31 +424,43 @@ def test_dataset_report_equals_the_stored_layers():
 
 
 def test_estimators_plan_once_per_call(monkeypatch):
-    built = []
+    built, paired = [], []
 
     def counted(f):
         built.append(f)
-        return real_distinct(f)
+        plan = real_distinct(f)
+        planned.append(plan)
+        return plan
 
-    real_distinct = verification._distinct
+    def counted_pairs(plan):
+        paired.append(plan)
+        return real_tangents(plan)
+
+    planned: list = []
+    real_distinct, real_tangents = verification._distinct, verification._tangents
     monkeypatch.setattr(verification, "_distinct", counted)
+    monkeypatch.setattr(verification, "_tangents", counted_pairs)
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
     # three reduction chunks on two threads, then probes
     sup_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
     assert built == [net]
+    assert paired == []
     sobolev_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
     assert built == [net, net]
+    # the pair kernels of the distinct plan, once per call
+    assert len(paired) == 1 and paired[0] is planned[1]
     dataset_error_report(net, Dataset(np.zeros((5000, 6)), np.zeros((5000, 2)), {}))
     square = square_net_of_order(3)
     square_error_report(square)
     assert built == [net, net, net, square]
+    assert len(paired) == 1
 
 
 def record_slices(monkeypatch):
     """Record the rows of every slice the estimators' batches run, one list per call."""
     calls = []
 
-    def recorded(plan, xs, seeds=None, visit=None):
+    def recorded(plan, xs, tangents=None, visit=None):
         slices = []
         calls.append(slices)
 
@@ -434,7 +469,7 @@ def record_slices(monkeypatch):
                 slices.append((rows.start, rows.stop))
             visit(rows, k, Z)
 
-        return real(plan, xs, seeds, seen)
+        return real(plan, xs, tangents, seen)
 
     real = verification._batch
     monkeypatch.setattr(verification, "_batch", recorded)
@@ -444,11 +479,11 @@ def record_slices(monkeypatch):
 def test_sobolev_slices_are_sized_from_the_plan(monkeypatch):
     calls = record_slices(monkeypatch)
     net = matvec_net(8, 4, 2.0, 2.0 ** -5)
-    sobolev_error_matvec(net, 8, 4, 2.0, 40, seed=0)
-    # 272 distinct neurons in the widest layer, 8 seed columns
-    rows = network.SLICE_BYTES // (16 * 272 * 9)
-    assert rows == 26
-    assert calls[0] == [(0, rows), (rows, 40)]
+    sobolev_error_matvec(net, 8, 4, 2.0, 120, seed=0)
+    # 272 distinct neurons in the widest layer, 400 pairs in the widest pair kernel
+    rows = network.SLICE_BYTES // (16 * (272 + 400))
+    assert rows == 97
+    assert calls[0] == [(0, rows), (rows, 120)]
 
 
 @pytest.mark.parametrize("case", ["matvec(8,4)", "rho", "stuck"])
@@ -457,8 +492,9 @@ def test_sobolev_screens_kinks_across_slices(monkeypatch, case):
     net = make()
     expected = per_sample_sobolev(net, m, n, D, samples, seed=17)
     # slices of 7 rows, so that a chunk and its redraw lanes span many
-    groups = _tangent_seeds(net).matrix.shape[1]
-    per_row = 16 * max(_distinct(net).widths) * (1 + groups)
+    plan = _distinct(net)
+    pairs = max(kernel.shape[0] for kernel in _tangents(plan).kernels)
+    per_row = 16 * (max(plan.widths) + pairs)
     monkeypatch.setattr(network, "SLICE_BYTES", 7 * per_row)
     calls = record_slices(monkeypatch)
     for jobs in (1, 3):
