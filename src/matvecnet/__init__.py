@@ -36,12 +36,10 @@ from .datasets import (
     Dataset,
     equispaced_real_dataset,
     load_dataset,
-    load_dataset_csv,
     pack_complex,
     pack_matvec,
     qpsk_rayleigh_dataset,
     save_dataset,
-    save_dataset_csv,
     unpack_complex,
     unpack_matvec,
 )
@@ -74,6 +72,7 @@ from .verification import (
     square_error_report,
     square_slope_sup,
     sup_error_matvec,
+    verify_network,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +103,6 @@ __all__ = [
     "identity_fnn",
     "jacobian",
     "load_dataset",
-    "load_dataset_csv",
     "load_fnn",
     "match_depth",
     "matvec_net",
@@ -121,7 +119,6 @@ __all__ = [
     "report_lines",
     "report_row",
     "save_dataset",
-    "save_dataset_csv",
     "save_fnn",
     "sawtooth_order",
     "scalar_product_net",
@@ -138,4 +135,5 @@ __all__ = [
     "uniform_rows",
     "unpack_matvec",
     "validate",
+    "verify_network",
 ]

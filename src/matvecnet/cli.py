@@ -10,9 +10,10 @@ Exit codes separate scientific findings from plumbing problems:
 * 3: the work was valid but an I/O operation failed.
 
 ``--eps`` accepts a decimal ("0.03125") or a power-of-two literal ("2^-5");
-the latter avoids decimal-to-binary drift in reports. Verification honors
-``--jobs`` without changing any reported number (see the verification
-module's fixed-reduction contract).
+the latter avoids decimal-to-binary drift in reports. ``verify`` is
+:func:`.verification.verify_network` on the loaded file; it honors
+``--jobs`` on the box-sampled kinds without changing any reported number
+(see the verification module's fixed-reduction contract).
 """
 
 from __future__ import annotations
@@ -22,28 +23,19 @@ import csv
 import glob
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .constructors import KINDS, predicted_budget
-from .datasets import (
-    equispaced_real_dataset,
-    qpsk_rayleigh_dataset,
-    save_dataset,
-    save_dataset_csv,
-)
+from .constructors import KINDS
+from .datasets import equispaced_real_dataset, qpsk_rayleigh_dataset, save_dataset
 from .interchange import load_fnn, save_fnn
 from .verification import (
     REPORT_COLUMNS,
     budget_line,
     check_budget,
-    dataset_error_report,
     metrics_line,
     report_lines,
     report_row,
-    sobolev_error_matvec,
-    square_error_report,
-    sup_error_matvec,
+    verify_network,
 )
 
 __all__ = ["main", "parse_eps"]
@@ -86,11 +78,8 @@ def _build_network(kind: str, args: argparse.Namespace):
 def cmd_build(args: argparse.Namespace) -> int:
     net = _build_network(args.kind, args)
     record = net.record
-    budget = predicted_budget(
-        args.kind, m=record.m, n=record.n, D=record.D, eps=args.eps, C=args.C,
-    )
-    compliance = check_budget(net, budget)
-    got = compliance.measured
+    compliance = check_budget(net, record.budget(args.C))
+    got, budget = compliance.measured, compliance.budget
     out = args.out or f"{args.kind}.json"
     save_fnn(net, out, extra_meta={
         "metrics": {
@@ -120,7 +109,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _append_report(path, net, report, compliance) -> None:
     target = Path(path)
-    fresh = not target.exists()
+    fresh = not target.exists() or target.stat().st_size == 0
     with open(target, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
@@ -133,49 +122,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         net = load_fnn(args.network)
     except OSError as exc:
         raise ValueError(f"cannot read network file {args.network}: {exc}") from exc
-    record = net.record
-    if record is None:
-        raise ValueError("network file carries no construction record to verify against")
-    if KINDS[record.kind].builder is None:
-        raise ValueError(f"{record.kind} networks carry no target accuracy to verify")
-    eps = record.eps
-    if eps is None:
-        raise ValueError("construction record has no eps")
-    budget = predicted_budget(
-        record.kind, m=record.m, n=record.n, D=record.D, eps=eps, C=args.C,
+    report, compliance, ok = verify_network(
+        net, args.samples, args.seed, jobs=args.jobs, sobolev=args.sobolev, C=args.C,
     )
-    compliance = check_budget(net, budget)
-
-    if args.sobolev and record.kind in ("square", "complex_matvec"):
-        raise ValueError("--sobolev applies to matvec-packed networks only")
-    if record.kind == "square":
-        report = replace(square_error_report(net), seed=args.seed)
-    elif record.kind == "complex_matvec":
-        ds = qpsk_rayleigh_dataset(
-            record.m, record.n, args.samples, clip=record.D, seed=args.seed,
-        )
-        report = dataset_error_report(net, ds)
-    else:
-        rows = 1 if record.m is None else record.m
-        cols = 1 if record.n is None else record.n
-        report = sup_error_matvec(
-            net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
-        )
-    worst = report.sup_error
-    if args.sobolev:  # a matvec-packed network, checked above
-        sob = sobolev_error_matvec(
-            net, rows, cols, record.D, args.samples, args.seed, jobs=args.jobs,
-        )
-        report = replace(
-            report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
-        )
-        worst = max(worst, sob.sup_error, sob.grad_sup_error)
-
     for line in report_lines(net, report, compliance):
         print(line)
     _append_report(args.out or "reports.csv", net, report, compliance)
-    ok = worst <= eps and compliance.passed
-    print(f"verdict: {'ok' if ok else 'BOUND VIOLATED'} (eps={eps!r})")
+    print(f"verdict: {'ok' if ok else 'BOUND VIOLATED'} (eps={net.record.eps!r})")
     return 0 if ok else 1
 
 
@@ -189,11 +142,8 @@ def cmd_data(args: argparse.Namespace) -> int:
         ds = qpsk_rayleigh_dataset(
             args.m, args.n, args.count, clip=args.clip, seed=args.seed,
         )
-    out = args.out or f"{args.kind}.csv"
-    if str(out).endswith(".json"):
-        save_dataset(ds, out)
-    else:
-        save_dataset_csv(ds, out)
+    out = args.out or f"{args.kind}.json"
+    save_dataset(ds, out)
     print(f"wrote {out}")
     print(
         f"rows={len(ds)} input_width={ds.inputs.shape[1]} "

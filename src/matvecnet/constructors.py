@@ -116,6 +116,10 @@ class ConstructionRecord:
         """JSON-safe dict for the interchange file's meta block, in field order."""
         return asdict(self)
 
+    def budget(self, C: float = 2.0) -> BoundBudget:
+        """The :func:`predicted_budget` of this record's kind and parameters."""
+        return predicted_budget(self.kind, m=self.m, n=self.n, D=self.D, eps=self.eps, C=C)
+
     @classmethod
     def from_meta(cls, meta: Mapping[str, Any]) -> "ConstructionRecord":
         """The record stored in a meta block; TypeError if a field has the wrong JSON type.

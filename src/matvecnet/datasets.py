@@ -19,7 +19,6 @@ vanishing behaviour of the product networks is exercised by construction.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,8 +39,6 @@ __all__ = [
     "qpsk_rayleigh_dataset",
     "save_dataset",
     "load_dataset",
-    "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 
@@ -277,7 +274,8 @@ def dataset_from_document(doc: dict[str, Any]) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    text = json.dumps(dataset_document(ds), indent=1, allow_nan=False)
+    """The dataset as one JSON document: meta, inputs and targets, floats round-tripped."""
+    text = json.dumps(dataset_document(ds), allow_nan=False)
     Path(path).write_text(text + "\n")
 
 
@@ -289,31 +287,3 @@ def load_dataset(path) -> Dataset:
     if not isinstance(doc, dict) or "inputs" not in doc or "targets" not in doc:
         raise ValueError(f"not a valid dataset file: {path}")
     return dataset_from_document(doc)
-
-
-def save_dataset_csv(ds: Dataset, path) -> None:
-    """One sample per row, inputs then targets, shortest round-trip floats."""
-    width_in = ds.inputs.shape[1]
-    width_out = ds.targets.shape[1]
-    header = [f"in_{j}" for j in range(width_in)] + [f"tgt_{j}" for j in range(width_out)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for a, b in zip(ds.inputs, ds.targets):
-            writer.writerow([repr(float(v)) for v in a] + [repr(float(v)) for v in b])
-
-
-def load_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty dataset file: {path}") from None
-        width_in = sum(1 for name in header if name.startswith("in_"))
-        width_out = sum(1 for name in header if name.startswith("tgt_"))
-        if width_in + width_out != len(header) or width_in == 0 or width_out == 0:
-            raise ValueError(f"unrecognized dataset header in {path}")
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), width_in + width_out)
-    return Dataset(data[:, :width_in], data[:, width_in:], {"source": str(path)})

@@ -1,4 +1,9 @@
-"""Empirical error estimators, size-budget checks, and report plumbing.
+"""Verification flow, empirical error estimators, size-budget checks, and report plumbing.
+
+:func:`verify_network` is the one verification flow: a network's
+construction record picks the domain (the squaring grid, clipped QPSK data,
+or the box plus probes), the size budget and the verdict. The command line
+and the scripts call it and only print what it returns.
 
 The sup-norm estimators here are Monte-Carlo lower bounds of the true sup:
 a reported value above the guarantee is a definitive counterexample, while
@@ -17,7 +22,9 @@ with one draw and one ``_batch`` call per lane over the span from the
 chunk's first to its last pending index; it then subtracts the reference
 Jacobians in place, where they are nonzero, and takes sums in per-sample
 order. Slice heights are ``_batch``'s own, from the network's width and
-its widest pair kernel.
+its widest pair kernel. :func:`dataset_error_report` evaluates a stored
+dataset in one ``_batch`` call and reduces with one ``np.mean``;
+:func:`square_error_report` is that on a fixed grid.
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
@@ -44,13 +51,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
 
-from .constructors import BoundBudget, square_net_of_order
-from .datasets import Dataset, _matvec, unpack_matvec
+from .constructors import KINDS, BoundBudget, square_net_of_order
+from .datasets import Dataset, _matvec, qpsk_rayleigh_dataset, unpack_matvec
 from .network import Fnn, NetworkMetrics, _batch, _distinct, _tangents, jacobian, metrics
 from .rng import uniform_rows
 
@@ -67,6 +74,7 @@ __all__ = [
     "square_error_curve",
     "square_slope_sup",
     "check_budget",
+    "verify_network",
     "report_row",
     "report_lines",
     "metrics_line",
@@ -341,19 +349,12 @@ def square_error_report(net: Fnn) -> ErrorReport:
 
     The grid contains the dyadic midpoints where the interpolation error
     peaks for every order up to 12, so up there the observed sup equals the
-    law 2^(-2(m+1)) up to evaluation roundoff. The grid is fixed, so the
-    report's seed is 0.
+    law 2^(-2(m+1)) up to evaluation roundoff. The grid is a fixed
+    :class:`.datasets.Dataset` run through :func:`dataset_error_report`, so
+    the report's seed is 0.
     """
-    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-    err = np.abs(_batch(_distinct(net), grid[:, None])[0][:, 0] - grid * grid)
-    return ErrorReport(
-        sup_error=float(np.max(err)),
-        mse=float(np.mean(err * err)),
-        grad_sup_error=None,
-        sample_count=grid.size,
-        seed=0,
-        domain_half_width=1.0,
-    )
+    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)[:, None]
+    return dataset_error_report(net, Dataset(grid, grid * grid, {"seed": 0, "half_width": 1.0}))
 
 
 def square_error_curve(max_order: int) -> list[tuple[int, float]]:
@@ -396,6 +397,60 @@ def check_budget(f: Fnn, budget: BoundBudget) -> BudgetCompliance:
             else got.neurons <= budget.neuron_bound
         ),
     )
+
+
+def verify_network(
+    net: Fnn,
+    samples: int,
+    seed: int,
+    jobs: int = 1,
+    sobolev: bool = False,
+    C: float = 2.0,
+) -> tuple[ErrorReport, BudgetCompliance, bool]:
+    """Check a network against the claims its construction record makes.
+
+    The record picks the domain: the squaring grid of
+    :func:`square_error_report` (reported under ``seed``), ``samples`` clipped
+    QPSK/Rayleigh rows with ``clip=D`` and the zero-channel probe row for the
+    complex kind, or the box
+    [-D, D]^N0 plus probes of :func:`sup_error_matvec` otherwise. With
+    ``sobolev`` a matvec-packed network is also run through
+    :func:`sobolev_error_matvec` on the same samples, which adds the
+    gradient sup and the skipped-kink count to the report. The budget is the
+    record's :meth:`.constructors.ConstructionRecord.budget` under depth
+    constant ``C``. The verdict holds when every checked error is at most the
+    record's eps and the budget passes. Only the box and Sobolev checks use
+    ``jobs``.
+    """
+    record = net.record
+    if record is None:
+        raise ValueError("network file carries no construction record to verify against")
+    if KINDS[record.kind].builder is None:
+        raise ValueError(f"{record.kind} networks carry no target accuracy to verify")
+    eps = record.eps
+    if eps is None:
+        raise ValueError("construction record has no eps")
+    compliance = check_budget(net, record.budget(C))
+
+    if sobolev and record.kind in ("square", "complex_matvec"):
+        raise ValueError("--sobolev applies to matvec-packed networks only")
+    if record.kind == "square":
+        report = replace(square_error_report(net), seed=seed)
+    elif record.kind == "complex_matvec":
+        ds = qpsk_rayleigh_dataset(record.m, record.n, samples, clip=record.D, seed=seed)
+        report = dataset_error_report(net, ds)
+    else:
+        rows = 1 if record.m is None else record.m
+        cols = 1 if record.n is None else record.n
+        report = sup_error_matvec(net, rows, cols, record.D, samples, seed, jobs=jobs)
+    worst = report.sup_error
+    if sobolev:  # a matvec-packed network, checked above
+        sob = sobolev_error_matvec(net, rows, cols, record.D, samples, seed, jobs=jobs)
+        report = replace(
+            report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
+        )
+        worst = max(worst, sob.sup_error, sob.grad_sup_error)
+    return report, compliance, worst <= eps and compliance.passed
 
 
 REPORT_COLUMNS = [

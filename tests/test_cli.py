@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matvecnet import KINDS, affine_representation, save_fnn
+from matvecnet import (
+    KINDS,
+    affine_representation,
+    complex_matvec_net,
+    dataset_error_report,
+    load_dataset,
+    qpsk_rayleigh_dataset,
+    save_fnn,
+)
 from matvecnet.cli import main, parse_eps
 
 
@@ -258,6 +266,29 @@ def test_verify_catches_a_tampered_network(tmp_path, capsys):
     assert "BOUND VIOLATED" in stdout
 
 
+def test_verify_square_with_a_wider_input_names_the_mismatch(tmp_path, capsys):
+    out = tmp_path / "sq.json"
+    run(["build", "--kind", "square", "--eps", "2^-6", "--out", str(out)], capsys)
+    doc = json.loads(out.read_text())
+    doc["layers"][0]["shape"] = [4, 2]
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(["verify", str(out), "--out", str(tmp_path / "r.csv")], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: dimension mismatch: dataset is 1 -> 1, network is 2 -> 1\n"
+
+
+def test_verify_writes_the_header_into_an_empty_report_file(tmp_path, capsys):
+    net = build_matvec(tmp_path, capsys)
+    report_csv = tmp_path / "r.csv"
+    report_csv.write_text("")
+    code, _, _ = run(["verify", str(net), "--samples", "10", "--out", str(report_csv)], capsys)
+    assert code == 0
+    with open(report_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == VERIFY_HEADER.split(",")
+    assert len(rows) == 2 and rows[1][0] == "matvec"
+
+
 def test_verify_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, stderr = run(
         ["verify", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.csv")],
@@ -373,6 +404,66 @@ def test_every_buildable_kind_builds_and_verifies(tmp_path, capsys, kind):
         assert len(line) == 1 and line[0] in verified.splitlines()
 
 
+VERIFY_HEADER = (
+    "kind,m,n,D,eps,samples,seed,sup_error,mse,grad_sup_error,"
+    "L,M,N,W,B,depth_ok,width_ok,weight_ok"
+)
+
+# Each kind built with m=2, n=2, D=1.5, eps=2^-4 where it takes them, then
+# verified with --samples 2500 --seed 3; None marks a refused --sobolev.
+VERIFY_ROWS = {
+    ("square", False):
+        "square,,,,0.0625,16385,3,0.0625,0.00208320618451836,,2,10,6,4,1.0,pass,pass,pass",
+    ("square", True): None,
+    ("scalar_product", False):
+        "scalar_product,,,1.5,0.0625,2500,3,0.0005440530402046617,5.43024857970475e-08,,"
+        "9,278,84,12,4.5,pass,pass,pass",
+    ("scalar_product", True):
+        "scalar_product,,,1.5,0.0625,2500,3,0.0005440530402046617,5.43024857970475e-08,"
+        "0.04616664944149651,9,278,84,12,4.5,pass,pass,pass",
+    ("dot_product", False):
+        "dot_product,,2,1.5,0.0625,2500,3,0.00025797410868222403,1.1585162277398297e-08,,"
+        "10,646,191,24,4.5,pass,pass,pass",
+    ("dot_product", True):
+        "dot_product,,2,1.5,0.0625,2500,3,0.00025797410868222403,1.1585162277398297e-08,"
+        "0.023137947316941965,10,646,191,24,4.5,pass,pass,pass",
+    ("matvec", False):
+        "matvec,2,2,1.5,0.0625,2500,3,0.0002650232185181789,1.0989884242808894e-08,,"
+        "10,1292,380,48,4.5,pass,pass,pass",
+    ("matvec", True):
+        "matvec,2,2,1.5,0.0625,2500,3,0.0002650232185181789,1.0989884242808894e-08,"
+        "0.023298051087211613,10,1292,380,48,4.5,pass,pass,pass",
+    ("complex_matvec", False):
+        "complex_matvec,2,2,1.5,0.0625,2501,3,2.8690224417760035e-05,1.2272549903571843e-10,,"
+        "12,6608,1888,192,4.5,pass,pass,pass",
+    ("complex_matvec", True): None,
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind, sobolev", list(VERIFY_ROWS))
+def test_verify_rows_match_the_recorded_rows(tmp_path, capsys, kind, sobolev, jobs):
+    small = {"m": "2", "n": "2", "D": "1.5", "eps": "2^-4"}
+    options = [arg for name in KINDS[kind].params for arg in (f"--{name}", small[name])]
+    net = tmp_path / f"{kind}.json"
+    assert run(["build", "--kind", kind, *options, "--out", str(net)], capsys)[0] == 0
+    out = tmp_path / "r.csv"
+    code, stdout, stderr = run(
+        ["verify", str(net), "--samples", "2500", "--seed", "3", "--jobs", jobs,
+         *(["--sobolev"] if sobolev else []), "--out", str(out)],
+        capsys,
+    )
+    row = VERIFY_ROWS[kind, sobolev]
+    if row is None:
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: --sobolev applies to matvec-packed networks only\n"
+        assert not out.exists()
+    else:
+        assert (code, stderr) == (0, "")
+        assert stdout.endswith("verdict: ok (eps=0.0625)\n")
+        assert out.read_bytes() == f"{VERIFY_HEADER}\r\n{row}\r\n".encode()
+
+
 def test_verify_rejects_an_affine_network(tmp_path, capsys):
     path = tmp_path / "affine.json"
     save_fnn(affine_representation(np.array([[1.0, 2.0]]), 1), path)
@@ -387,7 +478,7 @@ def test_verify_rejects_an_affine_network(tmp_path, capsys):
 
 
 def test_data_qpsk_writes_expected_columns(tmp_path, capsys):
-    out = tmp_path / "qpsk.csv"
+    out = tmp_path / "qpsk.json"
     code, stdout, _ = run(
         [
             "data", "--kind", "qpsk",
@@ -397,11 +488,24 @@ def test_data_qpsk_writes_expected_columns(tmp_path, capsys):
     )
     assert code == 0
     assert "clipped entries" in stdout
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
+    doc = json.loads(out.read_text())
     m, n = 2, 2
-    assert len(rows[0]) == 2 * n * (m + 1) + 2 * m
-    assert len(rows) == 1 + 25 + 1  # header + samples + probe row
+    assert np.shape(doc["inputs"]) == (25 + 1, 2 * n * (m + 1))  # samples + probe row
+    assert np.shape(doc["targets"]) == (25 + 1, 2 * m)
+
+
+def test_data_file_gives_the_report_of_the_dataset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(
+        ["data", "--kind", "qpsk", "--m", "2", "--n", "2", "--count", "30", "--seed", "4",
+         "--clip", "1.5"],
+        capsys,
+    )
+    assert code == 0
+    assert stdout.startswith("wrote qpsk.json\n")
+    net = complex_matvec_net(2, 2, 1.5, 2.0 ** -4)
+    ds = qpsk_rayleigh_dataset(2, 2, 30, clip=1.5, seed=4)
+    assert dataset_error_report(net, load_dataset("qpsk.json")) == dataset_error_report(net, ds)
 
 
 def test_data_equispaced_json_output(tmp_path, capsys):
@@ -424,7 +528,7 @@ def test_data_equispaced_json_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("half_width", ["inf", "-inf", "nan", "1e308", "1e200"])
 def test_data_rejects_a_non_finite_half_width(tmp_path, capsys, half_width):
-    out = tmp_path / "grid.csv"
+    out = tmp_path / "grid.json"
     code, _, err = run(
         [
             "data", "--kind", "equispaced", "--m", "1", "--n", "2", "--count", "3",
@@ -463,7 +567,7 @@ def test_data_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
     code, stdout, err = run(
         [
             "data", "--kind", "equispaced", "--m", "3000000", "--n", "3000", "--count", "1",
-            "--out", str(tmp_path / "big.csv"),
+            "--out", str(tmp_path / "big.json"),
         ],
         capsys,
     )

@@ -1,5 +1,7 @@
 """Packing conventions, dataset generators, and file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,10 @@ from matvecnet import (
     datasets,
     equispaced_real_dataset,
     load_dataset,
-    load_dataset_csv,
     pack_complex,
     pack_matvec,
     qpsk_rayleigh_dataset,
     save_dataset,
-    save_dataset_csv,
     unpack_complex,
     unpack_matvec,
 )
@@ -307,27 +307,14 @@ def test_json_round_trip_is_bit_exact(tmp_path):
     ds = qpsk_rayleigh_dataset(2, 2, 12, seed=14)
     path = tmp_path / "qpsk.json"
     save_dataset(ds, path)
-    back = load_dataset(path)
-    assert np.array_equal(back.inputs, ds.inputs)
-    assert np.array_equal(back.targets, ds.targets)
-    assert back.meta == ds.meta
-
-
-def test_csv_round_trip_is_bit_exact(tmp_path):
-    ds = equispaced_real_dataset(2, 3, 15, seed=15)
-    path = tmp_path / "grid.csv"
-    save_dataset_csv(ds, path)
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.inputs, ds.inputs)
-    assert np.array_equal(back.targets, ds.targets)
-
-
-def test_csv_header_names_inputs_and_targets(tmp_path):
-    ds = equispaced_real_dataset(1, 2, 3, seed=16)
-    path = tmp_path / "named.csv"
-    save_dataset_csv(ds, path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header == ["in_0", "in_1", "in_2", "in_3", "tgt_0"]
+    assert "\n" not in path.read_text().rstrip("\n")
+    # Files written with an indented document load the same.
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(datasets.dataset_document(ds), indent=1))
+    for back in (load_dataset(path), load_dataset(indented)):
+        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(back.targets, ds.targets)
+        assert back.meta == ds.meta
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -340,13 +327,3 @@ def test_load_rejects_malformed_files(tmp_path):
     wrong_doc.write_text('{"layers": []}')
     with pytest.raises(ValueError):
         load_dataset(wrong_doc)
-
-    bad_csv = tmp_path / "bad.csv"
-    bad_csv.write_text("alpha,beta\n1.0,2.0\n")
-    with pytest.raises(ValueError):
-        load_dataset_csv(bad_csv)
-
-    empty_csv = tmp_path / "empty.csv"
-    empty_csv.write_text("")
-    with pytest.raises(ValueError):
-        load_dataset_csv(empty_csv)
