@@ -66,6 +66,25 @@ def _count(text: str) -> int:
     return value
 
 
+# log2 of a positive finite double lies within [-1074, 1024), so a depth
+# constant up to this keeps the depth bound C * log2(...) finite.
+_MAX_C = sys.float_info.max / 1075
+
+
+def _depth_constant(text: str) -> float:
+    """``--C`` value: a positive number small enough that the depth bound stays finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value <= _MAX_C:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and at most {_MAX_C:.4g}, so that the depth bound "
+            f"C * log2(...) is finite; got {text!r}"
+        )
+    return value
+
+
 def _build_network(kind: str, args: argparse.Namespace):
     """The kind's builder called on the options its ``KINDS`` row names, eps checked first."""
     entry = KINDS[kind]
@@ -199,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--n", type=int, default=None)
     build.add_argument("--D", type=float, default=None)
     build.add_argument("--eps", type=parse_eps, default=None)
-    build.add_argument("--C", type=float, default=2.0, help="depth-bound constant")
+    build.add_argument("--C", type=_depth_constant, default=2.0, help="depth-bound constant")
     build.add_argument("--out", default=None)
     build.set_defaults(func=cmd_build)
 
@@ -208,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=_count, default=100000)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--jobs", type=_count, default=1)
-    verify.add_argument("--C", type=float, default=2.0)
+    verify.add_argument("--C", type=_depth_constant, default=2.0, help="depth-bound constant")
     verify.add_argument("--sobolev", action="store_true",
                         help="also check the Jacobian against the exact product")
     verify.add_argument("--out", default=None, help="CSV file to append the report row to")

@@ -274,9 +274,24 @@ def dataset_from_document(doc: dict[str, Any]) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """The dataset as one JSON document: meta, inputs and targets, floats round-tripped."""
-    text = json.dumps(dataset_document(ds), allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """The dataset as one JSON document: meta, inputs and targets, floats round-tripped.
+
+    The file is ``json.dumps(dataset_document(ds))`` and a newline, byte for
+    byte, but the arrays are written one row block at a time, so no more
+    than a block of them is ever held as Python floats or text. Nothing is
+    written unless every value is finite.
+    """
+    meta = json.dumps(dict(ds.meta), allow_nan=False)
+    if not (np.isfinite(ds.inputs).all() and np.isfinite(ds.targets).all()):
+        raise ValueError("a dataset file holds finite values only")
+    with open(path, "w") as fh:
+        fh.write(f'{{"meta": {meta}')
+        for name, array in (("inputs", ds.inputs), ("targets", ds.targets)):
+            fh.write(f', "{name}": [')
+            for lo, hi in _row_blocks(len(array)):
+                fh.write((", " if lo else "") + json.dumps(array[lo:hi].tolist())[1:-1])
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_dataset(path) -> Dataset:

@@ -91,6 +91,24 @@ pre-activation and tangents are the same bits, and so are the outputs,
 which the plan copies back out. Grouping costs several times what building
 the stored kernels does, so the estimators, which run it over thousands of
 rows, build it once per call, and a one-off call never pays for it.
+
+The value estimators run a third plan (:func:`_live`): the distinct plan
+minus every hidden neuron proven never active on the box their inputs come
+from, and every kernel entry that reads one. In the sawtooth chains the
+constructions are built from, the rho(t - 1) channel of every layer cannot
+fire, because the chain input t never exceeds 1, and neither can the first
+layer's rho(t - 1/2) of a chain that reads |w| or |x| alone, where
+t <= 1/2: at matvec(8,4,D=2) that is 648 of the 2,584 hidden neurons and
+4,296 of the 9,283 kernel entries. The proof is made on the float
+computation itself, not with a rounding margin, since these neurons'
+exact maximum pre-activation is 0: per-neuron bounds from each row's
+float corners, tightened by two exact lemmas for the rows that read
+rho(S) and rho(-S) and for the sawtooth's hat rows (see :func:`_live`).
+A dropped neuron would have output +-0.0, and leaving its terms out of
+a sum that starts at +0.0 changes no bit, the argument the kernels use
+for +-0.0 biases; where no bound is finite nothing is dropped. A dropped
+neuron's pre-activation is gone too, so the Sobolev kink screen keeps the
+distinct plan.
 """
 
 from __future__ import annotations
@@ -349,8 +367,9 @@ def validate(fnn: Fnn) -> None:
 
 
 class Plan(NamedTuple):
-    """What the layer loop runs: a network's stored layers (:attr:`Fnn._plan`)
-    or its distinct neurons (:func:`_distinct`).
+    """What the layer loop runs: a network's stored layers (:attr:`Fnn._plan`),
+    its distinct neurons (:func:`_distinct`), or those less the ones proven
+    never active on a box (:func:`_live`).
 
     ``kernels[k]`` (see :func:`_kernel`) has one row per neuron of layer
     k + 1, over the neurons of layer k (the inputs for k = 0) and the
@@ -408,6 +427,155 @@ def _distinct(fnn: Fnn) -> Plan:
         width = int(kept.sum())
         index = (np.cumsum(kept) - 1)[first]
     return Plan(tuple(kernels), index)
+
+
+def _live(plan: Plan, lo, hi) -> Plan:
+    """The plan minus every hidden neuron proven never active for inputs in [lo, hi].
+
+    ``lo`` and ``hi`` bound each input (scalars stand for every input). A
+    hidden neuron is dropped when its pre-activation, as evaluation computes
+    it in double precision, is proven at most 0 on that box, and so is every
+    kernel entry that reads it. Output rows and the constant neuron are never
+    dropped. Without finite bounds, or without entries, nothing is proven
+    and the plan comes back as it is. The proof runs layer by layer over
+    bounds [lo_i, hi_i] of each pre-activation, which rho maps to the next
+    layer's. A row's body is its entries without the bias, which comes last.
+
+    * Corners. Each float operation of a row is monotone in each operand,
+      in the direction of its weight's sign, so the row summed in stored
+      order at its corner (hi where the weight is positive, lo where it is
+      negative) is its float max, and the other corner its min. Both run
+      through the kernel :func:`_forward` runs, with each entry's column
+      remapped to its corner, so the sums are formed by the very
+      instructions evaluation uses.
+    * Mirrors. A row whose body reads rho(S) and rho(-S) with one weight
+      c > 0, where those are two earlier rows with no bias and bodies of the
+      same columns and negated weights, sums its body to fl(c |S|): the two
+      earlier rows compute opposite values, so one term is +0.0. So its
+      body lies in [0, fl(c max(hi_S, -lo_S))].
+    * Hats. A row whose body is exactly (2, -4, 2) over rho(S), rho(S - 1/2)
+      and rho(S - 1), three earlier rows with the same body bit for bit and
+      biases 0, -1/2 and -1, sums its body into [0, 1] when hi_S <= 1. For
+      S < 1/2 the last two terms are +-0.0 and the sum is 2 rho(S), exact.
+      For 1/2 <= S <= 1, S - 1/2 is exact by Sterbenz's lemma (which covers
+      S >= 1/4), rho(S - 1) is 0, and 2S - (4S - 2) = 2 - 2S is a multiple
+      of 2^-52 in [0, 1], so it is representable and the sum is exact. The
+      order of the additions does not matter, nor does a fused multiply-add.
+
+    A rule's bounds on a body bound the pre-activation through the bias
+    add, fl(bound + b), which is monotone and comes last. A neuron with a
+    bound that is not finite is kept. A dropped neuron would output +-0.0,
+    and each term a * (+-0.0) is +-0.0; a kernel sum starts at +0.0, and in
+    round-to-nearest such a sum is never -0.0, so leaving those terms out
+    changes no bit of any later value, as with a zero bias.
+
+    The rules are matched once over the whole plan, in one numbering of its
+    nodes (layer 0 holds the inputs and the constant neuron, layer k + 1
+    the rows of kernel k); only the bounds run layer by layer.
+    """
+    kernels, n_in = plan.kernels, plan.widths[0]
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), (n_in,)) for b in (lo, hi))
+    entries = np.cumsum([0] + [len(kernel.data) for kernel in kernels])
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all() and entries[-1]):
+        return plan
+    first = np.cumsum([0, n_in + 1] + [kernel.shape[0] for kernel in kernels])
+    data = np.concatenate([kernel.data for kernel in kernels])
+    local = np.concatenate([kernel.indices for kernel in kernels]).astype(np.int64)
+    layer = np.repeat(np.arange(len(kernels)), np.diff(entries))  # the layer each entry reads
+    reads = local + first[layer]
+    lengths = np.concatenate([np.diff(kernel.indptr) for kernel in kernels])
+    ends = np.cumsum(lengths)
+    # Per node; the inputs get a body of -1 and a nan bias, so no rule reads them.
+    last = np.maximum(ends - 1, 0)
+    biased = (lengths > 0) & (reads[last] == np.repeat(first[1:-1] - 1, np.diff(first[1:])))
+    bias = np.append(np.full(n_in + 1, np.nan), np.where(biased, data[last], 0.0))
+    body = np.append(np.full(n_in + 1, -1), lengths - biased)
+    start = np.append(np.zeros(n_in + 1, dtype=np.int64), ends - lengths)
+    rule, S, mirror = _rules(data, reads, start, body, bias)
+    by_layer = np.searchsorted(rule, first)
+
+    bounds = np.empty((first[-1], 2))  # hi and lo of each node's pre-activation
+    bounds[:n_in] = np.column_stack((hi, lo))
+    bounds[n_in] = 1.0
+    corner = 2 * local + (data < 0)
+    for k, kernel in enumerate(kernels[:-1]):
+        values = bounds[first[k]:first[k + 1]]
+        act = values if k == 0 else np.maximum(values, 0.0)
+        # Row 2j holds (hi_j, lo_j) and row 2j + 1 (lo_j, hi_j), so an entry
+        # that reads 2j + (weight < 0) sums the max corner in the first lane
+        # and the min corner in the second.
+        e = slice(entries[k], entries[k + 1])
+        rows, cols = kernel.shape
+        _product(Csr(data[e], corner[e], kernel.indptr.astype(np.int64), (rows, 2 * cols)),
+                 np.column_stack((act, act[:, ::-1])).reshape(-1, 2),
+                 bounds.reshape(-1)[2 * first[k + 1]:2 * first[k + 2]])
+        r = slice(by_layer[k + 1], by_layer[k + 2])
+        node, top = rule[r], bounds[S[r]]
+        ok = mirror[r] | (top[:, 0] <= 1.0)
+        top = np.where(mirror[r], data[start[node]] * np.maximum(top[:, 0], -top[:, 1]), 1.0)
+        node, top = node[ok], top[ok]
+        bounds[node, 0] = np.minimum(bounds[node, 0], top + bias[node])
+        bounds[node, 1] = np.maximum(bounds[node, 1], bias[node])
+    dead = (bounds[:, 0] <= 0.0) & np.isfinite(bounds).all(axis=1)
+    dead[:first[1]] = dead[first[-2]:] = False
+    if not dead.any():
+        return plan
+
+    kept = ~dead
+    before = np.append(0, np.cumsum(kept))  # kept nodes before each node
+    owner = np.repeat(np.arange(first[1], first[-1]), lengths)
+    stays = kept[owner] & kept[reads]
+    data, columns = data[stays], (before[reads] - before[first[layer]])[stays]
+    counts = np.bincount(owner[stays] - first[1], minlength=len(lengths))[kept[first[1]:]]
+    entries = np.append(0, np.cumsum(stays))[entries]
+    rows = before[first] - before[first[1]]  # kept rows before each kernel's
+    return Plan(tuple(
+        _csr(data[entries[k]:entries[k + 1]], columns[entries[k]:entries[k + 1]],
+             np.append(0, np.cumsum(counts[rows[k + 1]:rows[k + 2]])),
+             (rows[k + 2] - rows[k + 1], before[first[k + 1]] - before[first[k]]))
+        for k in range(len(kernels))
+    ), plan.output)
+
+
+def _rules(data, reads, start, body, bias) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows :func:`_live`'s mirror and hat rules match, by structure alone.
+
+    Takes the plan in one node numbering: each entry's weight and the node it
+    reads, and each node's first entry, body length and bias. Returns the
+    matched rows in ascending order, the node S each reads first, and
+    whether it is a mirror; a hat still needs hi_S <= 1, which depends on
+    the bounds.
+    """
+    nodes = np.flatnonzero(body == 2)
+    at = start[nodes]
+    c = data[at]
+    mirror = nodes[(c > 0) & (data[at + 1] == c) & (bias[reads[at]] == 0)
+                   & (bias[reads[at + 1]] == 0)]
+    nodes = np.flatnonzero(body == 3)
+    at = start[nodes][:, None] + np.arange(3)
+    hat = nodes[(data[at] == (2.0, -4.0, 2.0)).all(axis=1)
+                & (bias[reads[at]] == (0.0, -0.5, -1.0)).all(axis=1)]
+    # Each earlier row, paired with S: the same body, negated for a mirror.
+    # Weights are never zero, so == on them compares bits.
+    at = start[np.concatenate((mirror, hat, hat))]
+    S = reads[at]
+    other = reads[at + np.repeat([1, 1, 2], [len(mirror), len(hat), len(hat)])]
+    sign = np.repeat([-1.0, 1.0], [len(mirror), 2 * len(hat)])
+    # The rows of one hat read one triple, so equal neighbours are compared once.
+    fresh = np.ones(len(S), dtype=bool)
+    fresh[1:] = (S[1:] != S[:-1]) | (other[1:] != other[:-1]) | (sign[1:] != sign[:-1])
+    p, q = S[fresh], other[fresh]
+    span = body[p]
+    steps = np.arange(span.max(initial=0))
+    within = steps < span[:, None]
+    a, b = (np.where(within, start[rows][:, None] + steps, 0) for rows in (p, q))
+    same = (body[q] == span) & ((reads[a] == reads[b]) & (sign[fresh][:, None] * data[a] == data[b])
+                                | ~within).all(axis=1)
+    same = same[np.cumsum(fresh) - 1]
+    keep = np.append(same[:len(mirror)], same[len(mirror):].reshape(2, -1).all(axis=0))
+    rule = np.append(mirror, hat)[keep]
+    order = np.argsort(rule, kind="stable")
+    return rule[order], S[:len(keep)][keep][order], (sign[:len(keep)] < 0)[keep][order]
 
 
 class Tangents(NamedTuple):

@@ -325,6 +325,24 @@ def test_verify_rejects_a_sample_count_below_one(tmp_path, capsys, kind, samples
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("C", ["0", "-1", "nan", "inf", "1e308"])
+def test_a_bad_depth_constant_is_reported_under_its_option(tmp_path, capsys, command, C):
+    net = build_matvec(tmp_path, capsys)
+    built, out = tmp_path / "sq.json", tmp_path / "r.csv"
+    argv = {
+        "build": ["build", "--kind", "square", "--eps", "2^-4", "--out", str(built)],
+        "verify": ["verify", str(net), "--samples", "10", "--out", str(out)],
+    }[command]
+    code, stdout, stderr = run(argv + ["--C", C], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.splitlines()[-1] == (
+        f"matvecnet {command}: error: argument --C: must be positive and at most 1.672e+305, "
+        f"so that the depth bound C * log2(...) is finite; got '{C}'"
+    )
+    assert not built.exists() and not out.exists()
+
+
 def _malformed_documents():
     good = {"weights": [[1.0]], "bias": [0.0]}
     meta = {"kind": "square", "eps": 0.25}

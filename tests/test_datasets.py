@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matvecnet import (
     Dataset,
@@ -315,6 +317,45 @@ def test_json_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.targets, ds.targets)
         assert back.meta == ds.meta
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               1.7976931348623157e308, -1e300, 1e16, 0.1, -2.5, 1.0 / 3.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(0, 9),
+    width=st.integers(0, 3),
+    block=st.integers(1, 4),
+    pool=st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
+                            st.floats(allow_nan=False, allow_infinity=False)), min_size=1),
+)
+def test_save_writes_the_documents_bytes_one_row_block_at_a_time(
+        tmp_path_factory, rows, width, block, pool):
+    values = np.resize(np.array(pool), rows * (width + 1))
+    ds = Dataset(values[:rows * width].reshape(rows, width), values[rows * width:, None],
+                 {"kind": "edge", "seed": 3, "clip": 3.0, "nested": {"a": [1, -0.0, 5e-324]}})
+    path = tmp_path_factory.mktemp("ds") / "ds.json"
+    saved = datasets._ROW_BLOCK
+    datasets._ROW_BLOCK = block  # many blocks, and rows that end mid-block
+    try:
+        save_dataset(ds, path)
+    finally:
+        datasets._ROW_BLOCK = saved
+    expected = json.dumps(datasets.dataset_document(ds), allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_writes_nothing_for_a_nonfinite_value(tmp_path, bad):
+    ds = qpsk_rayleigh_dataset(1, 1, 3, seed=1)
+    targets = ds.targets.copy()
+    targets[1, 0] = bad
+    path = tmp_path / "ds.json"
+    with pytest.raises(ValueError):
+        save_dataset(Dataset(ds.inputs, targets, ds.meta), path)
+    assert not path.exists()
 
 
 def test_load_rejects_malformed_files(tmp_path):

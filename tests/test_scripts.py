@@ -60,3 +60,12 @@ def g(): """on the def's line"""
     assert run_script("code_lines.py", str(tmp_path)).splitlines() == [
         "0 empty.py", "7 small.py", "7 total",
     ]
+
+
+def test_plan_census_counts_the_live_plans_at_both_operating_points():
+    out = run_script("plan_census.py")
+    sums = [line.split() for line in out.splitlines() if line.lstrip().startswith("sum")]
+    # hidden widths stored, distinct and live; kernel entries distinct and live
+    assert sums == [["sum", "3744", "2584", "1936", "9283", "4987"],
+                    ["sum", "19584", "10000", "7528", "36454", "19822"]]
+    assert out.count("layer") == 2

@@ -35,8 +35,10 @@ from matvecnet import (
     square_error_curve,
     square_error_report,
     square_net_of_order,
+    square_net,
     square_slope_sup,
     sup_error_matvec,
+    verify_network,
 )
 import matvecnet.verification as verification
 from matvecnet.datasets import unpack_matvec
@@ -594,3 +596,15 @@ def test_error_report_is_frozen():
     report = ErrorReport(0.0, 0.0, None, 1, 0, 1.0)
     with pytest.raises(AttributeError):
         report.sup_error = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: square_net(2.0 ** -4),
+    lambda: matvec_net(2, 2, 1.0, 2.0 ** -4),
+    lambda: complex_matvec_net(1, 1, 1.0, 2.0 ** -4),
+], ids=["square", "matvec", "complex_matvec"])
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_network_checks_the_sample_count_for_every_kind(make, samples):
+    # the square grid used to ignore it, and the complex kind to fail in the dataset
+    with pytest.raises(ValueError, match=f"samples must be positive, got {samples}"):
+        verify_network(make(), samples, 0)
