@@ -21,6 +21,7 @@ import resource
 import time
 
 from matvecnet import complex_matvec_net, matvec_net, report_lines, verify_network
+from matvecnet.cli import _count
 
 
 def banner(title):
@@ -40,9 +41,9 @@ def print_elapsed(start):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=100000)
+    parser.add_argument("--samples", type=_count, default=100000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_count, default=1)
     args = parser.parse_args()
 
     stages = [

@@ -12,8 +12,8 @@ Exit codes separate scientific findings from plumbing problems:
 ``--eps`` accepts a decimal ("0.03125") or a power-of-two literal ("2^-5");
 the latter avoids decimal-to-binary drift in reports. ``verify`` is
 :func:`.verification.verify_network` on the loaded file; it honors
-``--jobs`` on the box-sampled kinds without changing any reported number
-(see the verification module's fixed-reduction contract).
+``--jobs`` on every kind without changing any reported number (see the
+verification module's chunked reduction).
 """
 
 from __future__ import annotations

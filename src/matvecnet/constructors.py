@@ -58,7 +58,7 @@ row. The exact affine kinds have rows with neither builder nor budget:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from math import isfinite, log2, prod
+from math import inf, isfinite, log2, prod
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -157,16 +157,13 @@ class BoundBudget:
     compare against its ceiling. It may come out nonpositive (accuracy looser
     than the domain allows, eps >= D^2), in which case no network can comply
     and the check reports that honestly. Width and weight bounds are exact
-    positive numbers a compliant network must not exceed. Connectivity and
-    neuron bounds stay None where no closed form is claimed.
+    positive numbers a compliant network must not exceed.
     """
 
     target_eps: float
     depth_bound: float
     width_bound: float
     weight_bound: float
-    connectivity_bound: float | None = None
-    neuron_bound: float | None = None
     depth_constant: float = 2.0
 
     def __post_init__(self) -> None:
@@ -176,14 +173,21 @@ class BoundBudget:
             raise ValueError("depth_constant must be positive")
         if not np.isfinite(self.depth_bound):
             raise ValueError(f"depth_bound must be finite, got {self.depth_bound}")
-        for label, value in (
-            ("width_bound", self.width_bound),
-            ("weight_bound", self.weight_bound),
-            ("connectivity_bound", self.connectivity_bound),
-            ("neuron_bound", self.neuron_bound),
-        ):
-            if value is not None and not value > 0:
+        for label, value in (("width_bound", self.width_bound), ("weight_bound", self.weight_bound)):
+            if not value > 0:
                 raise ValueError(f"{label} must be positive, got {value}")
+
+
+# 4.0 ** 512 overflows a double, so no higher order has its weights 4^-s.
+MAX_ORDER = 511
+
+
+def _buildable(order: int, given: str) -> int:
+    """``order``, or a ValueError naming the parameters ``given`` that call for more."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{given} calls for sawtooth order {order}, but the weights 4^-s "
+                         f"of an order above {MAX_ORDER} overflow a double")
+    return order
 
 
 def sawtooth_order(delta: float) -> int:
@@ -208,8 +212,8 @@ def square_net_of_order(order: int) -> Fnn:
     order + 1: one splitting layer, order - 1 sawtooth transitions, and an
     affine readout. Weight magnitudes never exceed 4.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
     if order == 0:
         net = identity_fnn(1, 1)
     else:
@@ -243,7 +247,7 @@ def square_net(eps: float) -> Fnn:
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    net = square_net_of_order(sawtooth_order(eps))
+    net = square_net_of_order(_buildable(sawtooth_order(eps), f"eps={eps}"))
     return net.with_record(replace(net.record, eps=float(eps)))
 
 
@@ -275,13 +279,13 @@ def _scalar_accuracy(D: float, eps: float, *divisors: float) -> float:
     """The accuracy left to each scalar product when a builder splits eps, checked.
 
     The share is eps divided by each divisor in turn, as the builders pass
-    it down. D must be positive and finite, the share must lie in (0, 1/2),
-    and the share over 6 D^2, from which :func:`_product_order` starts, must
-    not underflow to 0; the message names the eps the caller gave as well as
-    the share.
+    it down. D must be positive and finite with 6 D^2 > 0, the share must lie
+    in (0, 1/2), the share over 6 D^2, from which :func:`_product_order`
+    starts, must not underflow to 0, and the order must be buildable; the
+    message names the eps the caller gave as well as the share.
     """
-    if not (D > 0 and isfinite(D)):
-        raise ValueError(f"D must be positive and finite, got {D}")
+    if not (D > 0 and isfinite(D) and 6.0 * D * D > 0):
+        raise ValueError(f"D must be positive and finite with 6 D^2 > 0 in doubles, got {D}")
     share = eps
     for divisor in divisors:
         share = share / divisor
@@ -294,11 +298,12 @@ def _scalar_accuracy(D: float, eps: float, *divisors: float) -> float:
             f"{split} must lie in (0, 1/2), since eps is split among {parts:g} "
             f"scalar products; got eps={eps}, so {split} = {share}"
         )
+    given = f"eps={eps}" if parts == 1 else (
+        f"eps={eps}, split among {parts:g} scalar products as {split} = {share}"
+    )
     if not share / (6.0 * D * D) > 0:
-        given = f"eps={eps}" if parts == 1 else (
-            f"eps={eps}, split among {parts:g} scalar products as {split} = {share}"
-        )
         raise ValueError(f"D={D} is too large for {given}: {split} / (6 D^2) underflows to 0")
+    _buildable(_product_order(D, share), f"D={D} with {given}")
     return share
 
 
@@ -573,8 +578,8 @@ def predicted_budget(
     width w m n, and weight max(4, 2 D^2). So squaring gets C * log2(1/eps),
     width 4 and weight 4; the products get widths 12, 12n, 12mn and 48mn, and
     the complex kind's depth carries f = 4. The parameters the kind takes are
-    checked in the order eps, D, n, m. No closed-form connectivity or neuron
-    bounds are claimed, so those stay None.
+    checked in the order eps, D, n, m, and then f n D^2 / eps must be a
+    positive finite double, or the message names the D and eps that are not.
     """
     entry = KINDS.get(kind)
     if entry is None or entry.width_factor is None:
@@ -588,9 +593,14 @@ def predicted_budget(
         elif value is None or not value > 0:
             raise ValueError(f"{name} must be given and positive")
     m, n, D = (given[name] if name in entry.params else 1 for name in ("m", "n", "D"))
+    ratio = entry.depth_factor * n * D * D / eps
+    if not 0 < ratio < inf:
+        named = " and ".join(f"{name}={given[name]}" for name in ("D", "eps") if name in entry.params)
+        raise ValueError(f"{named}: f n D^2 / eps = {ratio} is not a positive finite double, "
+                         f"so the depth bound C * log2(f n D^2 / eps) is not finite")
     return BoundBudget(
         target_eps=eps,
-        depth_bound=C * log2(entry.depth_factor * n * D * D / eps),
+        depth_bound=C * log2(ratio),
         width_bound=entry.width_factor * m * n,
         weight_bound=max(4.0, 2.0 * D * D),
         depth_constant=C,

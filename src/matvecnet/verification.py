@@ -20,11 +20,20 @@ pairs, and flags samples on a kink as it goes, slice by slice, with one
 workspace per call. It redraws only the kinked indices, on lanes 1, 2, ...,
 with one draw and one ``_batch`` call per lane over the span from the
 chunk's first to its last pending index; it then subtracts the reference
-Jacobians in place, where they are nonzero, and takes sums in per-sample
-order. Slice heights are ``_batch``'s own, from the network's width and
-its widest pair kernel. :func:`dataset_error_report` evaluates a stored
-dataset in one ``_batch`` call and reduces with one ``np.mean``;
-:func:`square_error_report` is that on a fixed grid.
+Jacobians in place, where they are nonzero. Slice heights are ``_batch``'s
+own, from the network's width and its widest pair kernel.
+:func:`dataset_error_report` evaluates the rows of a stored dataset chunk
+by chunk; :func:`square_error_report` is that on a fixed grid.
+
+Every error check runs through one reduction, :func:`_reduce_chunks`. The
+sample indices, or a dataset's rows, are cut into fixed chunks of
+``REDUCE_CHUNK``; each chunk compares its values through :func:`_errors`,
+which gives the chunk's sup and the ``np.sum`` of its rows' mean squares.
+The chunks run inline or on a thread pool of ``jobs`` workers, the sups are
+maxed and the partial sums added in chunk index order, so worker counts
+never change a result. The two box estimators share one argument check,
+:func:`_box`: the matvec packing, a positive sample count, and D positive
+with 2D finite, so that every sample u * 2D - D lies in [-D, D].
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
@@ -51,11 +60,6 @@ all sign patterns of +-D on the first min(N_0, 8) coordinates with the
 remaining coordinates at +D. Probes participate in the sup only; the mean
 squared error averages over the random samples alone, so its value has a
 clean interpretation as an expectation under the uniform distribution.
-
-Worker counts never change results: the sample index range is cut into
-fixed chunks, each chunk is processed identically whether inline or on a
-thread pool, max-reductions are order-independent, and sum-reductions
-combine the per-chunk partial sums in chunk index order.
 """
 
 from __future__ import annotations
@@ -127,8 +131,6 @@ class BudgetCompliance:
     """Measured metrics against a predicted budget, per-metric and overall.
 
     Depth compares against the ceiling of the (real-valued) depth bound.
-    Connectivity and neuron flags are None when the budget claims no bound
-    for them; None flags do not affect ``passed``.
     """
 
     measured: NetworkMetrics
@@ -136,14 +138,10 @@ class BudgetCompliance:
     depth_ok: bool
     width_ok: bool
     weight_ok: bool
-    connectivity_ok: bool | None
-    neuron_ok: bool | None
 
     @property
     def passed(self) -> bool:
-        checked = [self.depth_ok, self.width_ok, self.weight_ok]
-        checked += [x for x in (self.connectivity_ok, self.neuron_ok) if x is not None]
-        return all(checked)
+        return all((self.depth_ok, self.width_ok, self.weight_ok))
 
 
 def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -175,11 +173,43 @@ def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _reduce_chunks(f: Fnn, m: int, n: int, samples: int, jobs: int, work: Callable) -> tuple:
-    """The estimator flow: check arguments, run ``work`` on each chunk, reduce.
+def _reduce_chunks(count: int, jobs: int, work: Callable) -> tuple:
+    """Every error check's reduction: run ``work`` on each chunk of 0..count-1, combine.
 
-    ``work(lo, hi)`` samples, evaluates and compares indices lo..hi-1 and
-    returns their (sup, grad_sup, total_sq, used, skipped).
+    ``work(lo, hi)`` evaluates and compares indices lo..hi-1 and returns
+    their (sup, total_sq, grad_sup, skipped). The chunks run inline, or on
+    ``jobs`` threads when there are several; the sups are maxed, the skipped
+    counts summed and the partial sums of squares added in chunk order, so
+    the result does not depend on ``jobs``.
+    """
+    spans = [(lo, min(lo + REDUCE_CHUNK, count)) for lo in range(0, count, REDUCE_CHUNK)]
+    if jobs <= 1 or len(spans) <= 1:
+        parts = [work(lo, hi) for lo, hi in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(lambda span: work(*span), spans))
+    sups, sums, grads, skipped = zip(*parts)
+    total_sq = 0.0
+    for chunk_sq in sums:
+        total_sq += chunk_sq
+    return max(sups), total_sq, max(grads), sum(skipped)
+
+
+def _errors(values: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
+    """The sup of |values - targets| and the sum over rows of each row's mean square.
+
+    No rows give (0.0, 0.0).
+    """
+    err = np.abs(values - targets)
+    return float(np.max(err, initial=0.0)), float(np.sum(np.mean(err * err, axis=1)))
+
+
+def _box(f: Fnn, m: int, n: int, D: float, samples: int) -> int:
+    """Check a box estimator's arguments; return the packed width n (m + 1).
+
+    The network must take the (m, n) matvec packing, ``samples`` must be
+    positive, and D positive with 2D finite, so that every draw u * 2D - D
+    lies in [-D, D].
     """
     width = n * (m + 1)
     if f.input_dim != width or f.output_dim != m:
@@ -189,17 +219,9 @@ def _reduce_chunks(f: Fnn, m: int, n: int, samples: int, jobs: int, work: Callab
         )
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    spans = [(lo, min(lo + REDUCE_CHUNK, samples)) for lo in range(0, samples, REDUCE_CHUNK)]
-    if jobs <= 1 or len(spans) <= 1:
-        parts = [work(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda span: work(*span), spans))
-    sups, grads, sums, used, skipped = zip(*parts)
-    total_sq = 0.0
-    for chunk_sq in sums:
-        total_sq += chunk_sq
-    return max(sups), max(grads), total_sq, sum(used), sum(skipped)
+    if not (D > 0 and math.isfinite(2.0 * D)):
+        raise ValueError(f"D must be positive and 2D finite, got {D}")
+    return width
 
 
 def _matvec_targets(xs: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -225,25 +247,20 @@ def sup_error_matvec(
     deterministic probes, and compares against the exact product. The probes
     enter the sup only, never the mean.
     """
-    width = n * (m + 1)
-    # Every sample is u * 2D - D for some u in [0, 1), and each probe entry is
-    # 0 or +-D, so all lie between the images of u = 0 and u = 1.
-    ends = np.array([0.0, 1.0]) * (2.0 * D) - D
-    plan = _live(_distinct(f), ends.min(), ends.max())
+    width = _box(f, m, n, D, samples)
+    plan = _live(_distinct(f), -D, D)
 
-    def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
+    def work(lo: int, hi: int) -> tuple[float, float, float, int]:
         xs = _uniform_rows(seed, lo, hi, width, D)
-        err = np.abs(_batch(plan, xs)[0] - _matvec_targets(xs, m, n))
-        return float(np.max(err)), 0.0, float(np.sum(np.mean(err * err, axis=1))), hi - lo, 0
+        return (*_errors(_batch(plan, xs)[0], _matvec_targets(xs, m, n)), 0.0, 0)
 
-    sup, _, total_sq, _, _ = _reduce_chunks(f, m, n, samples, jobs, work)
+    sup, total_sq, _, _ = _reduce_chunks(samples, jobs, work)
 
     probes = probe_inputs(m, n, D)
-    probe_err = np.abs(_batch(plan, probes)[0] - _matvec_targets(probes, m, n))
-    sup = max(sup, float(np.max(probe_err)))
+    probe_sup, _ = _errors(_batch(plan, probes)[0], _matvec_targets(probes, m, n))
 
     return ErrorReport(
-        sup_error=sup,
+        sup_error=max(sup, probe_sup),
         mse=total_sq / samples,
         grad_sup_error=None,
         sample_count=samples,
@@ -286,7 +303,7 @@ def sobolev_error_matvec(
     screens every hidden pre-activation block for kinks on the way, slice by
     slice.
     """
-    width = n * (m + 1)
+    width = _box(f, m, n, D, samples)
     plan = _distinct(f)
     tangents = _tangents(plan)
 
@@ -299,7 +316,7 @@ def sobolev_error_matvec(
 
         return (*_batch(plan, xs, tangents, screen), ok)
 
-    def work(lo: int, hi: int) -> tuple[float, float, float, int, int]:
+    def work(lo: int, hi: int) -> tuple[float, float, float, int]:
         xs = _uniform_rows(seed, lo, hi, width, D)
         values, jacobians, ok = screened(xs)
         pending = np.flatnonzero(~ok)
@@ -318,18 +335,13 @@ def sobolev_error_matvec(
             pending = pending[~ok]
         if pending.size:
             xs, values, jacobians = (np.delete(a, pending, axis=0) for a in (xs, values, jacobians))
-            if not len(xs):
-                return 0.0, 0.0, 0.0, 0, pending.size
-        err = np.abs(values - _matvec_targets(xs, m, n))
         # In place: a chunk's Jacobians take 4.7 MB at matvec(8,4).
         dev = np.abs(_subtract_matvec_jacobian(jacobians, xs, m, n), out=jacobians)
-        total_sq = 0.0
-        # Summed sample by sample in index order, like a per-sample loop.
-        for sq in np.mean(err * err, axis=1).tolist():
-            total_sq += sq
-        return float(np.max(err)), float(np.max(dev)), total_sq, len(xs), pending.size
+        return (*_errors(values, _matvec_targets(xs, m, n)), float(np.max(dev, initial=0.0)),
+                pending.size)
 
-    sup, grad, total_sq, used, skipped = _reduce_chunks(f, m, n, samples, jobs, work)
+    sup, total_sq, grad, skipped = _reduce_chunks(samples, jobs, work)
+    used = samples - skipped
     return ErrorReport(
         sup_error=sup,
         mse=total_sq / used if used else 0.0,
@@ -341,27 +353,43 @@ def sobolev_error_matvec(
     )
 
 
-def dataset_error_report(f: Fnn, ds: Dataset) -> ErrorReport:
-    """Sup and mean squared error of a network against stored targets."""
+def dataset_error_report(f: Fnn, ds: Dataset, jobs: int = 1) -> ErrorReport:
+    """Sup and mean squared error of a network against stored targets.
+
+    The rows run through the chunked reduction of the box estimators, on
+    ``jobs`` threads, with the same bits for every ``jobs``.
+    """
     if ds.inputs.shape[1] != f.input_dim or ds.targets.shape[1] != f.output_dim:
         raise ValueError(
             f"dimension mismatch: dataset is {ds.inputs.shape[1]} -> "
             f"{ds.targets.shape[1]}, network is {f.input_dim} -> {f.output_dim}"
         )
+    if not len(ds):
+        raise ValueError("the dataset has no rows")
     # Per-column bounds prove neurons dead on the rows themselves; nan or inf
     # in a column, or no rows, leaves every neuron in.
     plan = _live(_distinct(f), ds.inputs.min(axis=0, initial=np.inf),
                  ds.inputs.max(axis=0, initial=-np.inf))
-    err = np.abs(_batch(plan, ds.inputs)[0] - ds.targets)
+
+    def work(lo: int, hi: int) -> tuple[float, float, float, int]:
+        return (*_errors(_batch(plan, ds.inputs[lo:hi])[0], ds.targets[lo:hi]), 0.0, 0)
+
+    sup, total_sq, _, _ = _reduce_chunks(len(ds), jobs, work)
     half = ds.meta.get("clip", ds.meta.get("half_width", 0.0))
     return ErrorReport(
-        sup_error=float(np.max(err)),
-        mse=float(np.mean(np.mean(err * err, axis=1))),
+        sup_error=sup,
+        mse=total_sq / len(ds),
         grad_sup_error=None,
         sample_count=len(ds),
         seed=int(ds.meta.get("seed", 0)),
         domain_half_width=float(half),
     )
+
+
+def _square_grid(seed: int = 0) -> Dataset:
+    """x -> x^2 on the 2^14 + 1 equispaced points of [0, 1], under ``seed``."""
+    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)[:, None]
+    return Dataset(grid, grid * grid, {"seed": seed, "half_width": 1.0})
 
 
 def square_error_report(net: Fnn) -> ErrorReport:
@@ -373,8 +401,7 @@ def square_error_report(net: Fnn) -> ErrorReport:
     :class:`.datasets.Dataset` run through :func:`dataset_error_report`, so
     the report's seed is 0.
     """
-    grid = np.linspace(0.0, 1.0, 2 ** 14 + 1)[:, None]
-    return dataset_error_report(net, Dataset(grid, grid * grid, {"seed": 0, "half_width": 1.0}))
+    return dataset_error_report(net, _square_grid())
 
 
 def square_error_curve(max_order: int) -> list[tuple[int, float]]:
@@ -408,14 +435,6 @@ def check_budget(f: Fnn, budget: BoundBudget) -> BudgetCompliance:
         depth_ok=got.depth <= math.ceil(budget.depth_bound),
         width_ok=got.max_width <= budget.width_bound,
         weight_ok=got.max_weight <= budget.weight_bound,
-        connectivity_ok=(
-            None if budget.connectivity_bound is None
-            else got.connectivity <= budget.connectivity_bound
-        ),
-        neuron_ok=(
-            None if budget.neuron_bound is None
-            else got.neurons <= budget.neuron_bound
-        ),
     )
 
 
@@ -439,8 +458,8 @@ def verify_network(
     gradient sup and the skipped-kink count to the report. The budget is the
     record's :meth:`.constructors.ConstructionRecord.budget` under depth
     constant ``C``. The verdict holds when every checked error is at most the
-    record's eps and the budget passes. Only the box and Sobolev checks use
-    ``jobs``.
+    record's eps and the budget passes. Every check runs its chunks on
+    ``jobs`` threads, with the same bits for every ``jobs``.
     """
     record = net.record
     if record is None:
@@ -457,10 +476,10 @@ def verify_network(
     if sobolev and record.kind in ("square", "complex_matvec"):
         raise ValueError("--sobolev applies to matvec-packed networks only")
     if record.kind == "square":
-        report = replace(square_error_report(net), seed=seed)
+        report = dataset_error_report(net, _square_grid(seed), jobs)
     elif record.kind == "complex_matvec":
         ds = qpsk_rayleigh_dataset(record.m, record.n, samples, clip=record.D, seed=seed)
-        report = dataset_error_report(net, ds)
+        report = dataset_error_report(net, ds, jobs)
     else:
         rows = 1 if record.m is None else record.m
         cols = 1 if record.n is None else record.n

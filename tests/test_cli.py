@@ -148,6 +148,25 @@ def test_build_rejects_nonfinite_or_huge_D(tmp_path, capsys):
         assert not out.exists()
 
 
+OVERFLOW = ", but the weights 4^-s of an order above 511 overflow a double\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "square", "--eps", "1e-320"],
+     "error: eps=1e-320 calls for sawtooth order 531" + OVERFLOW),
+    (["--kind", "matvec", "--m", "1", "--n", "1", "--D", "1", "--eps", "1e-320"],
+     "error: D=1.0 with eps=1e-320 calls for sawtooth order 1065" + OVERFLOW),
+    (["--kind", "matvec", "--m", "1", "--n", "1", "--D", "1e-200", "--eps", "2^-4"],
+     "error: D must be positive and finite with 6 D^2 > 0 in doubles, got 1e-200\n"),
+])
+def test_build_names_a_parameter_out_of_the_double_range(tmp_path, capsys, args, message):
+    # these ended in an OverflowError or ZeroDivisionError traceback with exit 1
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(["build", *args, "--out", str(out)], capsys)
+    assert (code, stdout, stderr) == (2, "", message)
+    assert not out.exists()
+
+
 def test_module_runs_from_a_source_checkout():
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -287,6 +306,22 @@ def test_verify_writes_the_header_into_an_empty_report_file(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == VERIFY_HEADER.split(",")
     assert len(rows) == 2 and rows[1][0] == "matvec"
+
+
+def test_verify_names_a_record_D_that_overflows_the_depth_bound(tmp_path, capsys):
+    # used to print the budget's field name, "depth_bound must be finite"
+    net = build_matvec(tmp_path, capsys, m=1, n=1)
+    doc = json.loads(net.read_text())
+    doc["meta"]["D"] = 1e308
+    net.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code, stdout, stderr = run(["verify", str(net), "--samples", "10", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: D=1e+308 and eps=0.0625: f n D^2 / eps = inf is not a positive finite double, "
+        "so the depth bound C * log2(f n D^2 / eps) is not finite\n"
+    )
+    assert not out.exists()
 
 
 def test_verify_missing_file_is_a_usage_error(tmp_path, capsys):

@@ -419,7 +419,6 @@ def test_predicted_budget_matvec_example():
     assert budget.depth_bound == 18.0
     assert budget.width_bound == 384.0
     assert budget.weight_bound == 8.0
-    assert budget.connectivity_bound is None
 
 
 def test_predicted_budget_complex_example():
@@ -475,10 +474,9 @@ def budget_outcome(budget_fn, kind, m, n, D, eps, C):
     except ValueError as exc:
         return ("error", str(exc))
     return tuple(
-        None if value is None else (type(value).__name__, float(value).hex())
+        (type(value).__name__, float(value).hex())
         for value in (budget.target_eps, budget.depth_bound, budget.width_bound,
-                      budget.weight_bound, budget.connectivity_bound,
-                      budget.neuron_bound, budget.depth_constant)
+                      budget.weight_bound, budget.depth_constant)
     )
 
 

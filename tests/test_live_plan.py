@@ -228,14 +228,13 @@ def test_a_dataset_with_a_nonfinite_entry_prunes_nothing(monkeypatch, bad):
     assert bits(report) == bits(dataset_error_report(net, ds))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_infinite_half_width_prunes_nothing(monkeypatch):
+    # the box check refuses it before any proof is tried
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
     pruned = proofs(monkeypatch)
-    report = sup_error_matvec(net, 2, 2, np.inf, 50, seed=1)
-    assert pruned == [False]
-    unpruned(monkeypatch)
-    assert bits(report) == bits(sup_error_matvec(net, 2, 2, np.inf, 50, seed=1))
+    with pytest.raises(ValueError, match="D must be positive and 2D finite, got inf"):
+        sup_error_matvec(net, 2, 2, np.inf, 50, seed=1)
+    assert pruned == []
 
 
 def test_the_estimators_prove_on_the_box_the_columns_and_the_grid(monkeypatch):

@@ -6,15 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def script(name, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -32,6 +38,26 @@ def test_reproduce_operating_points_runs():
     stages = [line for line in out.splitlines() if line.startswith("elapsed:")]
     assert len(stages) == 4
     assert all(re.fullmatch(r"elapsed: \d+\.\ds, minor page faults: \d+", line) for line in stages)
+
+
+def test_reproduce_operating_points_prints_the_same_reports_for_any_jobs():
+    # three chunks, so every stage runs on two threads
+    def reports(jobs):
+        out = run_script("reproduce_operating_points.py", "--samples", "4101", "--jobs", jobs)
+        return [line for line in out.splitlines() if not line.startswith("elapsed:")]
+
+    one = reports("1")
+    assert sum(line.startswith("errors: sup=") for line in one) == 4
+    assert reports("2") == one
+
+
+@pytest.mark.parametrize("option", ["--samples", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_reproduce_operating_points_rejects_a_bad_count(option, value):
+    # --samples 0 used to end in a traceback
+    proc = script("reproduce_operating_points.py", option, value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"argument {option}: " in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_code_lines_leaves_out_comments_blanks_and_docstrings(tmp_path):

@@ -6,6 +6,7 @@ the sup but not the mean.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from matvecnet import (
     check_budget,
     complex_matvec_net,
     dataset_error_report,
+    equispaced_real_dataset,
     evaluate,
     evaluate_batch,
     jacobian,
@@ -189,6 +191,15 @@ def test_sup_error_validates_arguments():
         sup_error_matvec(net, 1, 1, 1.0, samples=0, seed=0)
 
 
+@pytest.mark.parametrize("estimator", [sup_error_matvec, sobolev_error_matvec])
+@pytest.mark.parametrize("D", [1e308, np.inf, np.nan, 0.0, -1.0])
+def test_box_estimators_refuse_a_half_width_without_a_finite_box(estimator, D):
+    # 1e308 used to give sup=nan, and Sobolev skipped every sample
+    net = matvec_net(1, 1, 1.0, 2.0 ** -3)
+    with pytest.raises(ValueError, match="D must be positive and 2D finite"):
+        estimator(net, 1, 1, D, 10, seed=0)
+
+
 # ---------------------------------------------------------------- sobolev estimator
 
 
@@ -232,7 +243,8 @@ def per_sample_sobolev(f, m, n, D, samples, seed):
     width = n * (m + 1)
     parts = []
     for lo in range(0, samples, REDUCE_CHUNK):
-        sup = grad = total_sq = 0.0
+        sup = grad = 0.0
+        sq = []
         used = skipped = 0
         for i in range(lo, min(lo + REDUCE_CHUNK, samples)):
             row = None
@@ -247,11 +259,11 @@ def per_sample_sobolev(f, m, n, D, samples, seed):
             W, x = unpack_matvec(row, m, n)
             err = np.abs(evaluate(f, row) - W @ x)
             sup = max(sup, float(np.max(err)))
-            total_sq += float(np.mean(err * err))
+            sq.append(np.mean(err * err))
             dev = np.abs(jacobian(f, row) - loop_jacobian_truth(row, m, n))
             grad = max(grad, float(np.max(dev)))
             used += 1
-        parts.append((sup, grad, total_sq, used, skipped))
+        parts.append((sup, grad, float(np.sum(sq)), used, skipped))
     total_sq, used, skipped = 0.0, 0, 0
     for part in parts:
         total_sq += part[2]
@@ -294,15 +306,16 @@ SOBOLEV_CASES = {
 
 def test_reports_keep_the_bits_recorded_before_pair_tangents():
     # recorded with the seed-compressed tangents the pair form replaced; the
-    # reference product runs through np.matmul, so mse may differ on a host
-    # whose BLAS sums in another order
+    # Sobolev mse since each chunk's squares are summed by np.sum, not one by
+    # one. The reference product runs through np.matmul, so mse may differ on
+    # a host whose BLAS sums in another order
     small = sobolev_error_matvec(matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, 2000, seed=0)
-    assert bits(small)[:3] == ["0x1.ea01203998100p-12", "0x1.25406b5efd3fcp-25",
+    assert bits(small)[:3] == ["0x1.ea01203998100p-12", "0x1.25406b5efd3f4p-25",
                                "0x1.fe0bb97f02f80p-6"]
     assert small.kinks_skipped == 0
     net = matvec_net(8, 4, 2.0, 2.0 ** -5)
     real = sobolev_error_matvec(net, 8, 4, 2.0, 500, seed=0)
-    assert bits(real)[:3] == ["0x1.a1e08c9b10000p-15", "0x1.0cce693fc63bep-31",
+    assert bits(real)[:3] == ["0x1.a1e08c9b10000p-15", "0x1.0cce693fc63c4p-31",
                               "0x1.fcf0276924800p-8"]
     values = sup_error_matvec(net, 8, 4, 2.0, 4096, seed=0)
     assert bits(values)[:2] == ["0x1.a3ab157370000p-15", "0x1.039d268813b8bp-31"]
@@ -423,6 +436,60 @@ def test_dataset_report_equals_the_stored_layers():
     report = dataset_error_report(net, ds)
     assert report.sup_error.hex() == float(np.max(err)).hex()
     assert report.mse.hex() == float(np.mean(np.mean(err * err, axis=1))).hex()
+
+
+def chunked_dataset_report(net, ds):
+    """Sup and mse of the stored layers over REDUCE_CHUNK rows at a time, summed in order."""
+    sup, total_sq = 0.0, 0.0
+    for lo in range(0, len(ds), REDUCE_CHUNK):
+        rows = slice(lo, lo + REDUCE_CHUNK)
+        err = np.abs(evaluate_batch(net, ds.inputs[rows]) - ds.targets[rows])
+        sup = max(sup, float(np.max(err)))
+        total_sq += float(np.sum(np.mean(err * err, axis=1)))
+    return sup, total_sq / len(ds)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("data", ["qpsk", "equispaced"])
+def test_dataset_report_equals_the_chunk_order_oracle(data, jobs):
+    rows = 2 * REDUCE_CHUNK + 5
+    if data == "qpsk":
+        net = complex_matvec_net(1, 2, 1.5, 2.0 ** -4)
+        ds = qpsk_rayleigh_dataset(1, 2, rows - 1, clip=1.5, seed=8)  # and the probe row
+    else:
+        net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+        ds = equispaced_real_dataset(2, 2, rows, half_width=1.0, grid_points=33, seed=8)
+    assert len(ds) == rows
+    report = dataset_error_report(net, ds, jobs=jobs)
+    sup, mse = chunked_dataset_report(net, ds)
+    assert (report.sup_error.hex(), report.mse.hex()) == (sup.hex(), mse.hex())
+    assert report.sample_count == rows
+
+
+def test_dataset_report_refuses_an_empty_dataset():
+    net = matvec_net(1, 1, 1.0, 2.0 ** -3)
+    with pytest.raises(ValueError, match="the dataset has no rows"):
+        dataset_error_report(net, Dataset(np.zeros((0, 2)), np.zeros((0, 1)), {}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: square_net(2.0 ** -4),
+    lambda: complex_matvec_net(1, 1, 1.0, 2.0 ** -4),
+], ids=["square", "complex_matvec"])
+def test_verify_network_runs_dataset_chunks_on_threads(monkeypatch, make):
+    threads, real = set(), verification._batch
+
+    def recorded(plan, xs, *args):
+        threads.add(threading.current_thread())
+        return real(plan, xs, *args)
+
+    monkeypatch.setattr(verification, "_batch", recorded)
+    net = make()
+    one = verify_network(net, 2 * REDUCE_CHUNK + 5, 4)
+    assert threads == {threading.main_thread()}
+    threads.clear()
+    assert verify_network(net, 2 * REDUCE_CHUNK + 5, 4, jobs=2) == one
+    assert threading.main_thread() not in threads and threads
 
 
 def test_estimators_plan_once_per_call(monkeypatch):
@@ -553,7 +620,6 @@ def test_check_budget_flags_each_dimension():
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
     good = check_budget(net, predicted_budget("matvec", m=2, n=2, D=1.0, eps=2.0 ** -4))
     assert good.passed
-    assert good.connectivity_ok is None and good.neuron_ok is None
 
     tight = predicted_budget("matvec", m=2, n=2, D=1.0, eps=2.0 ** -4, C=0.5)
     squeezed = check_budget(net, tight)
