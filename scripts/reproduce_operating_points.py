@@ -11,16 +11,29 @@ one ``verify_network`` call, so it prints what ``matvecnet verify`` (with
 runs are seeded and bit-reproducible; pass --jobs to confirm worker counts
 leave every reported number unchanged.
 
-Each stage ends with its elapsed time and the minor page faults the process
-took meanwhile, so a change that makes evaluation allocate again shows here
-without a profiler.
+The real and complex points are saved to a network file and loaded back
+before their value checks, as ``matvecnet build`` and ``verify`` do. The
+stage prints the file's size and whether the loaded layers are bit-equal to
+the built ones, and the script exits 1 if they are not. Each stage ends with
+its elapsed time and the minor page faults the process took meanwhile, so a
+change that makes evaluation allocate again shows here without a profiler.
 """
 
 import argparse
 import resource
+import sys
+import tempfile
 import time
+from pathlib import Path
 
-from matvecnet import complex_matvec_net, matvec_net, report_lines, verify_network
+from matvecnet import (
+    complex_matvec_net,
+    load_fnn,
+    matvec_net,
+    report_lines,
+    save_fnn,
+    verify_network,
+)
 from matvecnet.cli import _count
 
 
@@ -37,6 +50,34 @@ def clock():
 def print_elapsed(start):
     seconds, faults = (now - then for now, then in zip(clock(), start))
     print(f"elapsed: {seconds:.1f}s, minor page faults: {faults}")
+
+
+def same_bits(net, back):
+    """Whether two networks hold the same layer arrays, dtypes and bytes included."""
+    return len(net.layers) == len(back.layers) and all(
+        a.weights.shape == b.weights.shape
+        and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                for x, y in zip((*a.weights[:3], a.bias), (*b.weights[:3], b.bias)))
+        for a, b in zip(net.layers, back.layers)
+    )
+
+
+def round_trip(net):
+    """The network saved to a file and loaded back; exits 1 unless the bits survive."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "net.json"
+        start = time.perf_counter()
+        save_fnn(net, path)
+        saved = time.perf_counter()
+        back = load_fnn(path)
+        loaded = time.perf_counter()
+        size = path.stat().st_size
+    equal = same_bits(net, back)
+    print(f"network file: {size} bytes, loaded layers bit-equal: {'yes' if equal else 'NO'}")
+    print(f"save/load: {1e3 * (saved - start):.1f} ms / {1e3 * (loaded - saved):.1f} ms")
+    if not equal:
+        sys.exit("the loaded network differs from the built one")
+    return back
 
 
 def main():
@@ -57,6 +98,8 @@ def main():
         banner(title)
         start = clock()
         net = builder(*params)
+        if not sobolev:  # the operating points are checked as loaded from their files
+            net = round_trip(net)
         samples = min(args.samples, 10000) if sobolev else args.samples
         report, compliance, _ = verify_network(
             net, samples, args.seed, jobs=args.jobs, sobolev=sobolev,

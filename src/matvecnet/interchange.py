@@ -12,9 +12,15 @@ coordinate triplets in row-major order. A document without ``format`` holds
 the older dense layout, ``{"weights": [[row], ...], "bias": [...]}`` per
 layer; it is still read, and nothing writes it.
 
-Floats are written with Python's shortest round-trip decimal representation,
-so reading a file back reproduces the original doubles bit for bit. NaN and
-infinity are rejected on write (valid networks never contain them).
+A file holds the document on one line, ending in a newline; any other JSON
+spacing of the same document, such as the indented files of earlier
+versions, reads the same. Floats are written with Python's shortest
+round-trip decimal representation, so reading a file back reproduces the
+original doubles bit for bit. NaN and infinity are rejected on write (valid
+networks never contain them), before the file is touched.
+
+A sparse layer loads straight into canonical CSR arrays: the triplets are
+sorted by row and column, and stored zeros, -0.0 included, are dropped.
 """
 
 from __future__ import annotations
@@ -24,9 +30,8 @@ from pathlib import Path
 from typing import Any, Union
 
 import numpy as np
-from scipy import sparse
 
-from .network import Fnn, Layer, validate
+from .network import Fnn, Layer, _nonzero, validate
 
 __all__ = ["save_fnn", "load_fnn", "network_document", "network_from_document"]
 
@@ -89,13 +94,15 @@ def _sparse_layer(k: int, entry) -> Layer:
     except OverflowError:
         raise ValueError(f"not a network document: layer {k} index out of range") from None
     order = np.lexsort((c, r))
-    if np.any((np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)):
+    r, c = r[order], c[order]
+    if np.any((np.diff(r) == 0) & (np.diff(c) == 0)):
         raise ValueError(f"not a network document: layer {k} repeats a coordinate")
     if not set(map(type, values)) | set(map(type, bias)) <= {int, float}:
         raise ValueError(f"not a network document: layer {k} needs numbers")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=shape[0]))))
     try:
-        values = np.array(values, dtype=np.float64)
-        return Layer(sparse.csr_array((values, (r, c)), shape=shape), bias)
+        values = np.array(values, dtype=np.float64)[order]
+        return Layer._of(_nonzero(values, c, indptr, shape), bias)
     except OverflowError:
         raise ValueError(f"not a network document: layer {k} needs numbers") from None
 
@@ -155,9 +162,9 @@ def network_from_document(doc: dict) -> Fnn:
 
 
 def save_fnn(fnn: Fnn, path: Union[str, Path], extra_meta: dict | None = None) -> None:
-    doc = network_document(fnn, extra_meta)
-    text = json.dumps(doc, indent=1, allow_nan=False)
-    Path(path).write_text(text)
+    # Without indent, json runs its C encoder; floats print as float.__repr__ either way.
+    text = json.dumps(network_document(fnn, extra_meta), allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_fnn(path: Union[str, Path]) -> Fnn:

@@ -51,8 +51,10 @@ _PHILOX_ROUNDS = 10
 _WORDS_PER_BLOCK = 4
 
 # Counter blocks computed per pass of uniform_rows; bounds its scratch
-# memory (a few dozen arrays of this many uint64s) for any row count.
-_BLOCKS_PER_PASS = 1 << 15
+# memory (a few dozen arrays of this many uint64s) for any row count. At
+# 64 KiB each, the temporaries stay below glibc's default mmap threshold
+# (128 KiB), so a pass reuses heap memory instead of faulting in fresh pages.
+_BLOCKS_PER_PASS = 1 << 13
 
 
 def stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
@@ -119,8 +121,10 @@ def uniform_rows(seed: int, lo: int, hi: int, width: int, lane: int = 0) -> np.n
         rows = min(rows_per_pass, hi - start)
         index = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(start)
         words = _philox4x64(key, [block_counter, np.uint64(lane), index, np.uint64(0)])
-        raw = np.stack(words, axis=-1).reshape(rows, blocks * _WORDS_PER_BLOCK)[:, :width]
-        out[start - lo: start - lo + rows] = (raw >> _SHIFT_DOUBLE) * 2.0 ** -53
+        # Word j of block k is uniform 4k + j of the row.
+        for j, word in enumerate(words):
+            columns = out[start - lo: start - lo + rows, j::_WORDS_PER_BLOCK]
+            np.multiply(word[:, :columns.shape[1]] >> _SHIFT_DOUBLE, 2.0 ** -53, out=columns)
     return out
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from matvecnet import (
+    KINDS,
     Fnn,
     Layer,
     StructureError,
@@ -38,7 +39,15 @@ from matvecnet import (
 )
 from matvecnet.interchange import network_document, network_from_document
 import matvecnet.network as network
-from matvecnet.network import SLICE_BYTES, Csr, _batch, _distinct, _product, _tangents
+from matvecnet.network import (
+    SLICE_BYTES,
+    Csr,
+    _batch,
+    _canonical,
+    _distinct,
+    _product,
+    _tangents,
+)
 
 
 def test_layer_coerces_and_freezes():
@@ -934,6 +943,16 @@ def test_validate_rejects_nonfinite():
         validate(net)
 
 
+def assert_layers_bit_equal(net, back):
+    assert len(back.layers) == len(net.layers)
+    for a, b in zip(net.layers, back.layers):
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(b.weights, part), getattr(a.weights, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.weights.shape == b.weights.shape
+        assert a.bias.dtype == b.bias.dtype and a.bias.tobytes() == b.bias.tobytes()
+
+
 def test_interchange_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     net = random_fnn(rng, n_in=4, depth=3)
@@ -943,15 +962,65 @@ def test_interchange_round_trip_bit_exact(tmp_path):
     assert doc["format"] == 2
     assert set(doc["layers"][0]) == {"shape", "rows", "cols", "values", "bias"}
     back = load_fnn(path)
-    assert back.depth == net.depth
-    for a, b in zip(net.layers, back.layers):
-        for part in ("data", "indices", "indptr"):
-            got, want = getattr(b.weights, part), getattr(a.weights, part)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert a.weights.shape == b.weights.shape
-        assert a.bias.tobytes() == b.bias.tobytes()
+    assert_layers_bit_equal(net, back)
     x = rng.uniform(-2, 2, 4)
     assert np.array_equal(evaluate(net, x), evaluate(back, x))
+
+
+def test_saved_file_is_the_document_on_one_line(tmp_path):
+    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+    path = tmp_path / "net.json"
+    save_fnn(net, path, extra_meta={"note": "scratch"})
+    want = json.dumps(network_document(net, {"note": "scratch"}), allow_nan=False) + "\n"
+    assert path.read_text() == want
+    assert path.read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind, entry in KINDS.items() if entry.builder is not None]
+)
+def test_every_buildable_kind_round_trips_through_new_and_indented_files(tmp_path, kind):
+    small = {"m": 2, "n": 2, "D": 1.0, "eps": 2.0 ** -4}
+    net = KINDS[kind].builder(*(small[name] for name in KINDS[kind].params))
+    path = tmp_path / "net.json"
+    save_fnn(net, path)
+    assert_layers_bit_equal(net, load_fnn(path))
+    # the writer of earlier versions indented the same document
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(network_document(net), indent=1, allow_nan=False))
+    assert_layers_bit_equal(net, load_fnn(indented))
+    assert load_fnn(indented).record == net.record
+
+
+def test_shuffled_triplets_with_stored_zeros_load_to_canonical_csr():
+    rng = np.random.default_rng(18)
+    for rows_n, cols_n in ((1, 1), (5, 3), (7, 9), (40, 30)):
+        cells = rng.permutation(rows_n * cols_n)[: rng.integers(0, rows_n * cols_n + 1)]
+        rows, cols = (cells // cols_n).tolist(), (cells % cols_n).tolist()
+        values = rng.standard_normal(len(cells))
+        values[rng.random(len(cells)) < 0.3] = 0.0
+        values[rng.random(len(cells)) < 0.3] = -0.0
+        values = values.tolist()
+        bias = rng.standard_normal(rows_n).tolist()
+        layer = {"shape": [rows_n, cols_n], "rows": rows, "cols": cols, "values": values,
+                 "bias": bias}
+        got = network_from_document({"format": 2, "layers": [layer]}).layers[0]
+        want = _canonical(sparse.csr_array((values, (rows, cols)), shape=(rows_n, cols_n)))
+        for part in ("data", "indices", "indptr"):
+            g, w = getattr(got.weights, part), getattr(want, part)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert not g.flags.writeable
+        assert got.weights.shape == want.shape
+        assert got.bias.tobytes() == np.array(bias).tobytes()
+
+
+def test_saving_a_network_with_nan_raises_and_leaves_the_file(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text("earlier contents")
+    bad = Fnn((Layer(np.array([[1.0, np.nan]]), np.zeros(1)),))
+    with pytest.raises(ValueError):
+        save_fnn(bad, path)
+    assert path.read_text() == "earlier contents"
 
 
 def test_sparse_layers_list_nonzeros_row_major(tmp_path):

@@ -34,6 +34,9 @@ def test_squaring_error_decay_matches_the_law_at_every_order():
 def test_reproduce_operating_points_runs():
     out = run_script("reproduce_operating_points.py", "--samples", "200")
     assert out.count("budget overall: pass") == 4
+    # the real and complex networks go through a network file bit for bit
+    files = [line for line in out.splitlines() if line.startswith("network file: ")]
+    assert len(files) == 2 and all(line.endswith("bit-equal: yes") for line in files)
     # every stage reports its time and minor page faults
     stages = [line for line in out.splitlines() if line.startswith("elapsed:")]
     assert len(stages) == 4
@@ -44,7 +47,8 @@ def test_reproduce_operating_points_prints_the_same_reports_for_any_jobs():
     # three chunks, so every stage runs on two threads
     def reports(jobs):
         out = run_script("reproduce_operating_points.py", "--samples", "4101", "--jobs", jobs)
-        return [line for line in out.splitlines() if not line.startswith("elapsed:")]
+        return [line for line in out.splitlines()
+                if not line.startswith(("elapsed:", "save/load:"))]
 
     one = reports("1")
     assert sum(line.startswith("errors: sup=") for line in one) == 4
