@@ -5,10 +5,12 @@ For the real point matvec(8, 4) on [-2, 2] and the complex point
 complex_matvec(8, 4) on [-3, 3], both at accuracy 2^-5, each row gives a
 layer's width as stored, in the plan of distinct neurons, and in the live
 plan (the distinct plan minus the neurons proven never active on the box,
-which the sup and dataset estimators run), followed by the kernel entries
-of the distinct and live plans: weights, nonzero biases and the constant
-neuron's own entry. Widths leave out the constant neuron. The last row sums
-the hidden layers' widths and all entries.
+which every estimator runs), followed by the kernel entries of the
+distinct and live plans (weights, nonzero biases and the constant neuron's
+own entry) and their tangent pairs: the rows of each layer's pair kernel,
+the (neuron, input) pairs the Sobolev check carries, every (output, input)
+in the last layer. Widths leave out the constant neuron. The last row sums
+the hidden layers' widths and all entries and pairs.
 
     python scripts/plan_census.py
 """
@@ -16,28 +18,32 @@ the hidden layers' widths and all entries.
 import argparse
 
 from matvecnet import complex_matvec_net, matvec_net
-from matvecnet.network import _distinct, _live
+from matvecnet.network import _distinct, _live, _tangents
 
 POINTS = [
     ("real matvec: m=8 n=4 D=2 eps=2^-5", matvec_net, 2.0),
     ("complex matvec: m=8 n=4 D=3 eps=2^-5", complex_matvec_net, 3.0),
 ]
-HEADER = ("layer", "stored", "distinct", "live", "entries", "live entries")
+HEADER = ("layer", "stored", "distinct", "live", "entries", "live entries", "pairs",
+          "live pairs")
 
 
 def census(net, D):
-    """Rows (layer, stored, distinct, live, entries, live entries) and a total row."""
+    """Rows (layer, stored, distinct, live, entries, live entries, pairs, live pairs)
+    and a total row."""
     plan = _distinct(net)
     live = _live(plan, -D, D)
     rows = [
-        (k, stored, distinct, alive, len(kernel.data), len(kept.data))
-        for k, (stored, distinct, alive, kernel, kept) in enumerate(zip(
+        (k, stored, distinct, alive, len(kernel.data), len(kept.data), pairs.shape[0],
+         live_pairs.shape[0])
+        for k, (stored, distinct, alive, kernel, kept, pairs, live_pairs) in enumerate(zip(
             net.widths[1:], plan.widths[1:], live.widths[1:], plan.kernels, live.kernels,
+            _tangents(plan).kernels, _tangents(live).kernels,
         ), start=1)
     ]
     hidden = rows[:-1]
     total = ("sum", *(sum(row[i] for row in hidden) for i in (1, 2, 3)),
-             *(sum(row[i] for row in rows) for i in (4, 5)))
+             *(sum(row[i] for row in rows) for i in (4, 5, 6, 7)))
     return rows + [total]
 
 

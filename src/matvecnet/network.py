@@ -92,7 +92,7 @@ which the plan copies back out. Grouping costs several times what building
 the stored kernels does, so the estimators, which run it over thousands of
 rows, build it once per call, and a one-off call never pays for it.
 
-The value estimators run a third plan (:func:`_live`): the distinct plan
+The estimators then run a third plan (:func:`_live`): the distinct plan
 minus every hidden neuron proven never active on the box their inputs come
 from, and every kernel entry that reads one. In the sawtooth chains the
 constructions are built from, the rho(t - 1) channel of every layer cannot
@@ -107,8 +107,10 @@ rho(S) and rho(-S) and for the sawtooth's hat rows (see :func:`_live`).
 A dropped neuron would have output +-0.0, and leaving its terms out of
 a sum that starts at +0.0 changes no bit, the argument the kernels use
 for +-0.0 biases; where no bound is finite nothing is dropped. A dropped
-neuron's pre-activation is gone too, so the Sobolev kink screen keeps the
-distinct plan.
+neuron's tangents are gone as well. Its flag 0.0 would mask them to
++-0.0, which changes no bit, unless one had overflowed to inf: the mask
+makes that nan, as the dense J *= (pre > 0) does, and the live plan leaves
+the term out instead, so a Jacobian on it stays finite there.
 """
 
 from __future__ import annotations
@@ -638,8 +640,9 @@ class Workspace(NamedTuple):
     Flat float64 arrays: ``values`` holds two blocks of up to ``(width + 1)
     x rows`` entries, the extra row the constant neuron's, and ``tangents``
     two of up to ``pairs x rows``. Each layer reads one block of a pair and
-    writes the other, into its leading entries; the block it has read then
-    holds its activation flags, as bytes.
+    writes the other, into its leading entries; the value block it has read
+    then holds its activation flags as 1.0 and 0.0, and the tangent block
+    those flags gathered per pair.
     """
 
     values: tuple[np.ndarray, np.ndarray]
@@ -700,16 +703,16 @@ def _forward(plan: Plan, X: np.ndarray, rows: slice, space: Workspace,
             if visit is not None:
                 visit(rows, k, Z[:-1])
             if T is not None:
-                # Each pair's tangent times its owner's flag Z > 0, as a
-                # product, so inf * 0 = nan as in the dense form. The flags
-                # live in the blocks this layer has read.
-                idle = space.values[k % 2].view(bool)[:Z.size].reshape(Z.shape)
-                np.greater(Z, 0.0, out=idle)
-                np.logical_not(idle, out=idle)
+                # Each pair's tangent times its owner's flag Z > 0 as a float,
+                # the dense J *= (pre > 0): T * 1.0 = T, T * 0.0 = +-0.0 and
+                # inf * 0.0 = nan. The flags live in the blocks this layer has
+                # read; float flags keep the product free of a cast buffer.
+                flags = space.values[k % 2][:Z.size].reshape(Z.shape)
+                np.greater(Z, 0.0, out=flags)
                 # mode="clip" gathers straight into ``out``; "raise" buffers a copy.
-                idle = np.take(idle, tangents.owners[k], axis=0, mode="clip",
-                               out=space.tangents[k % 2].view(bool)[:T.size].reshape(T.shape))
-                np.multiply(T, 0.0, out=T, where=idle)
+                flags = np.take(flags, tangents.owners[k], axis=0, mode="clip",
+                                out=space.tangents[k % 2][:T.size].reshape(T.shape))
+                np.multiply(T, flags, out=T)
             np.maximum(Z, 0.0, out=Z)
     Z = Z[plan.output]
     return Z.T, None if T is None else T.reshape(len(plan.output), n_in, count).transpose(2, 0, 1)

@@ -42,16 +42,17 @@ milliseconds, a few one-row evaluations, so one-off calls such as
 :func:`.network.evaluate_batch` on a handful of rows keep to the stored
 layers, while an estimator call evaluates thousands of rows.
 
-The value estimators then drop the neurons proven never active where
-their inputs lie (:func:`.network._live`), again with the same bits:
-:func:`sup_error_matvec` on the box [-D, D]^N0, which holds every sample
-and probe, and :func:`dataset_error_report` on the per-column min and max
-of the rows, so the squaring grid of :func:`square_error_report` is covered
-too. A row holding nan or inf leaves every neuron in. At the two operating
-points this drops about a quarter of the hidden neurons and half of the
-kernel entries, in a few milliseconds per call.
-:func:`sobolev_error_matvec` keeps the distinct plan: its kink screen reads
-every hidden pre-activation, and a dropped neuron's would be gone.
+Every estimator then drops the neurons proven never active where its
+inputs lie (:func:`.network._live`), again with the same bits:
+:func:`sup_error_matvec` and :func:`sobolev_error_matvec` on the box
+[-D, D]^N0, which holds every sample and probe, and
+:func:`dataset_error_report` on the per-column min and max of the rows, so
+the squaring grid of :func:`square_error_report` is covered too. A row
+holding nan or inf leaves every neuron in. At the two operating points this
+drops about a quarter of the hidden neurons and half of the kernel entries,
+in a few milliseconds per call. The Sobolev kink screen then sees only the
+neurons left: a dropped neuron is identically 0 on the box, so it is no
+kink of the function, and its Jacobian mask is 0 wherever it is evaluated.
 
 Alongside the random samples, :func:`sup_error_matvec` always evaluates a
 deterministic probe set: the origin, the all +D and all -D corners, the two
@@ -295,7 +296,9 @@ def sobolev_error_matvec(
     """Value and first-derivative deviation at kink-avoiding random points.
 
     A draw is rejected when any hidden pre-activation magnitude falls below
-    KINK_TOL, since the network Jacobian is ambiguous on a kink; rejected
+    KINK_TOL, since the network Jacobian is ambiguous on a kink; neurons
+    proven never active on the box are left out, as they are of the plan
+    (see :func:`.network._live`): each is identically 0 there. Rejected
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
     exactly on kinks by design. A chunk and each of its redraw lanes run as
@@ -304,7 +307,7 @@ def sobolev_error_matvec(
     slice.
     """
     width = _box(f, m, n, D, samples)
-    plan = _distinct(f)
+    plan = _live(_distinct(f), -D, D)
     tangents = _tangents(plan)
 
     def screened(xs: np.ndarray):

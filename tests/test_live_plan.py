@@ -254,10 +254,11 @@ def test_the_estimators_prove_on_the_box_the_columns_and_the_grid(monkeypatch):
     assert (box_lo.tolist(), box_hi.tolist()) == ([-1.5], [1.5])
     assert (ds_lo == ds.inputs.min(axis=0)).all() and (ds_hi == ds.inputs.max(axis=0)).all()
     assert (grid_lo.tolist(), grid_hi.tolist()) == ([0.0], [1.0])
-    # the Sobolev check keeps every neuron for its kink screen
+    # the Sobolev check proves on the box too, and screens the neurons left
     seen.clear()
     sobolev_error_matvec(net, 2, 2, 1.5, 20, seed=0)
-    assert seen == []
+    [(sob_lo, sob_hi)] = seen
+    assert (sob_lo.tolist(), sob_hi.tolist()) == ([-1.5], [1.5])
 
 
 def test_bounds_that_are_not_finite_or_hold_nothing_prove_nothing():

@@ -425,6 +425,22 @@ def assert_jacobian_is_the_masked_layer_product(net, xs):
         assert jac[i].tobytes() == masked_layer_product(net, x).tobytes()
 
 
+def test_jacobian_masks_an_overflowed_tangent_to_nan():
+    # the first hidden neuron's tangent along x1 is 1e200, and the second
+    # layer's first neuron sits at about -1e300, inactive, with tangent
+    # 1e200 * 1e200 = inf; masked as in the dense form, inf * 0 is nan
+    net = Fnn((Layer([[1e200, 0.0], [0.0, -1.0]], [0.0, 0.0]),
+               Layer([[1e200, 0.0], [0.0, 1.0]], [-1e300, 0.0]),
+               Layer([[1.0, 1.0]], [0.0])))
+    xs = np.array([[1e-300, 1.0], [1e-300, -1.0]])
+    with np.errstate(invalid="ignore"):
+        assert preactivations(net, xs)[1][:, 0].tolist() == [-1e300, -1e300]
+        jac = jacobian(net, xs)
+        assert np.isnan(jac[:, 0, 0]).all()
+        assert jac[:, 0, 1].tolist() == [0.0, -1.0]
+        assert_jacobian_is_the_masked_layer_product(net, xs)
+
+
 def masked_negative_tangents(net, xs):
     """How many tangents the dense form masks to -0.0: negative ones of inactive neurons."""
     count = 0

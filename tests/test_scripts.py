@@ -95,7 +95,8 @@ def g(): """on the def's line"""
 def test_plan_census_counts_the_live_plans_at_both_operating_points():
     out = run_script("plan_census.py")
     sums = [line.split() for line in out.splitlines() if line.lstrip().startswith("sum")]
-    # hidden widths stored, distinct and live; kernel entries distinct and live
-    assert sums == [["sum", "3744", "2584", "1936", "9283", "4987"],
-                    ["sum", "19584", "10000", "7528", "36454", "19822"]]
+    # hidden widths stored, distinct and live; kernel entries and tangent
+    # pairs, distinct and live
+    assert sums == [["sum", "3744", "2584", "1936", "9283", "4987", "4088", "3152"],
+                    ["sum", "19584", "10000", "7528", "36454", "19822", "17552", "13544"]]
     assert out.count("layer") == 2

@@ -45,7 +45,7 @@ from matvecnet import (
 import matvecnet.verification as verification
 from matvecnet.datasets import unpack_matvec
 import matvecnet.network as network
-from matvecnet.network import _distinct, _tangents
+from matvecnet.network import _distinct, _live, _tangents
 from matvecnet.rng import stream
 from matvecnet.verification import (
     KINK_TOL,
@@ -214,15 +214,34 @@ def test_sobolev_error_small_operating_point():
 
 
 def test_sobolev_skips_unavoidable_kinks():
-    # first hidden pre-activation is identically zero, so every draw lands
-    # on a kink and gets skipped after the resample budget
+    # the hidden neuron can fire, but its pre-activation 1e-12 x stays within
+    # KINK_TOL of 0, so every draw lands on a kink and gets skipped after the
+    # resample budget
     stuck = Fnn((
-        Layer(np.zeros((1, 2)), np.zeros(1)),
+        Layer([[0.0, 1e-12]], [0.0]),
         Layer(np.ones((1, 1)), np.zeros(1)),
     ))
     report = sobolev_error_matvec(stuck, 1, 1, 1.0, samples=4, seed=1)
     assert report.kinks_skipped == 4
     assert report.mse == 0.0
+
+
+def test_sobolev_screens_no_neuron_proven_dead():
+    # the hidden pre-activation is identically 0: the neuron is proven never
+    # active on the box, so it leaves the plan, its hidden layer is left with
+    # the constant neuron alone, and no draw is a kink of the function
+    dead = Fnn((
+        Layer(np.zeros((1, 2)), np.zeros(1)),
+        Layer(np.ones((1, 1)), np.zeros(1)),
+    ))
+    assert _live(_distinct(dead), -1.0, 1.0).widths == (2, 0, 1)
+    report = sobolev_error_matvec(dead, 1, 1, 1.0, samples=4, seed=1)
+    assert report.kinks_skipped == 0
+    # the network is 0 with Jacobian 0, so the deviations are the reference's:
+    # |w x| for the values, max(|w|, |x|) for the Jacobian
+    w, x = _uniform_rows(1, 0, 4, 2, 1.0).T
+    assert report.sup_error == np.max(np.abs(w * x))
+    assert report.grad_sup_error == max(np.max(np.abs(w)), np.max(np.abs(x)))
 
 
 # The batched estimator must reproduce, bit for bit, the per-sample loop it
@@ -287,13 +306,14 @@ def bits(report):
 SOBOLEV_CASES = {
     "matvec(2,2)": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, REDUCE_CHUNK + 300),
     "matvec(1,1)": (lambda: matvec_net(1, 1, 1.0, 2.0 ** -3), 1, 1, 1.0, REDUCE_CHUNK + 300),
-    # sparse tangents over 400 (200) pairs at most, and slices sized from
-    # width and pairs (97 and 192 rows) end inside the chunk
+    # sparse tangents over 300 (150) pairs at most on the live plan, and
+    # slices sized from width and pairs (130 and 257 rows) end inside the chunk
     "matvec(8,4)": (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), 8, 4, 2.0, 301),
-    "matvec(3,5)": (lambda: matvec_net(3, 5, 1.0, 2.0 ** -4), 3, 5, 1.0, 250),
-    # every draw sits on a kink: all lanes are tried, then the index is skipped
+    "matvec(3,5)": (lambda: matvec_net(3, 5, 1.0, 2.0 ** -4), 3, 5, 1.0, 300),
+    # every draw sits on a kink of a live neuron: all lanes are tried, then
+    # the index is skipped
     "stuck": (
-        lambda: Fnn((Layer(np.zeros((1, 2)), np.zeros(1)), Layer(np.ones((1, 1)), np.zeros(1)))),
+        lambda: Fnn((Layer([[0.0, 1e-12]], [0.0]), Layer(np.ones((1, 1)), np.zeros(1)))),
         1, 1, 1.0, 30,
     ),
     # the second hidden pre-activation is rho(x): draws with x < 0 redraw on lanes >= 1
@@ -493,21 +513,24 @@ def test_verify_network_runs_dataset_chunks_on_threads(monkeypatch, make):
 
 
 def test_estimators_plan_once_per_call(monkeypatch):
-    built, paired = [], []
+    built, paired, live = [], [], []
 
     def counted(f):
         built.append(f)
-        plan = real_distinct(f)
-        planned.append(plan)
-        return plan
+        return real_distinct(f)
+
+    def counted_live(plan, lo, hi):
+        live.append(real_live(plan, lo, hi))
+        return live[-1]
 
     def counted_pairs(plan):
         paired.append(plan)
         return real_tangents(plan)
 
-    planned: list = []
-    real_distinct, real_tangents = verification._distinct, verification._tangents
+    real_distinct, real_live = verification._distinct, verification._live
+    real_tangents = verification._tangents
     monkeypatch.setattr(verification, "_distinct", counted)
+    monkeypatch.setattr(verification, "_live", counted_live)
     monkeypatch.setattr(verification, "_tangents", counted_pairs)
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
     # three reduction chunks on two threads, then probes
@@ -516,8 +539,11 @@ def test_estimators_plan_once_per_call(monkeypatch):
     assert paired == []
     sobolev_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
     assert built == [net, net]
-    # the pair kernels of the distinct plan, once per call
-    assert len(paired) == 1 and paired[0] is planned[1]
+    # the pair kernels of the live plan, once per call: 30 of the 40 widest
+    # distinct neurons and 286 of the 376 pairs
+    assert len(paired) == 1 and paired[0] is live[1]
+    assert max(live[1].widths) == 30
+    assert sum(kernel.shape[0] for kernel in real_tangents(live[1]).kernels) == 286
     dataset_error_report(net, Dataset(np.zeros((5000, 6)), np.zeros((5000, 2)), {}))
     square = square_net_of_order(3)
     square_error_report(square)
@@ -548,11 +574,15 @@ def record_slices(monkeypatch):
 def test_sobolev_slices_are_sized_from_the_plan(monkeypatch):
     calls = record_slices(monkeypatch)
     net = matvec_net(8, 4, 2.0, 2.0 ** -5)
-    sobolev_error_matvec(net, 8, 4, 2.0, 120, seed=0)
-    # 272 distinct neurons in the widest layer, 400 pairs in the widest pair kernel
-    rows = network.SLICE_BYTES // (16 * (272 + 400))
-    assert rows == 97
-    assert calls[0] == [(0, rows), (rows, 120)]
+    sobolev_error_matvec(net, 8, 4, 2.0, 200, seed=0)
+    # the live plan: 204 neurons in the widest layer, 300 pairs in the widest
+    # pair kernel (272 and 400 in the distinct plan)
+    plan = _live(_distinct(net), -2.0, 2.0)
+    assert (max(plan.widths), max(kernel.shape[0] for kernel in _tangents(plan).kernels)) == (
+        204, 300)
+    rows = network.SLICE_BYTES // (16 * (204 + 300))
+    assert rows == 130
+    assert calls[0] == [(0, rows), (rows, 200)]
 
 
 @pytest.mark.parametrize("case", ["matvec(8,4)", "rho", "stuck"])
@@ -560,8 +590,8 @@ def test_sobolev_screens_kinks_across_slices(monkeypatch, case):
     make, m, n, D, samples = SOBOLEV_CASES[case]
     net = make()
     expected = per_sample_sobolev(net, m, n, D, samples, seed=17)
-    # slices of 7 rows, so that a chunk and its redraw lanes span many
-    plan = _distinct(net)
+    # slices of 7 rows on the live plan, so that a chunk and its redraw lanes span many
+    plan = _live(_distinct(net), -D, D)
     pairs = max(kernel.shape[0] for kernel in _tangents(plan).kernels)
     per_row = 16 * (max(plan.widths) + pairs)
     monkeypatch.setattr(network, "SLICE_BYTES", 7 * per_row)
