@@ -23,6 +23,7 @@ import csv
 import glob
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .constructors import KINDS
@@ -98,7 +99,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     net = _build_network(args.kind, args)
     record = net.record
     compliance = check_budget(net, record.budget(args.C))
-    got, budget = compliance.measured, compliance.budget
+    got = compliance.measured
     out = args.out or f"{args.kind}.json"
     save_fnn(net, out, extra_meta={
         "metrics": {
@@ -108,13 +109,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "W": got.max_width,
             "B": got.max_weight,
         },
-        "budget": {
-            "target_eps": budget.target_eps,
-            "depth_bound": budget.depth_bound,
-            "width_bound": budget.width_bound,
-            "weight_bound": budget.weight_bound,
-            "depth_constant": budget.depth_constant,
-        },
+        "budget": asdict(compliance.budget),
     })
     print(f"wrote {out}")
     print(f"packing: {record.input_packing}")

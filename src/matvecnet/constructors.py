@@ -71,6 +71,7 @@ from .calculus import (
     parallelize_shared,
     superpose,
 )
+from .datasets import _layout, pack_matvec
 from .network import Fnn, Layer
 
 __all__ = [
@@ -371,12 +372,8 @@ def dot_product_net(n: int, D: float, eps: float) -> Fnn:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     scalar = scalar_product_net(D, _scalar_accuracy(D, eps, n))
-    terms = []
-    for i in range(n):
-        selector = np.zeros((2, 2 * n))
-        selector[0, i] = 1.0
-        selector[1, n + i] = 1.0
-        terms.append(compose_selection(scalar, selector))
+    _, width, (w, x) = _layout(1, n)  # (w, x) is the matvec layout of one row
+    terms = [_reading(scalar, width, w[:, i:i + 1], x[i:i + 1]) for i in range(n)]
     net = superpose(terms, [1.0] * n, shared_input=True)
     record = ConstructionRecord(
         kind="dot_product",
@@ -389,23 +386,14 @@ def dot_product_net(n: int, D: float, eps: float) -> Fnn:
     return net.with_record(record)
 
 
-def _matvec_branches(m: int, n: int, D: float, eps: float) -> list[Fnn]:
-    """The m row networks of a matrix-vector product over packed input.
+def _reading(net: Fnn, width: int, W: np.ndarray, x: np.ndarray) -> Fnn:
+    """``net``, a product over a packed (W, x), reading each entry at its given coordinate.
 
-    The packed input is [vec(W) column-major (m*n entries), x (n entries)],
-    so entry W[i, j] sits at coordinate j*m + i and x[j] at n*m + j. Branch
-    i reads (W[i, :], x) through a selection and approximates <W[i, :], x>.
+    ``W`` and ``x`` hold coordinates of a ``width``-wide input, as
+    :func:`.datasets._layout` gives them; the selector is the identity's rows
+    at the coordinates of :func:`.datasets.pack_matvec` (W, x).
     """
-    dot = dot_product_net(n, D, eps)
-    width = n * (m + 1)
-    branches = []
-    for i in range(m):
-        selector = np.zeros((2 * n, width))
-        for j in range(n):
-            selector[j, j * m + i] = 1.0
-            selector[n + j, n * m + j] = 1.0
-        branches.append(compose_selection(dot, selector))
-    return branches
+    return compose_selection(net, np.eye(width)[pack_matvec(W, x).astype(np.intp)])
 
 
 def matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
@@ -419,10 +407,13 @@ def matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
     """
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
-    net = parallelize_shared(_matvec_branches(m, n, D, eps))
+    dot = dot_product_net(n, D, eps)
+    packing, width, (W, x) = _layout(m, n)
+    # Row i is the dot product network reading (W[i, :], x).
+    net = parallelize_shared([_reading(dot, width, W[i:i + 1], x) for i in range(m)])
     record = ConstructionRecord(
         kind="matvec",
-        input_packing=f"[vec(W) column-major ({m * n}), x ({n})]",
+        input_packing=packing,
         m=m,
         n=n,
         D=float(D),
@@ -446,29 +437,15 @@ def complex_matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
     _scalar_accuracy(D, eps, 4.0, n)
     core = matvec_net(m, n, D, eps / 4.0)
-    block = n * m
-    width = 2 * n * (m + 1)
-
-    def picked(w_offset: int, x_offset: int) -> Fnn:
-        selector = np.zeros((n * (m + 1), width))
-        for c in range(block):
-            selector[c, w_offset + c] = 1.0
-        for j in range(n):
-            selector[block + j, x_offset + j] = 1.0
-        return compose_selection(core, selector)
-
-    w1, w2, x1, x2 = 0, block, 2 * block, 2 * block + n
-    real_part = superpose([picked(w1, x1), picked(w2, x2)], [1.0, -1.0],
-                          shared_input=True)
-    imag_part = superpose([picked(w1, x2), picked(w2, x1)], [1.0, 1.0],
-                          shared_input=True)
+    packing, width, (W1, W2, x1, x2) = _layout(m, n, complex=True)
+    real_part = superpose([_reading(core, width, W1, x1), _reading(core, width, W2, x2)],
+                          [1.0, -1.0], shared_input=True)
+    imag_part = superpose([_reading(core, width, W1, x2), _reading(core, width, W2, x1)],
+                          [1.0, 1.0], shared_input=True)
     net = parallelize_shared([real_part, imag_part])
     record = ConstructionRecord(
         kind="complex_matvec",
-        input_packing=(
-            f"[vec(W1) column-major ({block}), vec(W2) column-major ({block}), "
-            f"x1 ({n}), x2 ({n})]"
-        ),
+        input_packing=packing,
         m=m,
         n=n,
         D=float(D),

@@ -3,7 +3,9 @@
 The packing convention is fixed across the whole package: a matrix argument
 enters as its column-major vectorization, followed by the vector argument.
 The complex layout is [vec(W1), vec(W2), x1, x2]. Pack/unpack helpers below
-are the single source of truth for these layouts.
+are the single source of truth for these layouts; the constructors and the
+checks take every coordinate and layout description from them, through
+:func:`_layout`.
 
 Generation is deterministic per sample index (see :mod:`.rng`): row i of a
 dataset depends only on (seed, i), never on `count` or on any partitioning
@@ -118,6 +120,23 @@ def unpack_complex(v: np.ndarray, m: int, n: int):
     return W1, W2, x1, x2
 
 
+def _layout(m: int, n: int, complex: bool = False) -> tuple[str, int, tuple[np.ndarray, ...]]:
+    """The packed (m, n) layout: its description, its width and where each entry sits.
+
+    The positions are :func:`unpack_matvec`, or with ``complex``
+    :func:`unpack_complex`, of the coordinate indices 0, 1, ..., width - 1,
+    as integer arrays: (W, x) or (W1, W2, x1, x2). The constructors and the
+    checks read every layout from here.
+    """
+    block = f"column-major ({m * n})"
+    if complex:
+        parts, width = f"vec(W1) {block}, vec(W2) {block}, x1 ({n}), x2 ({n})", 2 * (m * n + n)
+    else:
+        parts, width = f"vec(W) {block}, x ({n})", m * n + n
+    unpack = unpack_complex if complex else unpack_matvec
+    return f"[{parts}]", width, tuple(p.astype(np.intp) for p in unpack(np.arange(width), m, n))
+
+
 def _column_major(vec: np.ndarray, m: int, n: int) -> np.ndarray:
     """(..., m, n) matrices read column-major from the last axis of `vec` (a view)."""
     return vec.reshape(vec.shape[:-1] + (n, m)).swapaxes(-1, -2)
@@ -165,7 +184,7 @@ def equispaced_real_dataset(
             f"is finite, got {half_width}"
         )
     h = float(half_width)
-    entries = m * n + n
+    packing, entries, _ = _layout(m, n)
     inputs = np.empty((count, entries))
     targets = np.empty((count, m))
     for lo, hi in _row_blocks(count):
@@ -183,7 +202,7 @@ def equispaced_real_dataset(
         "half_width": h,
         "grid_points": int(grid_points),
         "grid": f"{grid_points} equispaced points on [{-h}, {h}]",
-        "packing": f"[vec(W) column-major ({m * n}), x ({n})]",
+        "packing": packing,
     }
     return Dataset(inputs, targets, meta)
 
@@ -217,13 +236,14 @@ def qpsk_rayleigh_dataset(
         raise ValueError(f"clip must be positive and finite, got {clip}")
     block = m * n
     rows = count + 1
-    inputs = np.empty((rows, 2 * block + 2 * n))
+    packing, width, _ = _layout(m, n, complex=True)
+    inputs = np.empty((rows, width))
     targets = np.empty((rows, 2 * m))
     clipped = 0
     for lo, hi in _row_blocks(rows):
         # Per row, stream(seed, i) is read as Box-Muller u1 (block uniforms),
         # then u2 (block), then 2n symbol flips.
-        u = uniform_rows(seed, lo, hi, inputs.shape[1])
+        u = uniform_rows(seed, lo, hi, width)
         z1, z2 = box_muller(u[:, :block], u[:, block: 2 * block])
         z = inputs[lo:hi, : 2 * block]
         z[:, 0::2] = z1
@@ -249,10 +269,7 @@ def qpsk_rayleigh_dataset(
         "clip": float(clip),
         "clipped_entries": clipped,
         "grid": "channel components N(0, 1/2) clipped, symbols +-1/sqrt(2)",
-        "packing": (
-            f"[vec(W1) column-major ({block}), vec(W2) column-major ({block}), "
-            f"x1 ({n}), x2 ({n})]"
-        ),
+        "packing": packing,
     }
     return Dataset(inputs, targets, meta)
 

@@ -73,7 +73,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .constructors import KINDS, BoundBudget, square_net_of_order
-from .datasets import Dataset, _matvec, qpsk_rayleigh_dataset, unpack_matvec
+from .datasets import Dataset, _layout, _matvec, pack_matvec, qpsk_rayleigh_dataset, unpack_matvec
 from .network import (
     Fnn, NetworkMetrics, _batch, _distinct, _live, _tangents, jacobian, metrics,
 )
@@ -157,21 +157,15 @@ def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
     """Deterministic probe points for the packed matvec domain [-D, D]^N0."""
-    width = n * (m + 1)
-    rows = [np.zeros(width), np.full(width, D), np.full(width, -D)]
-    w_zero = np.full(width, D)
-    w_zero[: m * n] = 0.0
-    x_zero = np.full(width, D)
-    x_zero[m * n:] = 0.0
-    rows += [w_zero, x_zero]
-    signed = min(width, 8)
-    for pattern in range(2 ** signed):
-        row = np.full(width, D)
-        for bit in range(signed):
-            if pattern >> bit & 1:
-                row[bit] = -D
-        rows.append(row)
-    return np.vstack(rows)
+    W, x = np.full((m, n), D), np.full(n, D)
+    corner = pack_matvec(W, x)
+    signed = min(corner.size, 8)
+    # Row p flips coordinate b to -D where bit b of p is set.
+    flips = np.arange(2 ** signed)[:, None] >> np.arange(signed) & 1
+    patterns = np.tile(corner, (2 ** signed, 1))
+    patterns[:, :signed] = np.where(flips, -D, D)
+    return np.vstack([np.zeros_like(corner), corner, -corner,
+                      pack_matvec(np.zeros_like(W), x), pack_matvec(W, np.zeros_like(x)), patterns])
 
 
 def _reduce_chunks(count: int, jobs: int, work: Callable) -> tuple:
@@ -212,7 +206,7 @@ def _box(f: Fnn, m: int, n: int, D: float, samples: int) -> int:
     positive, and D positive with 2D finite, so that every draw u * 2D - D
     lies in [-D, D].
     """
-    width = n * (m + 1)
+    _, width, _ = _layout(m, n)
     if f.input_dim != width or f.output_dim != m:
         raise ValueError(
             f"packing mismatch: network is {f.input_dim} -> {f.output_dim}, "
@@ -273,14 +267,14 @@ def sup_error_matvec(
 def _subtract_matvec_jacobian(J: np.ndarray, rows: np.ndarray, m: int, n: int) -> np.ndarray:
     """J minus d(Wx)/d[vec(W), x], in place, for stacks J (k, m, width) and rows (k, width).
 
-    Only the nonzero entries of the reference are subtracted: x_j at (i, j m + i)
-    and W over the x block. The rest would subtract 0.0, which changes no bit
-    of J, -0.0 included.
+    Only the nonzero entries of the reference are subtracted: x_j at row i
+    and the coordinate of W[i, j], and W[i, j] at row i and the coordinate of
+    x_j. The rest would subtract 0.0, which changes no bit of J, -0.0 included.
     """
     W, x = unpack_matvec(rows, m, n)
-    i = np.arange(m)[:, None]
-    J[:, i, np.arange(n) * m + i] -= x[:, None, :]
-    J[:, :, n * m:] -= W
+    _, _, (w_at, x_at) = _layout(m, n)
+    J[:, np.arange(m)[:, None], w_at] -= x[:, None, :]
+    J[:, :, x_at] -= W
     return J
 
 

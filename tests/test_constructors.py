@@ -6,6 +6,7 @@ is an exact power of two. Tests lean on that: bit equality where the
 construction promises it, tolerances only where rounding genuinely enters.
 """
 
+import hashlib
 import itertools
 from math import log2
 
@@ -329,6 +330,18 @@ def test_complex_matvec_width_and_frozen_point():
     assert got.max_width == 1536
     assert got.max_width <= 48 * 8 * 4
     assert got.max_weight == 18.0
+
+
+def test_product_networks_keep_their_recorded_weight_bits():
+    digest = hashlib.sha256()
+    for net in (dot_product_net(3, 1.0, 2.0 ** -4), matvec_net(3, 2, 1.0, 2.0 ** -3),
+                complex_matvec_net(2, 2, 1.0, 2.0 ** -4)):
+        for layer in net.layers:
+            w = layer.weights
+            for a in (w.data, w.indices, w.indptr, layer.bias):
+                digest.update(a.dtype.str.encode())
+                digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == "009dbe38af21cb033c3d176217ed8c4a5e955b01234aa387bfc5b033c195d804"
 
 
 # ---------------------------------------------------------------- affine forms

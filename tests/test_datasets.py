@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from matvecnet import (
     Dataset,
+    complex_matvec_net,
     datasets,
     equispaced_real_dataset,
     load_dataset,
+    matvec_net,
     pack_complex,
     pack_matvec,
     qpsk_rayleigh_dataset,
@@ -20,6 +22,7 @@ from matvecnet import (
     unpack_matvec,
 )
 from matvecnet.rng import box_muller, stream
+from matvecnet.verification import _subtract_matvec_jacobian, _uniform_rows
 
 QPSK = 1.0 / np.sqrt(2.0)
 
@@ -81,6 +84,26 @@ def test_pack_complex_layout_and_round_trip():
     back = unpack_complex(packed, 2, 3)
     for got, want in zip(back, (W1, W2, x1, x2)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 4)])
+def test_networks_and_checks_share_the_dataset_layouts(m, n):
+    D, eps = 1.0, 2.0 ** -3
+    assert matvec_net(m, n, D, eps).record.input_packing == (
+        equispaced_real_dataset(m, n, 1).meta["packing"])
+    assert complex_matvec_net(m, n, D, eps).record.input_packing == (
+        qpsk_rayleigh_dataset(m, n, 1).meta["packing"])
+    # Row i of d(Wx) / d[vec(W), x] packs (x in row i of a zero matrix, W[i, :]).
+    rows = _uniform_rows(9, 0, 5, n * (m + 1), 2.0)
+    J = np.random.default_rng(m * 10 + n).choice([0.0, -0.0, 1.5, -0.25], (5, m, n * (m + 1)))
+    expected = J.copy()
+    for k, row in enumerate(rows):
+        W, x = unpack_matvec(row, m, n)
+        for i in range(m):
+            dW = np.zeros((m, n))
+            dW[i] = x
+            expected[k, i] -= pack_matvec(dW, W[i])
+    assert _subtract_matvec_jacobian(J, rows, m, n).tobytes() == expected.tobytes()
 
 
 def test_pack_rejects_incompatible_shapes():

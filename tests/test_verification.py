@@ -89,6 +89,20 @@ def test_probe_inputs_sign_patterns_cap_at_eight_coordinates():
     assert np.all(np.isin(probes, [-1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("m,n,D", [(1, 1, 1.0), (2, 2, 1.5), (4, 4, 2.0)])
+def test_probe_inputs_equal_the_loop_reference(m, n, D):
+    width = n * (m + 1)
+    rows = [np.zeros(width), np.full(width, D), np.full(width, -D)]
+    rows += [np.r_[np.zeros(m * n), np.full(n, D)], np.r_[np.full(m * n, D), np.zeros(n)]]
+    for pattern in range(2 ** min(width, 8)):
+        row = np.full(width, D)
+        for bit in range(min(width, 8)):
+            if pattern >> bit & 1:
+                row[bit] = -D
+        rows.append(row)
+    assert probe_inputs(m, n, D).tobytes() == np.vstack(rows).tobytes()
+
+
 # ---------------------------------------------------------------- batched sampling and reference
 #
 # Sampling and the reference product run on whole chunks. The oracles below
