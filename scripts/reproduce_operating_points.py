@@ -13,13 +13,16 @@ leave every reported number unchanged.
 
 The real and complex points are saved to a network file and loaded back
 before their value checks, as ``matvecnet build`` and ``verify`` do. The
-stage prints the file's size and whether the loaded layers are bit-equal to
-the built ones, and the script exits 1 if they are not. Each stage ends with
+stage prints the file's size, whether the loaded layers are bit-equal to
+the built ones, and whether the file's bytes equal the reference encoding
+``json.dumps(network_document(net), allow_nan=False)`` plus a newline; the
+script exits 1 if either is not so. Each stage ends with
 its elapsed time and the minor page faults the process took meanwhile, so a
 change that makes evaluation allocate again shows here without a profiler.
 """
 
 import argparse
+import json
 import resource
 import sys
 import tempfile
@@ -35,6 +38,7 @@ from matvecnet import (
     verify_network,
 )
 from matvecnet.cli import _count
+from matvecnet.interchange import network_document
 
 
 def banner(title):
@@ -71,12 +75,16 @@ def round_trip(net):
         saved = time.perf_counter()
         back = load_fnn(path)
         loaded = time.perf_counter()
-        size = path.stat().st_size
+        text = path.read_bytes()
     equal = same_bits(net, back)
-    print(f"network file: {size} bytes, loaded layers bit-equal: {'yes' if equal else 'NO'}")
+    encoded = text == (json.dumps(network_document(net), allow_nan=False) + "\n").encode()
+    print(f"network file: {len(text)} bytes, loaded layers bit-equal: {'yes' if equal else 'NO'}")
+    print(f"network file equals json.dumps of its document: {'yes' if encoded else 'NO'}")
     print(f"save/load: {1e3 * (saved - start):.1f} ms / {1e3 * (loaded - saved):.1f} ms")
     if not equal:
         sys.exit("the loaded network differs from the built one")
+    if not encoded:
+        sys.exit("the network file differs from the reference encoding of its document")
     return back
 
 

@@ -377,7 +377,7 @@ def dot_product_net(n: int, D: float, eps: float) -> Fnn:
     net = superpose(terms, [1.0] * n, shared_input=True)
     record = ConstructionRecord(
         kind="dot_product",
-        input_packing=f"(w_1..w_{n}, x_1..x_{n})",
+        input_packing="(w_1, x_1)" if n == 1 else f"(w_1..w_{n}, x_1..x_{n})",
         n=n,
         D=float(D),
         eps=float(eps),

@@ -312,9 +312,10 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """The dataset in a file, read as UTF-8 whatever the locale."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"not a valid dataset file: {path}: {exc}") from exc
     if not isinstance(doc, dict) or "inputs" not in doc or "targets" not in doc:
         raise ValueError(f"not a valid dataset file: {path}")

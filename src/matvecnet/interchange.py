@@ -12,12 +12,18 @@ coordinate triplets in row-major order. A document without ``format`` holds
 the older dense layout, ``{"weights": [[row], ...], "bias": [...]}`` per
 layer; it is still read, and nothing writes it.
 
-A file holds the document on one line, ending in a newline; any other JSON
-spacing of the same document, such as the indented files of earlier
-versions, reads the same. Floats are written with Python's shortest
-round-trip decimal representation, so reading a file back reproduces the
-original doubles bit for bit. NaN and infinity are rejected on write (valid
-networks never contain them), before the file is touched.
+A file holds the document on one line, ending in a newline: byte for byte
+``json.dumps(network_document(fnn, extra_meta), allow_nan=False)`` and
+``"\n"``. :func:`save_fnn` forms that text straight from each layer's CSR
+arrays, without building the document: every distinct double (by bit
+pattern, so 0.0 and -0.0 stay apart) is formatted once with
+``float.__repr__``, Python's shortest round-trip decimal form, and every index
+is taken from one table of ``int.__repr__`` texts. Reading a file back
+therefore reproduces the original doubles bit for bit. NaN and infinity are
+rejected with ``ValueError`` (valid networks never contain them) before the
+file is opened. Any other JSON spacing of the same document, such as the
+indented files of earlier versions, reads the same. Files are read as UTF-8
+whatever the locale (RFC 8259, section 8.1).
 
 A sparse layer loads straight into canonical CSR arrays: the triplets are
 sorted by row and column, and stored zeros, -0.0 included, are dropped.
@@ -39,25 +45,33 @@ FORMAT = 2
 _SPARSE_KEYS = ("shape", "rows", "cols", "values", "bias")
 
 
-def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
-    """Build the plain-dict form of the interchange document."""
+def _meta(fnn: Fnn, extra_meta: dict | None) -> dict[str, Any]:
     meta: dict[str, Any] = {}
     if fnn.record is not None:
         meta.update(fnn.record.as_meta())
     if extra_meta:
         meta.update(extra_meta)
+    return meta
+
+
+def _rows(W) -> np.ndarray:
+    """The row of each stored entry of CSR weights, in stored order."""
+    return np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+
+
+def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
+    """Build the plain-dict form of the interchange document."""
     layers = []
     for layer in fnn.layers:
         W = layer.weights
-        rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
         layers.append({
             "shape": list(W.shape),
-            "rows": rows.tolist(),
+            "rows": _rows(W).tolist(),
             "cols": W.indices.tolist(),
             "values": W.data.tolist(),
             "bias": layer.bias.tolist(),
         })
-    return {"format": FORMAT, "meta": meta, "layers": layers}
+    return {"format": FORMAT, "meta": _meta(fnn, extra_meta), "layers": layers}
 
 
 def _indices(k: int, name: str, values: list, bound: int) -> np.ndarray:
@@ -161,15 +175,51 @@ def network_from_document(doc: dict) -> Fnn:
     return fnn
 
 
+def _items(texts: np.ndarray) -> str:
+    """The texts as the items of a JSON list, as json.dumps separates them."""
+    return ", ".join(texts.tolist())
+
+
+def _document_text(fnn: Fnn, extra_meta: dict | None) -> str:
+    """The file's text, formed from the CSR arrays; see the module docstring."""
+    meta = json.dumps(_meta(fnn, extra_meta), allow_nan=False)
+    floats = np.concatenate([a for layer in fnn.layers for a in (layer.weights.data, layer.bias)])
+    if not np.isfinite(floats).all():
+        raise ValueError("a network file holds finite values only")
+    distinct, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    numbers = np.fromiter(map(float.__repr__, distinct.view(np.float64).tolist()), object)[inverse]
+    top = max(max(layer.weights.shape) for layer in fnn.layers)
+    counts = np.fromiter(map(int.__repr__, range(top)), object)
+    layers, end = [], 0
+    for layer in fnn.layers:
+        W = layer.weights
+        start, mid = end, end + len(W.data)
+        end = mid + len(layer.bias)
+        layers.append(
+            f'{{"shape": [{W.shape[0]}, {W.shape[1]}], "rows": [{_items(counts[_rows(W)])}], '
+            f'"cols": [{_items(counts[W.indices])}], "values": [{_items(numbers[start:mid])}], '
+            f'"bias": [{_items(numbers[mid:end])}]}}'
+        )
+    return f'{{"format": {FORMAT}, "meta": {meta}, "layers": [{", ".join(layers)}]}}\n'
+
+
 def save_fnn(fnn: Fnn, path: Union[str, Path], extra_meta: dict | None = None) -> None:
-    # Without indent, json runs its C encoder; floats print as float.__repr__ either way.
-    text = json.dumps(network_document(fnn, extra_meta), allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Write the network, and ``extra_meta`` over its record's fields, to a file.
+
+    The file is ``json.dumps(network_document(fnn, extra_meta), allow_nan=False)``
+    and a newline, byte for byte, but the text is formed straight from the
+    CSR arrays: each distinct double is formatted once and each index comes
+    from a shared table, so no Python number is made per entry. A nan or
+    infinity, in the layers or in ``extra_meta``, raises ``ValueError``
+    before the file is opened.
+    """
+    Path(path).write_text(_document_text(fnn, extra_meta))
 
 
 def load_fnn(path: Union[str, Path]) -> Fnn:
+    """The network in a file of either layout, read as UTF-8 and validated."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed network file {path}: {exc}") from exc
     return network_from_document(doc)

@@ -415,6 +415,55 @@ def test_verify_network_with_an_incomplete_layer_is_a_usage_error(tmp_path, caps
     assert "layer 1" in stderr
 
 
+def in_the_c_locale(tmp_path, *args):
+    """Run python with args in the C locale, where the default text encoding is ASCII."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def unicode_files(tmp_path, name, doc):
+    """The document with "café" in its meta, as UTF-8 and as Latin-1 bytes."""
+    text = json.dumps({**doc, "meta": {**doc["meta"], "note": "café"}}, ensure_ascii=False)
+    good, bad = tmp_path / f"{name}.json", tmp_path / f"{name}-latin1.json"
+    good.write_bytes(text.encode("utf-8"))
+    bad.write_bytes(text.encode("latin-1"))
+    return good, bad
+
+
+def test_network_files_are_read_as_utf8_in_any_locale(tmp_path, capsys):
+    # RFC 8259 8.1; this read failed with the ASCII codec's message in the C locale
+    built = json.loads(build_matvec(tmp_path, capsys).read_text())
+    good, bad = unicode_files(tmp_path, "net", built)
+    proc = in_the_c_locale(tmp_path, "-m", "matvecnet", "verify", good.name, "--samples", "100")
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: ok" in proc.stdout
+    proc = in_the_c_locale(tmp_path, "-m", "matvecnet", "verify", bad.name, "--samples", "100")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: malformed network file {bad.name}: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_dataset_files_are_read_as_utf8_in_any_locale(tmp_path):
+    ds = qpsk_rayleigh_dataset(1, 2, 3, seed=4)
+    doc = {"meta": dict(ds.meta), "inputs": ds.inputs.tolist(), "targets": ds.targets.tolist()}
+    good, bad = unicode_files(tmp_path, "data", doc)
+    program = """import sys
+from matvecnet import load_dataset
+try:
+    print(ascii(load_dataset(sys.argv[1]).meta["note"]))
+except ValueError as exc:
+    print(exc)
+"""
+    proc = in_the_c_locale(tmp_path, "-c", program, good.name)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "'caf\\xe9'\n", "")
+    proc = in_the_c_locale(tmp_path, "-c", program, bad.name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"not a valid dataset file: {bad.name}: ")
+
+
 def test_verify_complex_runs_on_clipped_channel_data(tmp_path, capsys):
     out = tmp_path / "cx.json"
     code, _, _ = run(

@@ -202,6 +202,14 @@ def test_dot_product_accuracy_and_vanishing():
         assert evaluate(net, np.concatenate([x, np.zeros(n)]))[0] == 0.0
 
 
+@pytest.mark.parametrize("n, packing", [
+    (1, "(w_1, x_1)"), (2, "(w_1..w_2, x_1..x_2)"), (3, "(w_1..w_3, x_1..x_3)"),
+])
+def test_dot_product_packing_names_each_block_once(n, packing):
+    # n = 1 used to read "(w_1..w_1, x_1..x_1)"
+    assert dot_product_net(n, 1.0, 2.0 ** -6).record.input_packing == packing
+
+
 def test_dot_product_width_scales_linearly():
     net = dot_product_net(4, 1.0, 2.0 ** -3)
     assert metrics(net).max_width <= 12 * 4

@@ -983,21 +983,49 @@ def test_interchange_round_trip_bit_exact(tmp_path):
     assert np.array_equal(evaluate(net, x), evaluate(back, x))
 
 
-def test_saved_file_is_the_document_on_one_line(tmp_path):
-    net = matvec_net(2, 2, 1.0, 2.0 ** -4)
+BUILDABLE = [kind for kind, entry in KINDS.items() if entry.builder is not None]
+SMALL = {"m": 2, "n": 2, "D": 1.0, "eps": 2.0 ** -4}
+
+
+def small_network(kind):
+    return KINDS[kind].builder(*(SMALL[name] for name in KINDS[kind].params))
+
+
+def signed_zeros_and_extremes():
+    """Biases +0.0 and -0.0, subnormal and huge weights, and an all-zero layer."""
+    return Fnn((
+        Layer([[5e-324, 1e16], [-2.5e-300, 2.0]], [0.0, -0.0]),
+        Layer(np.zeros((3, 2)), [-0.0, 0.0, 1.0]),
+        Layer([[2.0, 0.0, -2.5e-300]], [-0.0]),
+    ))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda kind=kind: small_network(kind) for kind in BUILDABLE),
+    lambda: random_fnn(np.random.default_rng(9), n_in=5, depth=4, zero_frac=0.0),
+    signed_zeros_and_extremes,
+], ids=[*BUILDABLE, "random", "signed_zeros_and_extremes"])
+def test_saved_file_is_the_document_on_one_line(tmp_path, make):
+    net = make()
+    extra = {"note": "scratch", "scale": 0.1, "signed": -0.0}
     path = tmp_path / "net.json"
-    save_fnn(net, path, extra_meta={"note": "scratch"})
-    want = json.dumps(network_document(net, {"note": "scratch"}), allow_nan=False) + "\n"
-    assert path.read_text() == want
+    save_fnn(net, path, extra_meta=extra)
+    want = json.dumps(network_document(net, extra), allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode()
     assert path.read_text().count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "kind", [kind for kind, entry in KINDS.items() if entry.builder is not None]
-)
+def test_the_byte_contract_cases_cover_what_they_name():
+    layers = random_fnn(np.random.default_rng(9), n_in=5, depth=4, zero_frac=0.0).layers
+    values = np.concatenate([a for layer in layers for a in (layer.weights.data, layer.bias)])
+    assert len(np.unique(values)) == len(values)  # every float is distinct
+    layers = network_document(signed_zeros_and_extremes())["layers"]
+    assert [np.signbit(layers[0]["bias"]).tolist(), layers[1]["values"]] == [[False, True], []]
+
+
+@pytest.mark.parametrize("kind", BUILDABLE)
 def test_every_buildable_kind_round_trips_through_new_and_indented_files(tmp_path, kind):
-    small = {"m": 2, "n": 2, "D": 1.0, "eps": 2.0 ** -4}
-    net = KINDS[kind].builder(*(small[name] for name in KINDS[kind].params))
+    net = small_network(kind)
     path = tmp_path / "net.json"
     save_fnn(net, path)
     assert_layers_bit_equal(net, load_fnn(path))
@@ -1030,10 +1058,13 @@ def test_shuffled_triplets_with_stored_zeros_load_to_canonical_csr():
         assert got.bias.tobytes() == np.array(bias).tobytes()
 
 
-def test_saving_a_network_with_nan_raises_and_leaves_the_file(tmp_path):
+@pytest.mark.parametrize("where", ["weight", "bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_saving_a_network_with_nan_raises_and_leaves_the_file(tmp_path, value, where):
     path = tmp_path / "net.json"
     path.write_text("earlier contents")
-    bad = Fnn((Layer(np.array([[1.0, np.nan]]), np.zeros(1)),))
+    last = Layer([[1.0, value]], [0.0]) if where == "weight" else Layer([[1.0, 2.0]], [value])
+    bad = Fnn((Layer([[0.5], [1.0]], [0.0, 0.0]), last))
     with pytest.raises(ValueError):
         save_fnn(bad, path)
     assert path.read_text() == "earlier contents"

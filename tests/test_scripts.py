@@ -37,6 +37,8 @@ def test_reproduce_operating_points_runs():
     # the real and complex networks go through a network file bit for bit
     files = [line for line in out.splitlines() if line.startswith("network file: ")]
     assert len(files) == 2 and all(line.endswith("bit-equal: yes") for line in files)
+    # and each file's bytes are the reference encoding of its document
+    assert out.count("network file equals json.dumps of its document: yes\n") == 2
     # every stage reports its time and minor page faults
     stages = [line for line in out.splitlines() if line.startswith("elapsed:")]
     assert len(stages) == 4
