@@ -10,12 +10,15 @@ distinct and live plans (weights, nonzero biases and the constant neuron's
 own entry) and their tangent pairs: the rows of each layer's pair kernel,
 the (neuron, input) pairs the Sobolev check carries, every (output, input)
 in the last layer. Widths leave out the constant neuron. The last row sums
-the hidden layers' widths and all entries and pairs.
+the hidden layers' widths and all entries and pairs. A line under each table
+gives the peak memory (tracemalloc, MiB) of building the distinct plan and of
+proving the live plan from it, each result included.
 
     python scripts/plan_census.py
 """
 
 import argparse
+import tracemalloc
 
 from matvecnet import complex_matvec_net, matvec_net
 from matvecnet.network import _distinct, _live, _tangents
@@ -28,11 +31,22 @@ HEADER = ("layer", "stored", "distinct", "live", "entries", "live entries", "pai
           "live pairs")
 
 
+def traced(call):
+    """``call()``'s result and the MiB tracemalloc saw it allocate at its peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def census(net, D):
-    """Rows (layer, stored, distinct, live, entries, live entries, pairs, live pairs)
-    and a total row."""
-    plan = _distinct(net)
-    live = _live(plan, -D, D)
+    """Rows (layer, stored, distinct, live, entries, live entries, pairs, live pairs),
+    a total row, and the traced peaks (MiB) of :func:`_distinct` and :func:`_live`."""
+    plan, distinct_peak = traced(lambda: _distinct(net))
+    live, live_peak = traced(lambda: _live(plan, -D, D))
     rows = [
         (k, stored, distinct, alive, len(kernel.data), len(kept.data), pairs.shape[0],
          live_pairs.shape[0])
@@ -44,7 +58,7 @@ def census(net, D):
     hidden = rows[:-1]
     total = ("sum", *(sum(row[i] for row in hidden) for i in (1, 2, 3)),
              *(sum(row[i] for row in rows) for i in (4, 5, 6, 7)))
-    return rows + [total]
+    return rows + [total], (distinct_peak, live_peak)
 
 
 def main():
@@ -54,8 +68,10 @@ def main():
     for title, builder, D in POINTS:
         print(title)
         print("  ".join(f"{name:>12}" for name in HEADER))
-        for row in census(builder(8, 4, D, 2.0 ** -5), D):
+        rows, (distinct_peak, live_peak) = census(builder(8, 4, D, 2.0 ** -5), D)
+        for row in rows:
             print("  ".join(f"{cell:>12}" for cell in row))
+        print(f"traced peak: _distinct {distinct_peak:.2f} MiB, _live {live_peak:.2f} MiB")
         print()
 
 

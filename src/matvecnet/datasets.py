@@ -9,10 +9,16 @@ checks take every coordinate and layout description from them, through
 
 Generation is deterministic per sample index (see :mod:`.rng`): row i of a
 dataset depends only on (seed, i), never on `count` or on any partitioning
-of the generation loop. Rows are generated in fixed blocks, each drawn with
-one :func:`.rng.uniform_rows` call and multiplied out with one stacked
-product. Rayleigh-style channel entries are produced by the
-fixed-consumption Box-Muller transform, scaled so each real component has
+of the generation loop. Rows are generated in fixed blocks of
+``_ROW_BLOCK`` = 512, each drawn with one :func:`.rng.uniform_rows` call
+and multiplied out with one stacked product, in a call of its own, so one
+block's scratch is freed before the next is drawn. A block holds its
+uniforms and a few arrays of its channel's size: at the complex point
+(m = 8, n = 4) 8,191 QPSK rows peak 0.91 MiB (tracemalloc) above the
+5.5 MiB they return. :func:`save_dataset` writes the same blocks.
+
+Rayleigh-style channel entries are produced by the fixed-consumption
+Box-Muller transform, scaled so each real component has
 variance 1/2, then hard-clipped so every entry is certain to lie inside the
 approximation domain; the number of clipped entries lands in the meta block.
 A final all-zero-channel probe row is appended to that dataset so the exact
@@ -151,8 +157,9 @@ def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(W, x[..., None])[..., 0]
 
 
-# Rows generated per pass, so scratch memory does not grow with `count`.
-_ROW_BLOCK = 2048
+# Rows generated or written per pass, so scratch memory does not grow with
+# `count`; the bytes do not depend on it.
+_ROW_BLOCK = 512
 
 
 def _row_blocks(total: int) -> list[tuple[int, int]]:
@@ -188,11 +195,7 @@ def equispaced_real_dataset(
     inputs = np.empty((count, entries))
     targets = np.empty((count, m))
     for lo, hi in _row_blocks(count):
-        u = uniform_rows(seed, lo, hi, entries)
-        j = np.floor(u * grid_points).astype(np.int64)
-        np.clip(j, 0, grid_points - 1, out=j)
-        inputs[lo:hi] = -h + (2.0 * h) * (j / (grid_points - 1))
-        targets[lo:hi] = _matvec(*unpack_matvec(inputs[lo:hi], m, n))
+        _equispaced_rows(inputs[lo:hi], targets[lo:hi], seed, lo, h, grid_points, m, n)
     meta = {
         "kind": "equispaced_real",
         "m": m,
@@ -205,6 +208,15 @@ def equispaced_real_dataset(
         "packing": packing,
     }
     return Dataset(inputs, targets, meta)
+
+
+def _equispaced_rows(inputs, targets, seed, lo, h, grid_points, m, n) -> None:
+    """Rows lo, lo + 1, ... of :func:`equispaced_real_dataset`, into one block's views."""
+    u = uniform_rows(seed, lo, lo + len(inputs), inputs.shape[1])
+    j = np.floor(u * grid_points).astype(np.int64)
+    np.clip(j, 0, grid_points - 1, out=j)
+    inputs[...] = -h + (2.0 * h) * (j / (grid_points - 1))
+    targets[...] = _matvec(*unpack_matvec(inputs, m, n))
 
 
 _QPSK_LEVEL = 1.0 / math.sqrt(2.0)
@@ -241,23 +253,7 @@ def qpsk_rayleigh_dataset(
     targets = np.empty((rows, 2 * m))
     clipped = 0
     for lo, hi in _row_blocks(rows):
-        # Per row, stream(seed, i) is read as Box-Muller u1 (block uniforms),
-        # then u2 (block), then 2n symbol flips.
-        u = uniform_rows(seed, lo, hi, width)
-        z1, z2 = box_muller(u[:, :block], u[:, block: 2 * block])
-        z = inputs[lo:hi, : 2 * block]
-        z[:, 0::2] = z1
-        z[:, 1::2] = z2
-        z *= _QPSK_LEVEL
-        drawn = z[: min(hi, count) - lo]
-        clipped += int(np.count_nonzero(np.abs(drawn) > clip))
-        np.clip(drawn, -clip, clip, out=drawn)
-        if hi == rows:
-            z[-1] = 0.0
-        inputs[lo:hi, 2 * block:] = np.where(u[:, 2 * block:] < 0.5, -_QPSK_LEVEL, _QPSK_LEVEL)
-        W1, W2, x1, x2 = unpack_complex(inputs[lo:hi], m, n)
-        targets[lo:hi, :m] = _matvec(W1, x1) - _matvec(W2, x2)
-        targets[lo:hi, m:] = _matvec(W1, x2) + _matvec(W2, x1)
+        clipped += _qpsk_rows(inputs[lo:hi], targets[lo:hi], seed, lo, hi == rows, clip, m, n)
     meta = {
         "kind": "qpsk_rayleigh",
         "m": m,
@@ -274,6 +270,32 @@ def qpsk_rayleigh_dataset(
     return Dataset(inputs, targets, meta)
 
 
+def _qpsk_rows(inputs, targets, seed, lo, probe, clip, m, n) -> int:
+    """Rows lo, lo + 1, ... of :func:`qpsk_rayleigh_dataset`, into one block's views.
+
+    With ``probe``, the last row is the zero-channel probe. Returns how many
+    channel components the clip touched.
+    """
+    block = m * n
+    # Per row, stream(seed, i) is read as Box-Muller u1 (block uniforms),
+    # then u2 (block), then 2n symbol flips.
+    u = uniform_rows(seed, lo, lo + len(inputs), inputs.shape[1])
+    z1, z2 = box_muller(u[:, :block], u[:, block: 2 * block])
+    z = inputs[:, : 2 * block]
+    z[:, 0::2] = z1
+    z[:, 1::2] = z2
+    z *= _QPSK_LEVEL
+    drawn = z[: len(z) - probe]
+    clipped = int(np.count_nonzero(np.abs(drawn) > clip))
+    np.clip(drawn, -clip, clip, out=drawn)
+    z[len(drawn):] = 0.0
+    inputs[:, 2 * block:] = np.where(u[:, 2 * block:] < 0.5, -_QPSK_LEVEL, _QPSK_LEVEL)
+    W1, W2, x1, x2 = unpack_complex(inputs, m, n)
+    targets[:, :m] = _matvec(W1, x1) - _matvec(W2, x2)
+    targets[:, m:] = _matvec(W1, x2) + _matvec(W2, x1)
+    return clipped
+
+
 def dataset_document(ds: Dataset) -> dict[str, Any]:
     return {
         "meta": dict(ds.meta),
@@ -283,11 +305,16 @@ def dataset_document(ds: Dataset) -> dict[str, Any]:
 
 
 def dataset_from_document(doc: dict[str, Any]) -> Dataset:
-    return Dataset(
-        np.asarray(doc["inputs"], dtype=np.float64),
-        np.asarray(doc["targets"], dtype=np.float64),
-        dict(doc.get("meta", {})),
-    )
+    """The dataset a document holds: inputs and targets are lists of rows of finite numbers."""
+    for name in ("inputs", "targets"):
+        rows = doc[name]
+        if not (isinstance(rows, list) and all(
+                type(row) is list and set(map(type, row)) <= {int, float} for row in rows)):
+            raise ValueError(f"'{name}' must be a list of rows of numbers")
+    ds = Dataset(doc["inputs"], doc["targets"], dict(doc.get("meta", {})))
+    if not (np.isfinite(ds.inputs).all() and np.isfinite(ds.targets).all()):
+        raise ValueError("a dataset file holds finite values only")  # 1e400 parses as inf
+    return ds
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -311,12 +338,22 @@ def save_dataset(ds: Dataset, path) -> None:
         fh.write("}\n")
 
 
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_dataset(path) -> Dataset:
-    """The dataset in a file, read as UTF-8 whatever the locale."""
+    """The dataset in a file, read as UTF-8 whatever the locale.
+
+    Its values must be JSON numbers, finite as :func:`save_dataset` writes
+    them: ``true``, ``false``, ``null``, strings and the ``NaN``,
+    ``Infinity`` and ``-Infinity`` extensions raise ``ValueError``, as does
+    any other malformed file.
+    """
     try:
-        doc = json.loads(Path(path).read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(Path(path).read_bytes(), parse_constant=_no_constant)
+        if not isinstance(doc, dict) or "inputs" not in doc or "targets" not in doc:
+            raise ValueError("no inputs and targets")
+        return dataset_from_document(doc)
+    except (OverflowError, TypeError, ValueError) as exc:  # decode errors are ValueErrors
         raise ValueError(f"not a valid dataset file: {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "inputs" not in doc or "targets" not in doc:
-        raise ValueError(f"not a valid dataset file: {path}")
-    return dataset_from_document(doc)

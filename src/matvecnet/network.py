@@ -182,9 +182,14 @@ class Csr(NamedTuple):
         return dense
 
 
+def _index_type(size: int) -> type:
+    """scipy's index type for indices and counts up to ``size``: int32 where they fit."""
+    return np.int32 if size < 2 ** 31 else np.int64
+
+
 def _csr(data, indices, indptr, shape) -> Csr:
     """Freeze CSR arrays that nothing else holds, with scipy's index type."""
-    index = np.int32 if max(*shape, len(data)) < 2 ** 31 else np.int64
+    index = _index_type(max(*shape, len(data)))
     parts = (np.asarray(data, np.float64), np.asarray(indices, index), np.asarray(indptr, index))
     for part in parts:
         part.setflags(write=False)
@@ -474,41 +479,58 @@ def _live(plan: Plan, lo, hi) -> Plan:
     The rules are matched once over the whole plan, in one numbering of its
     nodes (layer 0 holds the inputs and the constant neuron, layer k + 1
     the rows of kernel k); only the bounds run layer by layer.
+
+    Working set: the proof holds the plan's weights in one float64 array,
+    the node each entry reads in one int32 array (int64 only past 2^31
+    nodes or entries), a few per-node arrays, and each layer's corner
+    columns only while that layer runs. All of it is released before the
+    kernels are cut to the kept rows and columns, one layer at a time. At
+    complex_matvec(8,4,D=3), 36,454 entries over 10,103 nodes, the proof on
+    the QPSK columns peaks at 1.06 MiB (tracemalloc), the 0.27 MiB plan it
+    returns included.
     """
     kernels, n_in = plan.kernels, plan.widths[0]
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), (n_in,)) for b in (lo, hi))
-    entries = np.cumsum([0] + [len(kernel.data) for kernel in kernels])
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all() and entries[-1]):
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()
+            and any(len(kernel.data) for kernel in kernels)):
         return plan
     first = np.cumsum([0, n_in + 1] + [kernel.shape[0] for kernel in kernels])
-    data = np.concatenate([kernel.data for kernel in kernels])
-    local = np.concatenate([kernel.indices for kernel in kernels]).astype(np.int64)
-    layer = np.repeat(np.arange(len(kernels)), np.diff(entries))  # the layer each entry reads
-    reads = local + first[layer]
-    lengths = np.concatenate([np.diff(kernel.indptr) for kernel in kernels])
-    ends = np.cumsum(lengths)
-    # Per node; the inputs get a body of -1 and a nan bias, so no rule reads them.
-    last = np.maximum(ends - 1, 0)
-    biased = (lengths > 0) & (reads[last] == np.repeat(first[1:-1] - 1, np.diff(first[1:])))
-    bias = np.append(np.full(n_in + 1, np.nan), np.where(biased, data[last], 0.0))
-    body = np.append(np.full(n_in + 1, -1), lengths - biased)
-    start = np.append(np.zeros(n_in + 1, dtype=np.int64), ends - lengths)
+    bounds = _bounds(kernels, first, lo, hi)
+    dead = (bounds[:, 0] <= 0.0) & np.isfinite(bounds).all(axis=1)
+    dead[:first[1]] = dead[first[-2]:] = False
+    if not dead.any():
+        return plan
+    kept = ~dead
+    return Plan(tuple(
+        _kept(kernel, kept[first[k]:first[k + 1]], kept[first[k + 1]:first[k + 2]])
+        for k, kernel in enumerate(kernels)
+    ), plan.output)
+
+
+def _bounds(kernels: tuple[Csr, ...], first: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """Bounds (hi, lo) on each node's pre-activation, in :func:`_live`'s numbering.
+
+    Node ``first[k]`` is the first of layer k; the inputs lie in [lo, hi].
+    """
+    n_in = len(lo)
+    data, reads, start, body, bias = _numbering(kernels, first)
     rule, S, mirror = _rules(data, reads, start, body, bias)
     by_layer = np.searchsorted(rule, first)
 
     bounds = np.empty((first[-1], 2))  # hi and lo of each node's pre-activation
     bounds[:n_in] = np.column_stack((hi, lo))
     bounds[n_in] = 1.0
-    corner = 2 * local + (data < 0)
     for k, kernel in enumerate(kernels[:-1]):
         values = bounds[first[k]:first[k + 1]]
         act = values if k == 0 else np.maximum(values, 0.0)
         # Row 2j holds (hi_j, lo_j) and row 2j + 1 (lo_j, hi_j), so an entry
         # that reads 2j + (weight < 0) sums the max corner in the first lane
         # and the min corner in the second.
-        e = slice(entries[k], entries[k + 1])
         rows, cols = kernel.shape
-        _product(Csr(data[e], corner[e], kernel.indptr.astype(np.int64), (rows, 2 * cols)),
+        index = _index_type(max(rows, 2 * cols, len(kernel.data)))
+        corner = 2 * kernel.indices.astype(index, copy=False) + (kernel.data < 0)
+        _product(Csr(kernel.data, corner, kernel.indptr.astype(index, copy=False), (rows, 2 * cols)),
                  np.column_stack((act, act[:, ::-1])).reshape(-1, 2),
                  bounds.reshape(-1)[2 * first[k + 1]:2 * first[k + 2]])
         r = slice(by_layer[k + 1], by_layer[k + 2])
@@ -518,25 +540,40 @@ def _live(plan: Plan, lo, hi) -> Plan:
         node, top = node[ok], top[ok]
         bounds[node, 0] = np.minimum(bounds[node, 0], top + bias[node])
         bounds[node, 1] = np.maximum(bounds[node, 1], bias[node])
-    dead = (bounds[:, 0] <= 0.0) & np.isfinite(bounds).all(axis=1)
-    dead[:first[1]] = dead[first[-2]:] = False
-    if not dead.any():
-        return plan
+    return bounds
 
-    kept = ~dead
-    before = np.append(0, np.cumsum(kept))  # kept nodes before each node
-    owner = np.repeat(np.arange(first[1], first[-1]), lengths)
-    stays = kept[owner] & kept[reads]
-    data, columns = data[stays], (before[reads] - before[first[layer]])[stays]
-    counts = np.bincount(owner[stays] - first[1], minlength=len(lengths))[kept[first[1]:]]
-    entries = np.append(0, np.cumsum(stays))[entries]
-    rows = before[first] - before[first[1]]  # kept rows before each kernel's
-    return Plan(tuple(
-        _csr(data[entries[k]:entries[k + 1]], columns[entries[k]:entries[k + 1]],
-             np.append(0, np.cumsum(counts[rows[k + 1]:rows[k + 2]])),
-             (rows[k + 2] - rows[k + 1], before[first[k + 1]] - before[first[k]]))
-        for k in range(len(kernels))
-    ), plan.output)
+
+def _numbering(kernels: tuple[Csr, ...], first: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kernels in :func:`_live`'s node numbering, node ``first[k]`` the first of layer k.
+
+    Returns each entry's weight and the node it reads, and each node's first
+    entry, body length and bias; the inputs and the constant neuron get a
+    body of -1 and a nan bias, so no rule reads them. Indices are int32
+    where they fit.
+    """
+    n_in = first[1] - 1
+    index = _index_type(max(first[-1], sum(len(kernel.data) for kernel in kernels)))
+    first = first.astype(index)
+    data = np.concatenate([kernel.data for kernel in kernels])
+    reads = np.concatenate([kernel.indices + at for kernel, at in zip(kernels, first)])
+    lengths = np.concatenate([np.diff(kernel.indptr) for kernel in kernels])
+    ends = np.cumsum(lengths, dtype=index)
+    last = np.maximum(ends - 1, 0)
+    biased = (lengths > 0) & (reads[last] == np.repeat(first[1:-1] - 1, np.diff(first[1:])))
+    bias = np.append(np.full(n_in + 1, np.nan), np.where(biased, data[last], 0.0))
+    body = np.append(np.full(n_in + 1, -1, dtype=index), lengths - biased)
+    start = np.append(np.zeros(n_in + 1, dtype=index), ends - lengths)
+    return data, reads, start, body, bias
+
+
+def _kept(kernel: Csr, columns: np.ndarray, rows: np.ndarray) -> Csr:
+    """A kernel cut to its ``rows`` and ``columns`` (masks), each row in stored order."""
+    data, indices, indptr, _ = kernel
+    stays = np.repeat(rows, np.diff(indptr)) & columns[indices]
+    counts = np.diff(np.append(0, np.cumsum(stays))[indptr])[rows]
+    renumber = np.cumsum(columns) - 1  # a kept column's place among the kept ones
+    return _csr(data[stays], renumber[indices[stays]], np.append(0, np.cumsum(counts)),
+                (np.count_nonzero(rows), np.count_nonzero(columns)))
 
 
 def _rules(data, reads, start, body, bias) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -553,31 +590,37 @@ def _rules(data, reads, start, body, bias) -> tuple[np.ndarray, np.ndarray, np.n
     c = data[at]
     mirror = nodes[(c > 0) & (data[at + 1] == c) & (bias[reads[at]] == 0)
                    & (bias[reads[at + 1]] == 0)]
-    nodes = np.flatnonzero(body == 3)
-    at = start[nodes][:, None] + np.arange(3)
-    hat = nodes[(data[at] == (2.0, -4.0, 2.0)).all(axis=1)
-                & (bias[reads[at]] == (0.0, -0.5, -1.0)).all(axis=1)]
+    hat = np.flatnonzero(body == 3)
+    for j, (weight, offset) in enumerate(((2.0, 0.0), (-4.0, -0.5), (2.0, -1.0))):
+        at = start[hat] + j
+        hat = hat[(data[at] == weight) & (bias[reads[at]] == offset)]
     # Each earlier row, paired with S: the same body, negated for a mirror.
     # Weights are never zero, so == on them compares bits.
     at = start[np.concatenate((mirror, hat, hat))]
     S = reads[at]
-    other = reads[at + np.repeat([1, 1, 2], [len(mirror), len(hat), len(hat)])]
-    sign = np.repeat([-1.0, 1.0], [len(mirror), 2 * len(hat)])
-    # The rows of one hat read one triple, so equal neighbours are compared once.
-    fresh = np.ones(len(S), dtype=bool)
-    fresh[1:] = (S[1:] != S[:-1]) | (other[1:] != other[:-1]) | (sign[1:] != sign[:-1])
-    p, q = S[fresh], other[fresh]
-    span = body[p]
-    steps = np.arange(span.max(initial=0))
-    within = steps < span[:, None]
-    a, b = (np.where(within, start[rows][:, None] + steps, 0) for rows in (p, q))
-    same = (body[q] == span) & ((reads[a] == reads[b]) & (sign[fresh][:, None] * data[a] == data[b])
-                                | ~within).all(axis=1)
-    same = same[np.cumsum(fresh) - 1]
+    at += np.repeat(np.array([1, 1, 2], dtype=at.dtype), [len(mirror), len(hat), len(hat)])
+    negate = np.arange(len(S)) < len(mirror)
+    same = _same_bodies(S, reads[at], negate, data, reads, start, body)
     keep = np.append(same[:len(mirror)], same[len(mirror):].reshape(2, -1).all(axis=0))
     rule = np.append(mirror, hat)[keep]
     order = np.argsort(rule, kind="stable")
-    return rule[order], S[:len(keep)][keep][order], (sign[:len(keep)] < 0)[keep][order]
+    return rule[order], S[:len(keep)][keep][order], negate[:len(keep)][keep][order]
+
+
+def _same_bodies(p, q, negate, data, reads, start, body) -> np.ndarray:
+    """Whether row p[i]'s body is row q[i]'s, entry by entry, its weights negated if negate[i]."""
+    # The rows of one hat read one triple, so equal neighbours are compared once.
+    fresh = np.ones(len(p), dtype=bool)
+    fresh[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1]) | (negate[1:] != negate[:-1])
+    p, q, negate = p[fresh], q[fresh], negate[fresh]
+    span = body[p]
+    same = body[q] == span
+    for step in range(span.max(initial=0)):  # over the pairs still equal
+        pair = np.flatnonzero(same & (step < span))
+        a, b = start[p[pair]] + step, start[q[pair]] + step
+        weight = data[a]
+        same[pair] = (reads[a] == reads[b]) & (np.where(negate[pair], -weight, weight) == data[b])
+    return same[np.cumsum(fresh, dtype=start.dtype) - 1]
 
 
 class Tangents(NamedTuple):

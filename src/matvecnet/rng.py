@@ -51,9 +51,9 @@ _PHILOX_ROUNDS = 10
 _WORDS_PER_BLOCK = 4
 
 # Counter blocks computed per pass of uniform_rows; bounds its scratch
-# memory (a few dozen arrays of this many uint64s) for any row count. At
-# 64 KiB each, the temporaries stay below glibc's default mmap threshold
-# (128 KiB), so a pass reuses heap memory instead of faulting in fresh pages.
+# memory (eight arrays of this many uint64s, made once per call) for any row
+# count. At 64 KiB each, they stay below glibc's default mmap threshold
+# (128 KiB), so they come from heap memory rather than fresh pages.
 _BLOCKS_PER_PASS = 1 << 13
 
 
@@ -66,33 +66,55 @@ def stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * b.
+def _mulhilo(a: int, b: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
+    """The 128-bit products a * b: the high words into ``hi``, the low words over ``b``.
 
     numpy has no 128-bit integers, so the high word is assembled from the
     four 32 x 32 -> 64-bit partial products; no intermediate sum overflows.
+    Every step writes into ``hi``, ``b`` or the three ``scratch`` arrays,
+    all of b's shape, so no array is allocated.
     """
     a_lo = np.uint64(a & 0xFFFFFFFF)
     a_hi = np.uint64(a >> 32)
-    b_lo = b & _LOW32
-    b_hi = b >> _SHIFT32
-    low_cross = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
-    high_cross = a_lo * b_hi + (low_cross & _LOW32)
-    hi = a_hi * b_hi + (low_cross >> _SHIFT32) + (high_cross >> _SHIFT32)
-    return hi, b * np.uint64(a)
+    cross, b_hi, t = scratch
+    np.bitwise_and(b, _LOW32, out=cross)
+    np.right_shift(b, _SHIFT32, out=b_hi)
+    # cross = a_hi * b_lo + ((a_lo * b_lo) >> 32)
+    np.multiply(cross, a_lo, out=hi)
+    hi >>= _SHIFT32
+    cross *= a_hi
+    cross += hi
+    # hi = (a_lo * b_hi + (cross & 0xFFFFFFFF)) >> 32
+    np.multiply(b_hi, a_lo, out=t)
+    np.bitwise_and(cross, _LOW32, out=hi)
+    hi += t
+    hi >>= _SHIFT32
+    # hi += a_hi * b_hi + (cross >> 32)
+    b_hi *= a_hi
+    cross >>= _SHIFT32
+    hi += b_hi
+    hi += cross
+    b *= np.uint64(a)
 
 
-def _philox4x64(key: int, counter: list) -> list[np.ndarray]:
-    """Philox4x64-10 of the counter words (arrays or scalars, broadcast) under a 64-bit key."""
-    c0, c1, c2, c3 = counter
-    k0, k1 = key, 0
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = (k1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+def _philox4x64(keys: list, c: list, scratch: list) -> list:
+    """Philox4x64-10 of the counter words ``c`` (four arrays) in place, under a key schedule.
+
+    ``keys`` holds each round's two key words. The rounds run in ``c`` and
+    four ``scratch`` arrays of the same shape; the result is four of the
+    arrays of ``c``, which it returns in word order.
+    """
+    c0, c1, c2, c3 = c
+    hi, *products = scratch
+    for k0, k1 in keys:
+        # The next words are (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0).
+        _mulhilo(_PHILOX_M[0], c0, hi, products)  # c0 now holds lo0
+        c3 ^= hi
+        c3 ^= k1
+        _mulhilo(_PHILOX_M[1], c2, hi, products)  # c2 now holds lo1
+        c1 ^= hi
+        c1 ^= k0
+        c0, c1, c2, c3 = c1, c2, c3, c0
     return [c0, c1, c2, c3]
 
 
@@ -101,7 +123,10 @@ def uniform_rows(seed: int, lo: int, hi: int, width: int, lane: int = 0) -> np.n
 
     Row ``i - lo`` is bit-equal to ``stream(seed, i, lane).random(width)``.
     Indices are processed in passes of bounded size, so memory beyond the
-    returned ``(hi - lo, width)`` array does not grow with the range.
+    returned ``(hi - lo, width)`` array does not grow with the range: every
+    pass runs its ten rounds in the same eight scratch arrays, made once per
+    call, of at most ``_BLOCKS_PER_PASS`` words each (64 KiB) unless one row
+    alone needs more.
     """
     if lo < 0 or lane < 0:
         raise ValueError(f"index and lane must be nonnegative, got {lo}, {lane}")
@@ -111,20 +136,30 @@ def uniform_rows(seed: int, lo: int, hi: int, width: int, lane: int = 0) -> np.n
         raise ValueError(f"width must be nonnegative, got {width}")
     out = np.empty((hi - lo, width))
     blocks = -(-width // _WORDS_PER_BLOCK)
-    if blocks == 0:
+    if blocks == 0 or hi == lo:
         return out
     key = int(seed) & _MASK64
+    # Round r's key words: the key plus r Weyl increments, word by word.
+    keys = [tuple(np.uint64((k + r * w) & _MASK64) for k, w in zip((key, 0), _PHILOX_W))
+            for r in range(_PHILOX_ROUNDS)]
     # Counter word 0 of block k is k + 1: numpy increments before generating.
     block_counter = np.arange(1, blocks + 1, dtype=np.uint64)
-    rows_per_pass = max(1, _BLOCKS_PER_PASS // blocks)
+    rows_per_pass = min(max(1, _BLOCKS_PER_PASS // blocks), hi - lo)
+    offsets = np.arange(rows_per_pass, dtype=np.uint64)[:, None]
+    buffers = [np.empty(rows_per_pass * blocks, dtype=np.uint64) for _ in range(8)]
     for start in range(lo, hi, rows_per_pass):
         rows = min(rows_per_pass, hi - start)
-        index = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(start)
-        words = _philox4x64(key, [block_counter, np.uint64(lane), index, np.uint64(0)])
+        c0, c1, c2, c3, *scratch = (b[:rows * blocks].reshape(rows, blocks) for b in buffers)
+        c0[...] = block_counter
+        c1.fill(lane)
+        np.add(offsets[:rows], np.uint64(start), out=c2)
+        c3.fill(0)
+        words = _philox4x64(keys, [c0, c1, c2, c3], scratch)
         # Word j of block k is uniform 4k + j of the row.
         for j, word in enumerate(words):
             columns = out[start - lo: start - lo + rows, j::_WORDS_PER_BLOCK]
-            np.multiply(word[:, :columns.shape[1]] >> _SHIFT_DOUBLE, 2.0 ** -53, out=columns)
+            word >>= _SHIFT_DOUBLE
+            np.multiply(word[:, :columns.shape[1]], 2.0 ** -53, out=columns)
     return out
 
 

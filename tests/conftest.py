@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from scipy import sparse
 
@@ -36,3 +38,15 @@ def random_fnn(
         b[rng.random(b.shape) < zero_frac] = 0.0
         layers.append(Layer(w, b))
     return Fnn(tuple(layers))
+
+
+def traced(call):
+    """``call()``'s result, the MiB tracemalloc saw it allocate at its peak, and the MiB it kept."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - start) / 2 ** 20, (kept - start) / 2 ** 20

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import traced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -325,6 +326,35 @@ def test_qpsk_equals_the_per_row_oracle_at_the_complex_operating_point():
     assert ds.meta["clipped_entries"] == clipped
 
 
+def test_generation_at_the_complex_point_peaks_below_1_27_mib_above_its_result():
+    qpsk_rayleigh_dataset(8, 4, 8191, clip=3.0)  # first calls allocate lasting caches
+    ds, peak, kept = traced(lambda: qpsk_rayleigh_dataset(8, 4, 8191, clip=3.0))
+    assert kept >= (ds.inputs.nbytes + ds.targets.nbytes) / 2 ** 20 > 5.0
+    assert peak - kept <= 1.27
+
+
+GENERATORS = [
+    lambda: qpsk_rayleigh_dataset(8, 4, 4100, clip=3.0, seed=5),
+    lambda: qpsk_rayleigh_dataset(3, 5, 2048, clip=1.0, seed=-2),
+    lambda: equispaced_real_dataset(8, 4, 4100, seed=6),
+    lambda: equispaced_real_dataset(2, 7, 2049, half_width=0.5, grid_points=9, seed=1),
+]
+
+
+@pytest.mark.parametrize("generate", GENERATORS)
+def test_datasets_and_files_are_the_same_bytes_at_2048_row_blocks(
+        monkeypatch, tmp_path, generate):
+    ds = generate()
+    save_dataset(ds, tmp_path / "new.json")
+    monkeypatch.setattr(datasets, "_ROW_BLOCK", 2048)
+    old = generate()
+    save_dataset(old, tmp_path / "old.json")
+    assert ds.inputs.tobytes() == old.inputs.tobytes()
+    assert ds.targets.tobytes() == old.targets.tobytes()
+    assert ds.meta == old.meta
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
 # ---------------------------------------------------------------- files
 
 
@@ -391,3 +421,33 @@ def test_load_rejects_malformed_files(tmp_path):
     wrong_doc.write_text('{"layers": []}')
     with pytest.raises(ValueError):
         load_dataset(wrong_doc)
+
+
+def test_load_reads_numbers_as_before(tmp_path):
+    path = tmp_path / "ds.json"
+    path.write_text('{"meta": {"x": [1]}, "inputs": [[1, -0.0], [5e-324, 2]], '
+                    '"targets": [[0], [3]]}')
+    ds = load_dataset(path)
+    assert ds.inputs.tobytes() == np.array([[1.0, -0.0], [5e-324, 2.0]]).tobytes()
+    assert ds.targets.tolist() == [[0.0], [3.0]] and ds.meta == {"x": [1]}
+
+
+@pytest.mark.parametrize("token", ["true", "false", "NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["inputs", "targets"])
+def test_load_rejects_a_json_token_that_is_not_a_finite_number(tmp_path, token, where):
+    rows = {"inputs": "[[0.25, 0.5]]", "targets": "[[1.0]]"}
+    rows[where] = rows[where].replace("0.25" if where == "inputs" else "1.0", token)
+    path = tmp_path / "ds.json"
+    path.write_text(f'{{"meta": {{}}, "inputs": {rows["inputs"]}, "targets": {rows["targets"]}}}')
+    with pytest.raises(ValueError, match="not a valid dataset file"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["null", '"1.5"', "[1]", "1e400",
+                                   pytest.param("1" + "0" * 400, id="10^400")])
+def test_load_rejects_other_values_that_are_not_finite_numbers(tmp_path, value):
+    path = tmp_path / "ds.json"
+    path.write_text(f'{{"meta": {{}}, "inputs": [[{value}, 0.5]], "targets": [[1]]}}')
+    with pytest.raises(ValueError, match="not a valid dataset file"):
+        load_dataset(path)
+

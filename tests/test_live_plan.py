@@ -6,9 +6,11 @@ against the distinct plan they come from, and reports against the unpruned
 estimators.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
-from conftest import random_fnn
+from conftest import random_fnn, traced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +171,47 @@ def test_dead_neuron_counts_at_the_operating_points(make, D, dead, entries):
     live = _live(plan, -D, D)
     assert sum(plan.widths[1:-1]) - sum(live.widths[1:-1]) == dead
     assert tuple(sum(len(k.data) for k in p.kernels) for p in (plan, live)) == entries
+
+
+def plan_digest(plan):
+    """SHA-256 over every kernel's arrays, their dtypes and shape, and the output rows."""
+    digest = hashlib.sha256()
+    for kernel in plan.kernels:
+        for part in kernel[:3]:
+            digest.update(str(part.dtype).encode())
+            digest.update(part.tobytes())
+        digest.update(repr(kernel.shape).encode())
+    digest.update(str(plan.output.dtype).encode())
+    digest.update(plan.output.tobytes())
+    return digest.hexdigest()
+
+
+def qpsk_columns():
+    """Column bounds of the complex point's 8,191 QPSK rows, as dataset_error_report takes them."""
+    inputs = qpsk_rayleigh_dataset(8, 4, 8191, clip=3.0, seed=0).inputs
+    return inputs.min(axis=0), inputs.max(axis=0)
+
+
+# Recorded before the proof moved to int32 indices and per-layer corners.
+@pytest.mark.parametrize("make,bounds,expected", [
+    (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5), lambda: (-2.0, 2.0),
+     "365ee100ff3ce2abb4c2b95dd9eac8c50615fbaff9fe0ce79b43568ea7375c22"),
+    (lambda: complex_matvec_net(8, 4, 3.0, 2.0 ** -5), lambda: (-3.0, 3.0),
+     "8684ec839c700aebe0b845816508eaf9f7f03ce1df2913d6747eed280bb8c8fa"),
+    (lambda: complex_matvec_net(8, 4, 3.0, 2.0 ** -5), qpsk_columns,
+     "112747ca9d2ad0803ace954110a64ef1c7e5f1c3074d6ff79aba49262a61b4a5"),
+], ids=["real-box", "complex-box", "complex-qpsk-columns"])
+def test_live_plans_at_the_operating_points_keep_their_bytes(make, bounds, expected):
+    assert plan_digest(_live(_distinct(make()), *bounds())) == expected
+
+
+def test_the_live_proof_at_the_complex_point_peaks_below_1_27_mib():
+    plan = _distinct(complex_matvec_net(8, 4, 3.0, 2.0 ** -5))
+    lo, hi = qpsk_columns()
+    _live(plan, lo, hi)  # first calls allocate lasting caches
+    live, peak, kept = traced(lambda: _live(plan, lo, hi))
+    assert live is not plan and kept > 0.25
+    assert peak <= 1.27
 
 
 def unpruned(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import traced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,16 @@ def test_uniform_rows_equal_the_reference_across_passes(monkeypatch, width):
     monkeypatch.setattr(rng, "_BLOCKS_PER_PASS", 7)
     got = uniform_rows(3, 10, 60, width, lane=2)
     assert got.tobytes() == reference_rows(3, 10, 60, width, lane=2).tobytes()
+
+
+@pytest.mark.parametrize("width", [36, 80])
+def test_uniform_rows_scratch_stays_near_nine_64_kib_arrays(width):
+    # eight Philox arrays, numpy's 64 KiB buffer for the uint64 -> float64
+    # cast, and a few KiB of counters and views
+    uniform_rows(0, 0, 2, width)  # first calls allocate lasting caches
+    rows, peak, kept = traced(lambda: uniform_rows(1, 0, 4096, width))
+    assert kept >= rows.nbytes / 2 ** 20
+    assert peak - kept <= 0.6
 
 
 def test_uniform_rows_at_the_top_of_the_index_range():
