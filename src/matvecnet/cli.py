@@ -31,6 +31,7 @@ from .datasets import equispaced_real_dataset, qpsk_rayleigh_dataset, save_datas
 from .interchange import load_fnn, save_fnn
 from .verification import (
     REPORT_COLUMNS,
+    _fields,
     budget_line,
     check_budget,
     metrics_line,
@@ -102,13 +103,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     got = compliance.measured
     out = args.out or f"{args.kind}.json"
     save_fnn(net, out, extra_meta={
-        "metrics": {
-            "L": got.depth,
-            "M": got.connectivity,
-            "N": got.neurons,
-            "W": got.max_width,
-            "B": got.max_weight,
-        },
+        "metrics": _fields(measured=got),
         "budget": asdict(compliance.budget),
     })
     print(f"wrote {out}")

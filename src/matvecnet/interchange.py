@@ -21,8 +21,10 @@ pattern, so 0.0 and -0.0 stay apart) is formatted once with
 is taken from one table of ``int.__repr__`` texts. Reading a file back
 therefore reproduces the original doubles bit for bit. NaN and infinity are
 rejected with ``ValueError`` (valid networks never contain them) before the
-file is opened. Any other JSON spacing of the same document, such as the
-indented files of earlier versions, reads the same. Files are read as UTF-8
+file is opened, and :func:`load_fnn` rejects the ``NaN``, ``Infinity`` and
+``-Infinity`` tokens anywhere in a file as a malformed file. Any other JSON
+spacing of the same document, such as the indented files of earlier
+versions, reads the same. Files are read as UTF-8
 whatever the locale (RFC 8259, section 8.1).
 
 A sparse layer loads straight into canonical CSR arrays: the triplets are
@@ -37,6 +39,7 @@ from typing import Any, Union
 
 import numpy as np
 
+from .datasets import _no_constant
 from .network import Fnn, Layer, _nonzero, validate
 
 __all__ = ["save_fnn", "load_fnn", "network_document", "network_from_document"]
@@ -217,9 +220,14 @@ def save_fnn(fnn: Fnn, path: Union[str, Path], extra_meta: dict | None = None) -
 
 
 def load_fnn(path: Union[str, Path]) -> Fnn:
-    """The network in a file of either layout, read as UTF-8 and validated."""
+    """The network in a file of either layout, read as UTF-8 and validated.
+
+    As in :func:`.datasets.load_dataset`, the ``NaN``, ``Infinity`` and
+    ``-Infinity`` extensions are malformed anywhere in the file, ``meta``
+    included, so every file that loads can be saved back.
+    """
     try:
-        doc = json.loads(Path(path).read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(Path(path).read_bytes(), parse_constant=_no_constant)
+    except ValueError as exc:  # decode errors are ValueErrors
         raise ValueError(f"malformed network file {path}: {exc}") from exc
     return network_from_document(doc)

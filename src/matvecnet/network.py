@@ -825,9 +825,11 @@ def preactivations(fnn: Fnn, x) -> list[np.ndarray]:
     A stack x of shape (count, N_0) gives (count, N_k) arrays, row i
     bit-equal to the result for ``x[i]``; it runs in slices sized as in
     :func:`evaluate_batch`, each written into the arrays as it passes, so
-    its working memory beyond them is that of one slice. Used by
-    verification code to detect inputs that sit on a kink of the
-    piecewise-linear function.
+    its working memory beyond them is that of one slice. The package itself
+    never calls it: the Sobolev check screens for kinks with its own
+    :func:`_batch` visitor on the live plan. It serves callers that inspect
+    the hidden layers, such as the tests' per-row kink oracle and
+    perfbench's census of active neurons.
     """
     X, stacked = _inputs(fnn, x)
     pres = [np.empty((len(X), width)) for width in fnn.widths[1:-1]]

@@ -37,10 +37,13 @@ with 2D finite, so that every sample u * 2D - D lies in [-D, D].
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
-fewer rows per layer, the same bits. Building a plan costs one to a few
-milliseconds, a few one-row evaluations, so one-off calls such as
-:func:`.network.evaluate_batch` on a handful of rows keep to the stored
-layers, while an estimator call evaluates thousands of rows.
+fewer rows per layer, the same bits. Building a plan takes about 1, 2 and
+6-9 ms at matvec(2,2,D=1), at the real point matvec(8,4,D=2) and at the
+complex point complex_matvec(8,4,D=3), and about 2, 4 and 11-16 ms with
+:func:`.network._live` added (medians of 9 builds, two runs, on a shared
+2-core Xeon), so one-off calls such as :func:`.network.evaluate_batch` on
+a handful of rows keep to the stored layers, while an estimator call
+evaluates thousands of rows.
 
 Every estimator then drops the neurons proven never active where its
 inputs lie (:func:`.network._live`), again with the same bits:
@@ -50,7 +53,7 @@ inputs lie (:func:`.network._live`), again with the same bits:
 the squaring grid of :func:`square_error_report` is covered too. A row
 holding nan or inf leaves every neuron in. At the two operating points this
 drops about a quarter of the hidden neurons and half of the kernel entries,
-in a few milliseconds per call. The Sobolev kink screen then sees only the
+in the times above. The Sobolev kink screen then sees only the
 neurons left: a dropped neuron is identically 0 on the box, so it is no
 kink of the function, and its Jacobian mask is 0 wherever it is evaluated.
 
@@ -491,26 +494,31 @@ def verify_network(
     return report, compliance, worst <= eps and compliance.passed
 
 
-REPORT_COLUMNS = [
-    "kind",
-    "m",
-    "n",
-    "D",
-    "eps",
-    "samples",
-    "seed",
-    "sup_error",
-    "mse",
-    "grad_sup_error",
-    "L",
-    "M",
-    "N",
-    "W",
-    "B",
-    "depth_ok",
-    "width_ok",
-    "weight_ok",
-]
+# The report's fields in column order, grouped by the object each is read
+# from: column name -> attribute. L, M, N, W and B are the paper's size
+# symbols for depth, connectivity, neurons, width and weight.
+_FIELDS = {
+    "record": {"kind": "kind", "m": "m", "n": "n", "D": "D", "eps": "eps"},
+    "report": {"samples": "sample_count", "seed": "seed", "sup_error": "sup_error",
+               "mse": "mse", "grad_sup_error": "grad_sup_error"},
+    "measured": {"L": "depth", "M": "connectivity", "N": "neurons", "W": "max_width",
+                 "B": "max_weight"},
+    "compliance": {"depth_ok": "depth_ok", "width_ok": "width_ok", "weight_ok": "weight_ok"},
+}
+
+REPORT_COLUMNS = [name for fields in _FIELDS.values() for name in fields]
+
+
+def _fields(**sources: Any) -> dict[str, Any]:
+    """The fields of the named sources, column name -> value, in column order.
+
+    A source given as None gives None for each of its fields, an empty cell.
+    """
+    return {
+        name: None if sources[source] is None else getattr(sources[source], attr)
+        for source, fields in _FIELDS.items() if source in sources
+        for name, attr in fields.items()
+    }
 
 
 def _cell(value: Any) -> str:
@@ -529,37 +537,14 @@ def report_row(
     compliance: BudgetCompliance | None = None,
 ) -> list[str]:
     """One CSV row in REPORT_COLUMNS order. Floats use round-trip repr."""
-    record = f.record
     got = compliance.measured if compliance is not None else metrics(f)
-    values = [
-        record.kind if record is not None else "",
-        record.m if record is not None else None,
-        record.n if record is not None else None,
-        record.D if record is not None else None,
-        record.eps if record is not None else None,
-        report.sample_count,
-        report.seed,
-        report.sup_error,
-        report.mse,
-        report.grad_sup_error,
-        got.depth,
-        got.connectivity,
-        got.neurons,
-        got.max_width,
-        got.max_weight,
-        compliance.depth_ok if compliance is not None else None,
-        compliance.width_ok if compliance is not None else None,
-        compliance.weight_ok if compliance is not None else None,
-    ]
-    return [_cell(v) for v in values]
+    fields = _fields(record=f.record, report=report, measured=got, compliance=compliance)
+    return [_cell(v) for v in fields.values()]
 
 
 def metrics_line(got: NetworkMetrics) -> str:
     """The ``metrics:`` line of the build and verify summaries."""
-    return (
-        f"metrics: L={got.depth} M={got.connectivity} N={got.neurons} "
-        f"W={got.max_width} B={_cell(got.max_weight)}"
-    )
+    return "metrics: " + " ".join(f"{k}={_cell(v)}" for k, v in _fields(measured=got).items())
 
 
 def budget_line(compliance: BudgetCompliance) -> str:
@@ -585,16 +570,10 @@ def report_lines(
     record = f.record
     lines = []
     if record is not None:
-        params = ", ".join(
-            f"{name}={value}"
-            for name, value in (
-                ("m", record.m), ("n", record.n),
-                ("D", record.D), ("eps", record.eps),
-                ("sawtooth_order", record.sawtooth_order),
-            )
-            if value is not None
-        )
-        lines.append(f"network: {record.kind} ({params})")
+        params = {**_fields(record=record), "sawtooth_order": record.sawtooth_order}
+        kind = params.pop("kind")
+        shown = ", ".join(f"{name}={value}" for name, value in params.items() if value is not None)
+        lines.append(f"network: {kind} ({shown})")
         lines.append(f"packing: {record.input_packing}")
     lines.append(metrics_line(got))
     lines.append(

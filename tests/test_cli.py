@@ -20,6 +20,7 @@ from matvecnet import (
     complex_matvec_net,
     dataset_error_report,
     load_dataset,
+    load_fnn,
     qpsk_rayleigh_dataset,
     save_fnn,
 )
@@ -406,6 +407,24 @@ def test_verify_malformed_network_file_is_a_usage_error(tmp_path, capsys, doc):
     assert len(stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where, token", [
+    ('"D": 1.0', '"D": NaN'),  # loaded, and then could not be saved back
+    ('"values": [1.0', '"values": [Infinity'),
+    ('"bias": [0.0', '"bias": [-Infinity'),
+], ids=["nan-in-meta", "infinity-in-values", "minus-infinity-in-bias"])
+def test_verify_network_file_with_a_nonfinite_token_is_a_usage_error(tmp_path, capsys, where, token):
+    path = build_matvec(tmp_path, capsys)
+    text = path.read_text()
+    assert where in text
+    path.write_text(text.replace(where, token, 1))
+    code, stdout, stderr = run(["verify", str(path), "--out", str(tmp_path / "r.csv")], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: malformed network file {path}: "
+                      f"{token.split()[-1].lstrip('[')} is not a JSON number\n")
+    with pytest.raises(ValueError, match="malformed network file"):
+        load_fnn(path)
+
+
 @pytest.mark.parametrize("layer", [{"bias": [0.0]}, {"weights": [[1.0]]}, [1.0]])
 def test_verify_network_with_an_incomplete_layer_is_a_usage_error(tmp_path, capsys, layer):
     path = tmp_path / "broken.json"
@@ -564,6 +583,38 @@ def test_verify_rows_match_the_recorded_rows(tmp_path, capsys, kind, sobolev, jo
         assert (code, stderr) == (0, "")
         assert stdout.endswith("verdict: ok (eps=0.0625)\n")
         assert out.read_bytes() == f"{VERIFY_HEADER}\r\n{row}\r\n".encode()
+
+
+# Per buildable kind, built and verified as for VERIFY_ROWS (with --jobs 1):
+# the stdout lines of build, verify and verify --sobolev (None where it is
+# refused), "{out}" standing for the file's path, and the file's meta block.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind, entry in KINDS.items() if entry.builder is not None]
+)
+def test_cli_output_and_meta_match_the_recorded_ones(tmp_path, capsys, kind):
+    golden = GOLDEN[kind]
+    small = {"m": "2", "n": "2", "D": "1.5", "eps": "2^-4"}
+    options = [arg for name in KINDS[kind].params for arg in (f"--{name}", small[name])]
+    net = tmp_path / f"{kind}.json"
+
+    def lines(stdout):
+        return stdout.replace(str(net), "{out}").split("\n")
+
+    code, stdout, stderr = run(["build", "--kind", kind, *options, "--out", str(net)], capsys)
+    assert (code, lines(stdout), stderr) == (0, [*golden["build"], ""], "")
+    meta = json.loads(net.read_text())["meta"]
+    assert json.dumps(meta) == json.dumps(golden["meta"])
+    verify = ["verify", str(net), "--samples", "2500", "--seed", "3", "--out", str(tmp_path / "r.csv")]
+    for flags, recorded in (([], golden["verify"]), (["--sobolev"], golden["sobolev"])):
+        code, stdout, stderr = run([*verify, *flags], capsys)
+        if recorded is None:
+            assert (code, stdout) == (2, "")
+            assert stderr == "error: --sobolev applies to matvec-packed networks only\n"
+        else:
+            assert (code, lines(stdout), stderr) == (0, [*recorded, ""], "")
 
 
 def test_verify_rejects_an_affine_network(tmp_path, capsys):
