@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from math import inf, isfinite, log2, prod
+from sys import float_info
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -123,18 +124,26 @@ class ConstructionRecord:
 
     @classmethod
     def from_meta(cls, meta: Mapping[str, Any]) -> "ConstructionRecord":
-        """The record stored in a meta block; TypeError if a field has the wrong JSON type.
+        """The record stored in a meta block.
 
         ``m``, ``n`` and ``sawtooth_order`` must be integers and ``D`` and
-        ``eps`` numbers; booleans and strings are neither, and absent or null
-        fields stay None.
+        ``eps`` numbers; booleans and strings are neither (TypeError), and
+        absent or null fields stay None. The integers must be counts below
+        2^63, as a layer's shape is, and the numbers finite doubles
+        (ValueError), so every record that loads can be budgeted and saved.
         """
 
         def checked(name: str, types: tuple[type, ...]):
             value = meta.get(name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            if value is None:
+                return None
+            if isinstance(value, bool) or not isinstance(value, types):
                 raise TypeError(f"{name!r} must be {' or '.join(t.__name__ for t in types)}, "
                                 f"got {value!r}")
+            if float in types and not abs(value) <= float_info.max:  # nan, inf, 10^400
+                raise ValueError(f"{name!r} must be a finite double")
+            if float not in types and not 0 <= value < 2 ** 63:
+                raise ValueError(f"{name!r} must be a count below 2^63")
             return value
 
         D = checked("D", (int, float))

@@ -171,7 +171,7 @@ def network_from_document(doc: dict) -> Fnn:
 
         try:
             record = ConstructionRecord.from_meta(meta)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"not a network document: malformed 'meta': {exc}") from None
     fnn = Fnn(tuple(layers), record)
     validate(fnn)

@@ -101,9 +101,12 @@ layer's rho(t - 1/2) of a chain that reads |w| or |x| alone, where
 t <= 1/2: at matvec(8,4,D=2) that is 648 of the 2,584 hidden neurons and
 4,296 of the 9,283 kernel entries. The proof is made on the float
 computation itself, not with a rounding margin, since these neurons'
-exact maximum pre-activation is 0: per-neuron bounds from each row's
-float corners, tightened by two exact lemmas for the rows that read
-rho(S) and rho(-S) and for the sawtooth's hat rows (see :func:`_live`).
+exact maximum pre-activation is 0: bounds on each layer's pre-activations
+from the float corners of its rows, tightened by two exact lemmas, one
+for the rows that read rho(S) and rho(-S) and one for the sawtooth's hat
+rows, each relating a row to rows of the layer before it. So the proof is
+one pass over the layers that holds a kernel and the one before it, never
+a numbering of the whole plan (see :func:`_live`).
 A dropped neuron would have output +-0.0, and leaving its terms out of
 a sum that starts at +0.0 changes no bit, the argument the kernels use
 for +-0.0 biases; where no bound is finite nothing is dropped. A dropped
@@ -443,10 +446,13 @@ def _live(plan: Plan, lo, hi) -> Plan:
     hidden neuron is dropped when its pre-activation, as evaluation computes
     it in double precision, is proven at most 0 on that box, and so is every
     kernel entry that reads it. Output rows and the constant neuron are never
-    dropped. Without finite bounds, or without entries, nothing is proven
-    and the plan comes back as it is. The proof runs layer by layer over
-    bounds [lo_i, hi_i] of each pre-activation, which rho maps to the next
-    layer's. A row's body is its entries without the bias, which comes last.
+    dropped. Without finite bounds nothing is proven and the plan comes back
+    as it is. The proof is one pass over the hidden kernels. Each step takes
+    bounds [lo_i, hi_i] on the pre-activations of the rows the kernel reads,
+    which rho maps to its columns, and gives those of its own rows: the float
+    corners (:func:`_corners`), tightened by two rules that match a row of
+    this kernel to rows of the one before it (:func:`_tighten`). A row's body
+    is its entries without the bias, which comes last.
 
     * Corners. Each float operation of a row is monotone in each operand,
       in the direction of its weight's sign, so the row summed in stored
@@ -476,94 +482,91 @@ def _live(plan: Plan, lo, hi) -> Plan:
     round-to-nearest such a sum is never -0.0, so leaving those terms out
     changes no bit of any later value, as with a zero bias.
 
-    The rules are matched once over the whole plan, in one numbering of its
-    nodes (layer 0 holds the inputs and the constant neuron, layer k + 1
-    the rows of kernel k); only the bounds run layer by layer.
-
-    Working set: the proof holds the plan's weights in one float64 array,
-    the node each entry reads in one int32 array (int64 only past 2^31
-    nodes or entries), a few per-node arrays, and each layer's corner
-    columns only while that layer runs. All of it is released before the
-    kernels are cut to the kept rows and columns, one layer at a time. At
-    complex_matvec(8,4,D=3), 36,454 entries over 10,103 nodes, the proof on
-    the QPSK columns peaks at 1.06 MiB (tracemalloc), the 0.27 MiB plan it
-    returns included.
+    Working set: a step holds its kernel's corner columns and the bounds
+    and row arrays of that kernel and the one before it; only a mask of the
+    rows kept outlives it, and the kernels are cut to those masks at the
+    end. At complex_matvec(8,4,D=3), 36,454 entries over 10,000 hidden
+    neurons, the proof on the QPSK columns peaks at 0.31 MiB (tracemalloc),
+    the 0.27 MiB plan it returns included.
     """
     kernels, n_in = plan.kernels, plan.widths[0]
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), (n_in,)) for b in (lo, hi))
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()
-            and any(len(kernel.data) for kernel in kernels)):
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
         return plan
-    first = np.cumsum([0, n_in + 1] + [kernel.shape[0] for kernel in kernels])
-    bounds = _bounds(kernels, first, lo, hi)
-    dead = (bounds[:, 0] <= 0.0) & np.isfinite(bounds).all(axis=1)
-    dead[:first[1]] = dead[first[-2]:] = False
-    if not dead.any():
+    # (hi, lo) of each pre-activation a kernel reads, the constant neuron's last
+    bounds = np.column_stack((np.append(hi, 1.0), np.append(lo, 1.0)))
+    kept, earlier = [np.ones(n_in + 1, dtype=bool)], None
+    for kernel in kernels[:-1]:
+        pre = _corners(kernel, bounds if earlier is None else np.maximum(bounds, 0.0))
+        rows = _rows(kernel)
+        if earlier is not None:
+            _tighten(pre, rows, earlier, bounds)
+        kept.append(~((pre[:, 0] <= 0.0) & np.isfinite(pre).all(axis=1)))
+        bounds, earlier = pre, rows
+    if all(mask.all() for mask in kept):
         return plan
-    kept = ~dead
-    return Plan(tuple(
-        _kept(kernel, kept[first[k]:first[k + 1]], kept[first[k + 1]:first[k + 2]])
-        for k, kernel in enumerate(kernels)
-    ), plan.output)
+    kept.append(np.ones(kernels[-1].shape[0], dtype=bool))
+    return Plan(tuple(_kept(kernel, columns, rows)
+                      for kernel, columns, rows in zip(kernels, kept, kept[1:])), plan.output)
 
 
-def _bounds(kernels: tuple[Csr, ...], first: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
-    """Bounds (hi, lo) on each node's pre-activation, in :func:`_live`'s numbering.
+def _corners(kernel: Csr, act: np.ndarray) -> np.ndarray:
+    """Each row's float (max, min) over columns in [act[:, 1], act[:, 0]], see :func:`_live`."""
+    # Row 2j holds (hi_j, lo_j) and row 2j + 1 (lo_j, hi_j), so an entry
+    # that reads 2j + (weight < 0) sums the max corner in the first lane
+    # and the min corner in the second.
+    data, indices, indptr, (rows, cols) = kernel
+    index = _index_type(max(rows, 2 * cols, len(data)))
+    corner = 2 * indices.astype(index, copy=False) + (data < 0)
+    return _product(Csr(data, corner, indptr.astype(index, copy=False), (rows, 2 * cols)),
+                    np.column_stack((act, act[:, ::-1])).reshape(-1, 2), np.empty(2 * rows))
 
-    Node ``first[k]`` is the first of layer k; the inputs lie in [lo, hi].
+
+def _rows(kernel: Csr) -> tuple[np.ndarray, ...]:
+    """A hidden kernel as :func:`_tighten` matches it: each entry's weight and column,
+    and each row's first entry, body length and bias (0.0 where it has none)."""
+    data, indices, indptr, (_, cols) = kernel
+    lengths = indptr[1:] - indptr[:-1]
+    last = np.maximum(indptr[1:] - 1, 0)
+    biased = (lengths > 0) & (indices[last] == cols - 1)
+    return data, indices, indptr[:-1], lengths - biased, np.where(biased, data[last], 0.0)
+
+
+def _tighten(pre: np.ndarray, rows, earlier, bounds: np.ndarray) -> None:
+    """Tighten a hidden kernel's corner bounds ``pre`` by :func:`_live`'s mirror and hat rules.
+
+    ``rows`` and ``earlier`` are the kernel and the one before it as
+    :func:`_rows` gives them; the earlier rows' pre-activations lie in
+    ``bounds`` (hi, lo). Rows are matched by structure alone; a hat also
+    needs hi_S <= 1.
     """
-    n_in = len(lo)
-    data, reads, start, body, bias = _numbering(kernels, first)
-    rule, S, mirror = _rules(data, reads, start, body, bias)
-    by_layer = np.searchsorted(rule, first)
-
-    bounds = np.empty((first[-1], 2))  # hi and lo of each node's pre-activation
-    bounds[:n_in] = np.column_stack((hi, lo))
-    bounds[n_in] = 1.0
-    for k, kernel in enumerate(kernels[:-1]):
-        values = bounds[first[k]:first[k + 1]]
-        act = values if k == 0 else np.maximum(values, 0.0)
-        # Row 2j holds (hi_j, lo_j) and row 2j + 1 (lo_j, hi_j), so an entry
-        # that reads 2j + (weight < 0) sums the max corner in the first lane
-        # and the min corner in the second.
-        rows, cols = kernel.shape
-        index = _index_type(max(rows, 2 * cols, len(kernel.data)))
-        corner = 2 * kernel.indices.astype(index, copy=False) + (kernel.data < 0)
-        _product(Csr(kernel.data, corner, kernel.indptr.astype(index, copy=False), (rows, 2 * cols)),
-                 np.column_stack((act, act[:, ::-1])).reshape(-1, 2),
-                 bounds.reshape(-1)[2 * first[k + 1]:2 * first[k + 2]])
-        r = slice(by_layer[k + 1], by_layer[k + 2])
-        node, top = rule[r], bounds[S[r]]
-        ok = mirror[r] | (top[:, 0] <= 1.0)
-        top = np.where(mirror[r], data[start[node]] * np.maximum(top[:, 0], -top[:, 1]), 1.0)
-        node, top = node[ok], top[ok]
-        bounds[node, 0] = np.minimum(bounds[node, 0], top + bias[node])
-        bounds[node, 1] = np.maximum(bounds[node, 1], bias[node])
-    return bounds
-
-
-def _numbering(kernels: tuple[Csr, ...], first: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The kernels in :func:`_live`'s node numbering, node ``first[k]`` the first of layer k.
-
-    Returns each entry's weight and the node it reads, and each node's first
-    entry, body length and bias; the inputs and the constant neuron get a
-    body of -1 and a nan bias, so no rule reads them. Indices are int32
-    where they fit.
-    """
-    n_in = first[1] - 1
-    index = _index_type(max(first[-1], sum(len(kernel.data) for kernel in kernels)))
-    first = first.astype(index)
-    data = np.concatenate([kernel.data for kernel in kernels])
-    reads = np.concatenate([kernel.indices + at for kernel, at in zip(kernels, first)])
-    lengths = np.concatenate([np.diff(kernel.indptr) for kernel in kernels])
-    ends = np.cumsum(lengths, dtype=index)
-    last = np.maximum(ends - 1, 0)
-    biased = (lengths > 0) & (reads[last] == np.repeat(first[1:-1] - 1, np.diff(first[1:])))
-    bias = np.append(np.full(n_in + 1, np.nan), np.where(biased, data[last], 0.0))
-    body = np.append(np.full(n_in + 1, -1, dtype=index), lengths - biased)
-    start = np.append(np.zeros(n_in + 1, dtype=index), ends - lengths)
-    return data, reads, start, body, bias
+    data, reads, start, body, bias = rows
+    offset = earlier[4]  # the bias of each row read
+    mirror, hat = np.flatnonzero(body == 2), np.flatnonzero(body == 3)
+    at = start[mirror, None] + np.arange(2, dtype=start.dtype)
+    c = data[at]
+    mirror = mirror[(c[:, 0] > 0) & (c[:, 1] == c[:, 0]) & (offset[reads[at]] == 0).all(axis=1)]
+    at = start[hat, None] + np.arange(3, dtype=start.dtype)
+    pattern = (data[at] == (2.0, -4.0, 2.0)) & (offset[reads[at]] == (0.0, -0.5, -1.0))
+    hat = hat[pattern.all(axis=1)]
+    if not len(mirror) + len(hat):
+        return
+    # Each earlier row, paired with S: the same body, negated for a mirror.
+    # Weights are never zero, so == on them compares bits.
+    at = start[np.concatenate((mirror, hat, hat))]
+    S = reads[at]
+    at += np.repeat(np.array([1, 1, 2], dtype=at.dtype), [len(mirror), len(hat), len(hat)])
+    negate = np.arange(len(S)) < len(mirror)
+    same = _same_bodies(S, reads[at], negate, *earlier[:4])
+    rule = np.concatenate((mirror, hat))
+    keep = np.concatenate((same[:len(mirror)], same[len(mirror):].reshape(2, -1).all(axis=0)))
+    node, S, negate = rule[keep], S[:len(rule)][keep], negate[:len(rule)][keep]
+    top = bounds[S]
+    ok = negate | (top[:, 0] <= 1.0)
+    top = np.where(negate, data[start[node]] * np.maximum(top[:, 0], -top[:, 1]), 1.0)
+    node, top = node[ok], top[ok]
+    pre[node, 0] = np.minimum(pre[node, 0], top + bias[node])
+    pre[node, 1] = np.maximum(pre[node, 1], bias[node])
 
 
 def _kept(kernel: Csr, columns: np.ndarray, rows: np.ndarray) -> Csr:
@@ -574,37 +577,6 @@ def _kept(kernel: Csr, columns: np.ndarray, rows: np.ndarray) -> Csr:
     renumber = np.cumsum(columns) - 1  # a kept column's place among the kept ones
     return _csr(data[stays], renumber[indices[stays]], np.append(0, np.cumsum(counts)),
                 (np.count_nonzero(rows), np.count_nonzero(columns)))
-
-
-def _rules(data, reads, start, body, bias) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows :func:`_live`'s mirror and hat rules match, by structure alone.
-
-    Takes the plan in one node numbering: each entry's weight and the node it
-    reads, and each node's first entry, body length and bias. Returns the
-    matched rows in ascending order, the node S each reads first, and
-    whether it is a mirror; a hat still needs hi_S <= 1, which depends on
-    the bounds.
-    """
-    nodes = np.flatnonzero(body == 2)
-    at = start[nodes]
-    c = data[at]
-    mirror = nodes[(c > 0) & (data[at + 1] == c) & (bias[reads[at]] == 0)
-                   & (bias[reads[at + 1]] == 0)]
-    hat = np.flatnonzero(body == 3)
-    for j, (weight, offset) in enumerate(((2.0, 0.0), (-4.0, -0.5), (2.0, -1.0))):
-        at = start[hat] + j
-        hat = hat[(data[at] == weight) & (bias[reads[at]] == offset)]
-    # Each earlier row, paired with S: the same body, negated for a mirror.
-    # Weights are never zero, so == on them compares bits.
-    at = start[np.concatenate((mirror, hat, hat))]
-    S = reads[at]
-    at += np.repeat(np.array([1, 1, 2], dtype=at.dtype), [len(mirror), len(hat), len(hat)])
-    negate = np.arange(len(S)) < len(mirror)
-    same = _same_bodies(S, reads[at], negate, data, reads, start, body)
-    keep = np.append(same[:len(mirror)], same[len(mirror):].reshape(2, -1).all(axis=0))
-    rule = np.append(mirror, hat)[keep]
-    order = np.argsort(rule, kind="stable")
-    return rule[order], S[:len(keep)][keep][order], negate[:len(keep)][keep][order]
 
 
 def _same_bodies(p, q, negate, data, reads, start, body) -> np.ndarray:

@@ -37,10 +37,10 @@ with 2D finite, so that every sample u * 2D - D lies in [-D, D].
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
-fewer rows per layer, the same bits. Building a plan takes about 1, 2 and
-6-9 ms at matvec(2,2,D=1), at the real point matvec(8,4,D=2) and at the
-complex point complex_matvec(8,4,D=3), and about 2, 4 and 11-16 ms with
-:func:`.network._live` added (medians of 9 builds, two runs, on a shared
+fewer rows per layer, the same bits. Building a plan takes about 2-3 ms
+at the real point matvec(8,4,D=2) and 6 ms at the complex point
+complex_matvec(8,4,D=3), and :func:`.network._live` about 3 and 6 ms more
+(medians of 9 builds, three runs of ``scripts/plan_census.py`` on a shared
 2-core Xeon), so one-off calls such as :func:`.network.evaluate_batch` on
 a handful of rows keep to the stored layers, while an estimator call
 evaluates thousands of rows.

@@ -425,6 +425,26 @@ def test_verify_network_file_with_a_nonfinite_token_is_a_usage_error(tmp_path, c
         load_fnn(path)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ('"m": 1', str(10 ** 400), "'m' must be a count below 2^63"),
+    ('"n": 2', str(10 ** 400), "'n' must be a count below 2^63"),
+    ('"sawtooth_order": 6', str(2 ** 63), "'sawtooth_order' must be a count below 2^63"),
+    ('"D": 1.0', "1e400", "'D' must be a finite double"),  # json reads it as inf
+    ('"eps": 0.0625', "1e400", "'eps' must be a finite double"),
+], ids=["m", "n", "sawtooth_order", "D", "eps"])
+def test_verify_network_file_with_a_meta_number_out_of_range_is_a_usage_error(
+        tmp_path, capsys, where, value, message):
+    path = build_matvec(tmp_path, capsys)
+    text = path.read_text()
+    assert where in text
+    path.write_text(text.replace(where, f"{where.split(':')[0]}: {value}", 1))
+    out = tmp_path / "r.csv"
+    code, stdout, stderr = run(["verify", str(path), "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: not a network document: malformed 'meta': {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("layer", [{"bias": [0.0]}, {"weights": [[1.0]]}, [1.0]])
 def test_verify_network_with_an_incomplete_layer_is_a_usage_error(tmp_path, capsys, layer):
     path = tmp_path / "broken.json"

@@ -14,6 +14,7 @@ from conftest import random_fnn, traced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matvecnet.constructors as constructors
 import matvecnet.verification as verification
 from matvecnet import (
     Dataset,
@@ -205,13 +206,13 @@ def test_live_plans_at_the_operating_points_keep_their_bytes(make, bounds, expec
     assert plan_digest(_live(_distinct(make()), *bounds())) == expected
 
 
-def test_the_live_proof_at_the_complex_point_peaks_below_1_27_mib():
+def test_the_live_proof_at_the_complex_point_peaks_below_0_37_mib():
     plan = _distinct(complex_matvec_net(8, 4, 3.0, 2.0 ** -5))
     lo, hi = qpsk_columns()
     _live(plan, lo, hi)  # first calls allocate lasting caches
     live, peak, kept = traced(lambda: _live(plan, lo, hi))
     assert live is not plan and kept > 0.25
-    assert peak <= 1.27
+    assert peak <= 0.37
 
 
 def unpruned(monkeypatch):
@@ -254,6 +255,24 @@ def test_a_hat_nudged_off_two_proves_nothing_after_it(monkeypatch):
     assert pruned == [True]
     unpruned(monkeypatch)
     assert bits(report) == bits(square_error_report(net))
+
+
+def test_a_mirror_nudged_off_its_negation_proves_less_after_it(monkeypatch):
+    # rho(-w - x) reads x with weight nextafter(-1, -2), so it no longer mirrors
+    # rho(w + x), and |w + x| is bounded by its corners alone
+    net = scalar_product_net(1.0, 2.0 ** -4)
+    with monkeypatch.context() as patched:
+        pairs = constructors._ABS_PAIRS.copy()
+        pairs[1, 1] = np.nextafter(-1.0, -2.0)
+        patched.setattr(constructors, "_ABS_PAIRS", pairs)
+        nudged = scalar_product_net(1.0, 2.0 ** -4)
+    assert _live(_distinct(net), -1.0, 1.0).widths == (2, 6, 4, 9, 9, 9, 9, 3, 1)
+    assert _live(_distinct(nudged), -1.0, 1.0).widths == (2, 6, 5, 10, 10, 10, 10, 3, 1)
+    pruned = proofs(monkeypatch)
+    report = sup_error_matvec(nudged, 1, 1, 1.0, 2000, seed=3)
+    assert pruned == [True]
+    unpruned(monkeypatch)
+    assert bits(report) == bits(sup_error_matvec(nudged, 1, 1, 1.0, 2000, seed=3))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

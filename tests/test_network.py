@@ -1199,6 +1199,17 @@ def test_load_rejects_malformed_file(tmp_path):
     assert type(record.D) is float
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("D", float("nan")), ("eps", float("inf")), ("D", -float("inf")), ("D", 10 ** 400),
+    ("m", 2 ** 63), ("n", -1), ("sawtooth_order", 10 ** 400),
+], ids=["D-nan", "eps-inf", "D-minus-inf", "D-10^400", "m-2^63", "n-minus-1", "order-10^400"])
+def test_a_document_in_memory_with_a_meta_number_out_of_range_is_refused(field, bad):
+    doc = network_document(matvec_net(1, 1, 1.0, 2.0 ** -2))
+    doc["meta"][field] = bad
+    with pytest.raises(ValueError, match=f"malformed 'meta': '{field}' must be"):
+        network_from_document(doc)
+
+
 def test_document_round_trip_in_memory():
     net = random_fnn(np.random.default_rng(9), n_in=3, depth=2)
     back = network_from_document(network_document(net))

@@ -102,7 +102,11 @@ def test_plan_census_counts_the_live_plans_at_both_operating_points():
     assert sums == [["sum", "3744", "2584", "1936", "9283", "4987", "4088", "3152"],
                     ["sum", "19584", "10000", "7528", "36454", "19822", "17552", "13544"]]
     assert out.count("layer") == 2
-    # one traced-peak line per operating point; the live proof stays within 1.27 MiB
+    # one traced-peak line per operating point; the live proof stays within 0.37 MiB
     peaks = re.findall(r"^traced peak: _distinct ([\d.]+) MiB, _live ([\d.]+) MiB$", out, re.M)
     (real_distinct, real_live), (distinct, live) = [tuple(map(float, p)) for p in peaks]
-    assert 0 < real_distinct < distinct and 0 < real_live < live <= 1.27
+    assert 0 < real_distinct < distinct and 0 < real_live < live <= 0.37
+    # and one line of build times per point, checked by format only
+    times = re.findall(r"^median of 9 builds: _distinct \d+\.\d\d ms, _live \d+\.\d\d ms$",
+                       out, re.M)
+    assert len(times) == 2
