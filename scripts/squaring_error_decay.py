@@ -15,7 +15,7 @@ from matvecnet import metrics, square_error_curve, square_net_of_order, square_s
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-order", type=int, default=10)
+    parser.add_argument("--max-order", type=int, choices=range(25), default=10, metavar="0..24")
     args = parser.parse_args()
 
     print(f"{'order':>5}  {'observed sup':>22}  {'law 2^-2(m+1)':>22}  "

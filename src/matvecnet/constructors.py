@@ -69,6 +69,7 @@ from .calculus import (
     compose_selection,
     concatenate,
     identity_fnn,
+    match_depth,
     parallelize_shared,
     superpose,
 )
@@ -402,7 +403,9 @@ def _reading(net: Fnn, width: int, W: np.ndarray, x: np.ndarray) -> Fnn:
     :func:`.datasets._layout` gives them; the selector is the identity's rows
     at the coordinates of :func:`.datasets.pack_matvec` (W, x).
     """
-    return compose_selection(net, np.eye(width)[pack_matvec(W, x).astype(np.intp)])
+    # Only the picked rows: an identity of the full width makes a build cubic in n.
+    picks = pack_matvec(W, x).astype(np.intp)
+    return compose_selection(net, np.equal.outer(picks, np.arange(width)).astype(np.float64))
 
 
 def matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
@@ -427,7 +430,7 @@ def matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
         n=n,
         D=float(D),
         eps=float(eps),
-        sawtooth_order=_product_order(D, eps / n),
+        sawtooth_order=dot.record.sawtooth_order,
     )
     return net.with_record(record)
 
@@ -459,7 +462,7 @@ def complex_matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
         n=n,
         D=float(D),
         eps=float(eps),
-        sawtooth_order=_product_order(D, eps / (4.0 * n)),
+        sawtooth_order=core.record.sawtooth_order,
     )
     return net.with_record(record)
 
@@ -467,14 +470,20 @@ def complex_matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
 def affine_representation(W, variant: int, K: int | None = None) -> Fnn:
     """Exact network realizations of x -> Wx with known connectivity.
 
-    Variant 1 is the depth-2 form: split into (rho(Wx), rho(-Wx)) and
+    Variant 1 is the depth-2 form: the identity network of depth 2 on R^m
+    after the one-layer map W, i.e. split into (rho(Wx), rho(-Wx)) and
     recombine, using 2 nnz(W) + 2m nonzero weights. Variants 2 and 3 take a
-    prescribed depth K >= 3 and differ in where the matrix sits: variant 2
-    transports (rho(x), rho(-x)) through identity layers and applies
-    [[W, -W], [-W, W]] second to last, costing 2m + 2(K-2)n + 4 nnz(W);
-    variant 3 applies the matrix first and transports the split image,
-    costing 2Km + 2 nnz(W). Either way the computed function is exactly Wx
-    because at every stage one channel of each (+, -) pair is zero.
+    prescribed depth K >= 3 and add the depth with an identity network
+    (:func:`.calculus.identity_fnn`) on one side of variant 1. Variant 2 puts
+    the depth-(K-1) identity on R^n before it: its split (rho(x), rho(-x))
+    travels through K - 3 identity layers, and the merged interface layer
+    [[W, -W], [-W, W]] second to last costs 4 nnz(W), for 2m + 2(K-2)n +
+    4 nnz(W) in all. Variant 3 pads variant 1 to depth K with
+    :func:`.calculus.match_depth`, an identity tail on R^m after it: the split
+    image travels through K - 2 layers of 2m channels, the first of them the
+    merged [[I, -I], [-I, I]], for 2Km + 2 nnz(W). Either way the computed
+    function is exactly Wx because at every stage one channel of each (+, -)
+    pair is zero.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2:
@@ -485,40 +494,22 @@ def affine_representation(W, variant: int, K: int | None = None) -> Fnn:
     if variant == 1:
         if K is not None and K != 2:
             raise ValueError("variant 1 has depth 2; do not pass K")
-        layers = (
-            Layer(np.vstack([W, -W]), np.zeros(2 * m)),
-            Layer(np.hstack([np.eye(m), -np.eye(m)]), np.zeros(m)),
-        )
-    else:
-        if K is None or K < 3:
-            raise ValueError(f"variants 2 and 3 need a depth K >= 3, got {K}")
-        if variant == 2:
-            eye = np.eye(n)
-            layers = (
-                (Layer(np.vstack([eye, -eye]), np.zeros(2 * n)),)
-                + tuple(Layer(np.eye(2 * n), np.zeros(2 * n)) for _ in range(K - 3))
-                + (
-                    Layer(np.block([[W, -W], [-W, W]]), np.zeros(2 * m)),
-                    Layer(np.hstack([np.eye(m), -np.eye(m)]), np.zeros(m)),
-                )
-            )
-        else:
-            eye = np.eye(m)
-            layers = (
-                (
-                    Layer(np.vstack([W, -W]), np.zeros(2 * m)),
-                    Layer(np.block([[eye, -eye], [-eye, eye]]), np.zeros(2 * m)),
-                )
-                + tuple(Layer(np.eye(2 * m), np.zeros(2 * m)) for _ in range(K - 3))
-                + (Layer(np.hstack([eye, -eye]), np.zeros(m)),)
-            )
+    elif K is None or K < 3:
+        raise ValueError(f"variants 2 and 3 need a depth K >= 3, got {K}")
+    if not m or not n:
+        raise ValueError("W must have at least one row and one column")
+    net = concatenate(identity_fnn(m, 2), Fnn((Layer(W, np.zeros(m)),)))
+    if variant == 2:
+        net = concatenate(net, identity_fnn(n, K - 1))
+    elif variant == 3:
+        net = match_depth(net, K)
     record = ConstructionRecord(
         kind=f"affine_v{variant}",
         input_packing=f"x ({n})",
         m=m,
         n=n,
     )
-    return Fnn(layers).with_record(record)
+    return net.with_record(record)
 
 
 class KindEntry(NamedTuple):

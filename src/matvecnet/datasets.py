@@ -179,12 +179,14 @@ def equispaced_real_dataset(
     Every entry of W and x is drawn independently and uniformly from the
     grid {-h + 2h j / (grid_points - 1) : j = 0 .. grid_points - 1}. Targets
     are the double-precision products W x. Row i is a deterministic function
-    of (seed, i).
+    of (seed, i). ``grid_points`` must lie in [2, 2^53]: an entry's grid index
+    is floor(u * grid_points) of a uniform u on the 2^53 multiples of 2^-53
+    in [0, 1), which reaches every point of at most 2^53 of them.
     """
     if m < 1 or n < 1 or count < 1:
         raise ValueError("m, n and count must be positive")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points}")
+    if not 2 <= grid_points <= 2 ** 53:
+        raise ValueError(f"grid_points must lie in [2, 2^53], got {grid_points}")
     if not (half_width > 0 and math.isfinite(2.0 * n * half_width * half_width)):
         raise ValueError(
             f"half_width must be positive and small enough that every entry of W x "

@@ -714,6 +714,22 @@ def test_data_rejects_a_non_finite_half_width(tmp_path, capsys, half_width):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid_points", ["1", "9007199254740993", "10000000000000000000000"])
+def test_data_rejects_a_grid_outside_2_to_2_pow_53(tmp_path, capsys, grid_points):
+    out = tmp_path / "grid.json"
+    code, stdout, err = run(
+        [
+            "data", "--kind", "equispaced", "--m", "1", "--n", "2", "--count", "3",
+            "--grid-points", grid_points, "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "grid_points" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 def test_data_rejects_an_infinite_clip(tmp_path, capsys, suffix):
     out = tmp_path / f"q{suffix}"

@@ -267,6 +267,19 @@ def test_matvec_frozen_operating_point():
     assert got.max_weight == 8.0
 
 
+def test_matvec_error_at_the_paper_argmax_is_exactly_n_D2_4_pow_minus_m():
+    # every entry at D 2^-m sends each |.| / 2D to a midpoint of f_m's grid,
+    # where its squaring error peaks; the reference product is exact there
+    m, n, D = 8, 4, 2.0
+    net = matvec_net(m, n, D, 2.0 ** -5)
+    order = net.record.sawtooth_order
+    assert order == 9
+    W, x = np.full((m, n), D * 2.0 ** -order), np.full(n, D * 2.0 ** -order)
+    err = evaluate(net, pack_matvec(W, x)) - W @ x
+    assert np.array_equal(err, np.full(m, -n * D * D * 4.0 ** -order))
+    assert err[0] == -6.103515625e-05
+
+
 def test_matvec_rejects_bad_shape_arguments():
     with pytest.raises(ValueError):
         matvec_net(0, 2, 1.0, 0.1)
@@ -338,6 +351,20 @@ def test_complex_matvec_width_and_frozen_point():
     assert got.max_width == 1536
     assert got.max_width <= 48 * 8 * 4
     assert got.max_weight == 18.0
+
+
+def test_complex_matvec_error_at_the_paper_argmax_is_exactly_2n_D2_4_pow_minus_m():
+    # the real part's two products err alike and cancel; the imaginary
+    # part's add up
+    m, n, D = 8, 4, 3.0
+    net = complex_matvec_net(m, n, D, 2.0 ** -5)
+    order = net.record.sawtooth_order
+    assert order == 12
+    W, x = np.full((m, n), D * 2.0 ** -order), np.full(n, D * 2.0 ** -order)
+    err = evaluate(net, pack_complex(W, W, x, x)) - np.concatenate([W @ x - W @ x, 2 * (W @ x)])
+    assert np.array_equal(err[:m], np.zeros(m))
+    assert np.array_equal(err[m:], np.full(m, -2 * n * D * D * 4.0 ** -order))
+    assert err[m] == -4.291534423828125e-06
 
 
 def test_product_networks_keep_their_recorded_weight_bits():
@@ -418,6 +445,27 @@ def test_affine_variants_agree_on_random_matrices():
                 assert np.abs(evaluate(net, x) - want).max() <= 1e-9 * scale
 
 
+def test_affine_representations_keep_their_recorded_bits():
+    rng = np.random.default_rng(59)
+    matrices = [np.zeros((2, 3)), np.array([[-0.0, 1.5], [2.0, -0.0], [-0.0, -0.0]])]
+    for m, n in ((1, 1), (3, 4), (5, 2)):
+        W = rng.normal(size=(m, n))
+        W[rng.random(W.shape) < 0.4] = -0.0
+        matrices.append(W)
+    digest = hashlib.sha256()
+    for W in matrices:
+        nets = [affine_representation(W, 1)]
+        nets += [affine_representation(W, v, K=K) for v in (2, 3) for K in (3, 7)]
+        for net in nets:
+            for layer in net.layers:
+                w = layer.weights
+                digest.update(repr(w.shape).encode())
+                for a in (w.data, w.indices, w.indptr, layer.bias):
+                    digest.update(a.dtype.str.encode())
+                    digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == "11f163eb8d3a03547aad5f2744772386f14602e9da5db5286ce04a627ef7c183"
+
+
 def test_affine_rejects_bad_arguments():
     W = np.eye(2)
     with pytest.raises(ValueError):
@@ -430,6 +478,11 @@ def test_affine_rejects_bad_arguments():
         affine_representation(W, 3)
     with pytest.raises(ValueError):
         affine_representation(np.ones(3), 1)
+    # a W with no rows or no columns used to give a network validate rejects
+    for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
+        for variant, K in ((1, None), (2, 4), (3, 4)):
+            with pytest.raises(ValueError, match="W must have at least one row and one column"):
+                affine_representation(empty, variant, K=K)
 
 
 # ---------------------------------------------------------------- budgets, records

@@ -171,6 +171,14 @@ def test_equispaced_meta_records_generation():
     assert "column-major" in ds.meta["packing"]
 
 
+@pytest.mark.parametrize("grid_points", [2 ** 53 + 1, 10 ** 22])
+def test_equispaced_refuses_a_grid_the_uniforms_cannot_cover(grid_points):
+    # above 2^53 the uniforms miss grid points; at 10^22 the grid index
+    # overflowed int64 and every entry came out -h
+    with pytest.raises(ValueError, match=r"grid_points must lie in \[2, 2\^53\]"):
+        equispaced_real_dataset(2, 2, 5, grid_points=grid_points)
+
+
 def test_equispaced_validates_arguments():
     with pytest.raises(ValueError):
         equispaced_real_dataset(0, 2, 5)
@@ -301,6 +309,13 @@ def test_equispaced_equals_the_per_row_oracle(monkeypatch, m, n, count):
     monkeypatch.setattr(datasets, "_ROW_BLOCK", 16)  # several blocks per call
     ds = equispaced_real_dataset(m, n, count, half_width=1.5, grid_points=33, seed=-4)
     inputs, targets = equispaced_oracle(m, n, count, 1.5, 33, -4)
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.targets.tobytes() == targets.tobytes()
+
+
+def test_equispaced_equals_the_oracle_at_the_largest_grid():
+    ds = equispaced_real_dataset(3, 2, 9, half_width=1.0, grid_points=2 ** 53, seed=3)
+    inputs, targets = equispaced_oracle(3, 2, 9, 1.0, 2 ** 53, 3)
     assert ds.inputs.tobytes() == inputs.tobytes()
     assert ds.targets.tobytes() == targets.tobytes()
 

@@ -66,6 +66,14 @@ def test_reproduce_operating_points_rejects_a_bad_count(option, value):
     assert f"argument {option}: " in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["30", "-1", "two"])
+def test_squaring_error_decay_rejects_a_bad_max_order(value):
+    # --max-order 30 used to end in square_error_curve's ValueError traceback
+    proc = script("squaring_error_decay.py", "--max-order", value)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "argument --max-order: " in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_code_lines_leaves_out_comments_blanks_and_docstrings(tmp_path):
     (tmp_path / "small.py").write_text('''"""A module docstring,
 over two lines."""
