@@ -26,6 +26,18 @@ Philox of counter ``[k + 1, lane, i, 0]``. Uniform j of the row is word j of
 that sequence, mapped to [0, 1) as ``(word >> 11) * 2^-53``, exactly as
 ``Generator.random`` does.
 
+A pass covers up to ``_BLOCKS_PER_PASS`` = 2^15 counter blocks, so a
+verification chunk (2,048 rows of 36 uniforms) or a dataset block (512 rows
+of 72) is one pass; its rounds run in eight scratch arrays of 256 KiB, made
+once per call. Each array operation of a pass is one numpy call that takes
+the GIL, so the pass count and the calls per pass, not the arithmetic, are
+what keep threads from sampling side by side. Rounds 1 and 2 therefore run
+on vectors: block k of row i starts from counter ``[k + 1, lane, i, 0]``,
+round 1 multiplies word 0, a block word, and word 2, a row word, and its
+output is two row words and two block words, so round 2 multiplies one of
+each again. Only round 2's xors combine a row word with a block word and
+write the first ``(rows, blocks)`` arrays; rounds 3 to 10 run on those.
+
 Normal deviates come from an explicit Box-Muller transform rather than the
 generator's own ziggurat method because Box-Muller consumes a fixed number
 of uniforms per deviate. Rejection-style samplers consume a data-dependent
@@ -51,10 +63,10 @@ _PHILOX_ROUNDS = 10
 _WORDS_PER_BLOCK = 4
 
 # Counter blocks computed per pass of uniform_rows; bounds its scratch
-# memory (eight arrays of this many uint64s, made once per call) for any row
-# count. At 64 KiB each, they stay below glibc's default mmap threshold
-# (128 KiB), so they come from heap memory rather than fresh pages.
-_BLOCKS_PER_PASS = 1 << 13
+# memory (eight arrays of this many uint64s, 256 KiB each, made once per
+# call) for any row count, and is large enough that a verification chunk or
+# a dataset block is drawn in one pass.
+_BLOCKS_PER_PASS = 1 << 15
 
 
 def stream(seed: int, index: int, lane: int = 0) -> np.random.Generator:
@@ -98,7 +110,7 @@ def _mulhilo(a: int, b: np.ndarray, hi: np.ndarray, scratch: tuple) -> None:
 
 
 def _philox4x64(keys: list, c: list, scratch: list) -> list:
-    """Philox4x64-10 of the counter words ``c`` (four arrays) in place, under a key schedule.
+    """Philox4x64 rounds of the counter words ``c`` (four arrays) in place, under a key schedule.
 
     ``keys`` holds each round's two key words. The rounds run in ``c`` and
     four ``scratch`` arrays of the same shape; the result is four of the
@@ -124,9 +136,12 @@ def uniform_rows(seed: int, lo: int, hi: int, width: int, lane: int = 0) -> np.n
     Row ``i - lo`` is bit-equal to ``stream(seed, i, lane).random(width)``.
     Indices are processed in passes of bounded size, so memory beyond the
     returned ``(hi - lo, width)`` array does not grow with the range: every
-    pass runs its ten rounds in the same eight scratch arrays, made once per
-    call, of at most ``_BLOCKS_PER_PASS`` words each (64 KiB) unless one row
-    alone needs more.
+    pass runs its rounds in the same eight scratch arrays, made once per
+    call, of at most ``_BLOCKS_PER_PASS`` words each (256 KiB) unless one
+    row alone needs more. Rounds 1 and 2 run on one vector of block words
+    per call and one vector of row words per pass, since until round 2's
+    xors no counter word depends on both the row and the block (see the
+    module docstring).
     """
     if lo < 0 or lane < 0:
         raise ValueError(f"index and lane must be nonnegative, got {lo}, {lane}")
@@ -142,19 +157,43 @@ def uniform_rows(seed: int, lo: int, hi: int, width: int, lane: int = 0) -> np.n
     # Round r's key words: the key plus r Weyl increments, word by word.
     keys = [tuple(np.uint64((k + r * w) & _MASK64) for k, w in zip((key, 0), _PHILOX_W))
             for r in range(_PHILOX_ROUNDS)]
-    # Counter word 0 of block k is k + 1: numpy increments before generating.
-    block_counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    (k0_1, k1_1), (k0_2, k1_2) = keys[:2]
+    lane_key = np.uint64(lane) ^ k0_1
     rows_per_pass = min(max(1, _BLOCKS_PER_PASS // blocks), hi - lo)
-    offsets = np.arange(rows_per_pass, dtype=np.uint64)[:, None]
+    offsets = np.arange(rows_per_pass, dtype=np.uint64)
     buffers = [np.empty(rows_per_pass * blocks, dtype=np.uint64) for _ in range(8)]
+    # Rounds 1 and 2 on vectors; the heads of three scratch arrays, free
+    # until round 3, hold their products' partial sums. The vectors are
+    # named for the counter word each holds after round 2.
+    # Block words: round 1 multiplies word 0, which is k + 1 for block k
+    # (numpy increments the counter before generating), into words 2 and 3;
+    # round 2 multiplies word 2 into words 0 and 1.
+    block_c2, block_c1, block_c0 = np.empty((3, blocks), dtype=np.uint64)
+    block_c2[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    products = [b[:blocks] for b in buffers[5:]]
+    _mulhilo(_PHILOX_M[0], block_c2, block_c1, products)
+    block_c1 ^= k1_1
+    _mulhilo(_PHILOX_M[1], block_c1, block_c0, products)
+    block_c0 ^= k0_2
+    block_c2 ^= k1_2
+    row_words = np.empty((3, rows_per_pass), dtype=np.uint64)
     for start in range(lo, hi, rows_per_pass):
         rows = min(rows_per_pass, hi - start)
         c0, c1, c2, c3, *scratch = (b[:rows * blocks].reshape(rows, blocks) for b in buffers)
-        c0[...] = block_counter
-        c1.fill(lane)
-        np.add(offsets[:rows], np.uint64(start), out=c2)
-        c3.fill(0)
-        words = _philox4x64(keys, [c0, c1, c2, c3], scratch)
+        # Row words: round 1 multiplies word 2, the index, into words 0 and
+        # 1; round 2 multiplies word 0 into words 2 and 3.
+        row_c1, row_c2, row_c3 = row_words[:, :rows]
+        products = [b[:rows] for b in buffers[5:]]
+        np.add(offsets[:rows], np.uint64(start), out=row_c1)
+        _mulhilo(_PHILOX_M[1], row_c1, row_c3, products)
+        row_c3 ^= lane_key
+        _mulhilo(_PHILOX_M[0], row_c3, row_c2, products)
+        # Round 2's xors, the first words that depend on row and block.
+        np.bitwise_xor(row_c1[:, None], block_c0, out=c0)
+        c1[...] = block_c1
+        np.bitwise_xor(row_c2[:, None], block_c2, out=c2)
+        c3[...] = row_c3[:, None]
+        words = _philox4x64(keys[2:], [c0, c1, c2, c3], scratch)
         # Word j of block k is uniform 4k + j of the row.
         for j, word in enumerate(words):
             columns = out[start - lo: start - lo + rows, j::_WORDS_PER_BLOCK]

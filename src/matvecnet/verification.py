@@ -227,7 +227,11 @@ def _matvec_targets(xs: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _uniform_rows(seed: int, lo: int, hi: int, width: int, D: float, lane: int = 0) -> np.ndarray:
-    return uniform_rows(seed, lo, hi, width, lane) * (2.0 * D) - D
+    """Rows of uniforms on [-D, D]: ``u * 2D - D`` in place, the same two roundings."""
+    u = uniform_rows(seed, lo, hi, width, lane)
+    u *= 2.0 * D
+    u -= D
+    return u
 
 
 def sup_error_matvec(

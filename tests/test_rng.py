@@ -1,5 +1,7 @@
 """The batched Philox sampler against the per-index reference streams."""
 
+import threading
+
 import numpy as np
 import pytest
 from conftest import traced
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matvecnet import rng, stream, uniform_rows
+from matvecnet.datasets import _ROW_BLOCK
+from matvecnet.verification import REDUCE_CHUNK
 
 
 def reference_rows(seed, lo, hi, width, lane=0):
@@ -41,13 +45,60 @@ def test_uniform_rows_equal_the_reference_across_passes(monkeypatch, width):
 
 
 @pytest.mark.parametrize("width", [36, 80])
-def test_uniform_rows_scratch_stays_near_nine_64_kib_arrays(width):
-    # eight Philox arrays, numpy's 64 KiB buffer for the uint64 -> float64
-    # cast, and a few KiB of counters and views
+def test_uniform_rows_scratch_stays_near_eight_256_kib_arrays(width):
+    # eight Philox arrays, numpy's 64 KiB buffers for the round-2 broadcast
+    # xors and the uint64 -> float64 cast, the row-word vectors, and a few
+    # KiB of counters and views; a range 8x longer needs no more
     uniform_rows(0, 0, 2, width)  # first calls allocate lasting caches
-    rows, peak, kept = traced(lambda: uniform_rows(1, 0, 4096, width))
-    assert kept >= rows.nbytes / 2 ** 20
-    assert peak - kept <= 0.6
+    for count in (4096, 8 * 4096):
+        rows, peak, kept = traced(lambda: uniform_rows(1, 0, count, width))
+        assert kept >= rows.nbytes / 2 ** 20
+        assert peak - kept <= 2.3
+
+
+@pytest.mark.parametrize("rows, width", [(REDUCE_CHUNK, 36), (_ROW_BLOCK, 72)])
+def test_a_chunk_or_a_dataset_block_is_one_pass(monkeypatch, rows, width):
+    shapes = []
+    philox = rng._philox4x64
+
+    def counted(keys, c, scratch):
+        shapes.append(c[0].shape)
+        return philox(keys, c, scratch)
+
+    monkeypatch.setattr(rng, "_philox4x64", counted)
+    uniform_rows(5, 3, 3 + rows, width)
+    assert shapes == [(rows, width // 4)]
+
+
+@pytest.mark.parametrize(
+    "lo, count, width, lane",
+    [
+        (2 ** 64 - 4, 4, 79, 1),  # one row per pass (20 blocks against a pass of 7) at the top
+        (2 ** 64 - 9, 9, 12, 7),  # several rows per pass at the top of the range
+        (0, 30, 8, 2 ** 63 + 5),  # a lane beyond int64, three rows per pass
+    ],
+)
+def test_folded_rounds_equal_the_reference(monkeypatch, lo, count, width, lane):
+    monkeypatch.setattr(rng, "_BLOCKS_PER_PASS", 7)
+    got = uniform_rows(11, lo, lo + count, width, lane)
+    assert got.tobytes() == reference_rows(11, lo, lo + count, width, lane).tobytes()
+
+
+def test_threads_drawing_interleaved_ranges_get_the_serial_bits():
+    spans = [(lo, lo + 300) for lo in range(0, 6000, 300)]
+    serial = {span: uniform_rows(8, *span, 36, lane=1).tobytes() for span in spans}
+    drawn = {}
+
+    def draw(mine):
+        for span in mine:
+            drawn[span] = uniform_rows(8, *span, 36, lane=1).tobytes()
+
+    threads = [threading.Thread(target=draw, args=(spans[k::2],)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert drawn == serial
 
 
 def test_uniform_rows_at_the_top_of_the_index_range():
