@@ -15,7 +15,9 @@ and multiplied out with one stacked product, in a call of its own, so one
 block's scratch is freed before the next is drawn. A block holds its
 uniforms and a few arrays of its channel's size: at the complex point
 (m = 8, n = 4) 8,191 QPSK rows peak 0.91 MiB (tracemalloc) above the
-5.5 MiB they return. :func:`save_dataset` writes the same blocks.
+5.5 MiB they return. :func:`save_dataset` writes the same blocks, and
+the complex check draws its QPSK rows in them, a chunk at a time
+(:func:`_qpsk_chunk`), without holding the dataset.
 
 Rayleigh-style channel entries are produced by the fixed-consumption
 Box-Muller transform, scaled so each real component has
@@ -248,14 +250,9 @@ def qpsk_rayleigh_dataset(
         raise ValueError("m, n and count must be positive")
     if not 0 < clip < math.inf:
         raise ValueError(f"clip must be positive and finite, got {clip}")
-    block = m * n
     rows = count + 1
-    packing, width, _ = _layout(m, n, complex=True)
-    inputs = np.empty((rows, width))
-    targets = np.empty((rows, 2 * m))
-    clipped = 0
-    for lo, hi in _row_blocks(rows):
-        clipped += _qpsk_rows(inputs[lo:hi], targets[lo:hi], seed, lo, hi == rows, clip, m, n)
+    packing, _, _ = _layout(m, n, complex=True)
+    inputs, targets, clipped = _qpsk_chunk(seed, 0, rows, rows, clip, m, n)
     meta = {
         "kind": "qpsk_rayleigh",
         "m": m,
@@ -270,6 +267,22 @@ def qpsk_rayleigh_dataset(
         "packing": packing,
     }
     return Dataset(inputs, targets, meta)
+
+
+def _qpsk_chunk(seed, lo, hi, rows, clip, m, n) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows lo..hi-1 of a ``rows``-row :func:`qpsk_rayleigh_dataset`: inputs, targets, clips.
+
+    ``lo`` is a multiple of ``_ROW_BLOCK``, so the rows are drawn in the
+    dataset's own blocks, through :func:`_qpsk_rows`, and are its rows
+    lo..hi-1 bit for bit; row ``rows - 1`` is the zero-channel probe. The
+    count is of the channel components the clip touched.
+    """
+    inputs = np.empty((hi - lo, _layout(m, n, complex=True)[1]))
+    targets = np.empty((hi - lo, 2 * m))
+    clipped = 0
+    for a, b in _row_blocks(hi - lo):
+        clipped += _qpsk_rows(inputs[a:b], targets[a:b], seed, lo + a, lo + b == rows, clip, m, n)
+    return inputs, targets, clipped
 
 
 def _qpsk_rows(inputs, targets, seed, lo, probe, clip, m, n) -> int:

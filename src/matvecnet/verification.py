@@ -22,18 +22,32 @@ with one draw and one ``_batch`` call per lane over the span from the
 chunk's first to its last pending index; it then subtracts the reference
 Jacobians in place, where they are nonzero. Slice heights are ``_batch``'s
 own, from the network's width and its widest pair kernel.
-:func:`dataset_error_report` evaluates the rows of a stored dataset chunk
-by chunk; :func:`square_error_report` is that on a fixed grid.
 
-Every error check runs through one reduction, :func:`_reduce_chunks`. The
-sample indices, or a dataset's rows, are cut into fixed chunks of
-``REDUCE_CHUNK``; each chunk compares its values through :func:`_errors`,
-which gives the chunk's sup and the ``np.sum`` of its rows' mean squares.
-The chunks run inline or on a thread pool of ``jobs`` workers, the sups are
-maxed and the partial sums added in chunk index order, so worker counts
-never change a result. The two box estimators share one argument check,
-:func:`_box`: the matvec packing, a positive sample count, and D positive
-with 2D finite, so that every sample u * 2D - D lies in [-D, D].
+Every value check is one function, :func:`_report`, fed by a row source:
+``rows(a, b)`` gives the inputs and targets of rows a..b-1, and a box
+[lo, hi] holds every row. There are three sources. :func:`sup_error_matvec`
+draws box rows and adds the probes below. :func:`dataset_error_report`
+slices a stored dataset, and :func:`square_error_report` is that on a
+fixed grid. The complex kind of :func:`verify_network` draws clipped
+QPSK/Rayleigh rows, each chunk as four of the 512-row blocks of
+:func:`.datasets.qpsk_rayleigh_dataset`. Its report is that dataset's,
+bit for bit, but no thread holds more than a chunk of rows. ``matvecnet
+verify`` at complex_matvec(8,4,D=3) peaks at 64 MiB (``ru_maxrss``, a
+2-core Xeon) at both 10^5 and 3 x 10^5 samples. Holding the whole dataset
+took 130 and 264 MiB.
+
+Every error check runs through one reduction, :func:`_reduce_chunks`,
+which also writes the report. The sample indices, or a dataset's rows, are
+cut into fixed chunks of ``REDUCE_CHUNK``; each chunk compares its values
+through :func:`_errors`, which gives the chunk's sup and the ``np.sum`` of
+its rows' mean squares. The chunks run inline or on a thread pool of
+``jobs`` workers, each drawing or slicing its own rows; the sups are maxed
+and the partial sums added in chunk index order, so worker counts never
+change a result. Every row source checks the network's input and output
+widths against its rows through :func:`_dims`. The two box estimators
+share one argument check, :func:`_box`: the widths, a positive sample
+count, and D positive with 2D finite, so that every sample u * 2D - D lies
+in [-D, D].
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
@@ -48,10 +62,12 @@ evaluates thousands of rows.
 Every estimator then drops the neurons proven never active where its
 inputs lie (:func:`.network._live`), again with the same bits:
 :func:`sup_error_matvec` and :func:`sobolev_error_matvec` on the box
-[-D, D]^N0, which holds every sample and probe, and
+[-D, D]^N0, which holds every sample and probe,
 :func:`dataset_error_report` on the per-column min and max of the rows, so
-the squaring grid of :func:`square_error_report` is covered too. A row
-holding nan or inf leaves every neuron in. At the two operating points this
+the squaring grid of :func:`square_error_report` is covered too, and the
+complex kind on the box its generator guarantees: [-clip, clip] on the
+channel columns and +-1/sqrt(2) on the symbol columns. A row holding nan
+or inf leaves every neuron in. At the two operating points this
 drops about a quarter of the hidden neurons and half of the kernel entries,
 in the times above. The Sobolev kink screen then sees only the
 neurons left: a dropped neuron is identically 0 on the box, so it is no
@@ -76,7 +92,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .constructors import KINDS, BoundBudget, square_net_of_order
-from .datasets import Dataset, _layout, _matvec, pack_matvec, qpsk_rayleigh_dataset, unpack_matvec
+from .datasets import (
+    _QPSK_LEVEL, Dataset, _layout, _matvec, _qpsk_chunk, pack_matvec, unpack_matvec,
+)
 from .network import (
     Fnn, NetworkMetrics, _batch, _distinct, _live, _tangents, jacobian, metrics,
 )
@@ -171,14 +189,17 @@ def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
                       pack_matvec(np.zeros_like(W), x), pack_matvec(W, np.zeros_like(x)), patterns])
 
 
-def _reduce_chunks(count: int, jobs: int, work: Callable) -> tuple:
-    """Every error check's reduction: run ``work`` on each chunk of 0..count-1, combine.
+def _reduce_chunks(count: int, jobs: int, work: Callable, seed: int, half: float,
+                   probe_sup: float = 0.0) -> ErrorReport:
+    """Every error check's reduction: run ``work`` on each chunk of 0..count-1, report.
 
     ``work(lo, hi)`` evaluates and compares indices lo..hi-1 and returns
-    their (sup, total_sq, grad_sup, skipped). The chunks run inline, or on
-    ``jobs`` threads when there are several; the sups are maxed, the skipped
-    counts summed and the partial sums of squares added in chunk order, so
-    the result does not depend on ``jobs``.
+    their (sup, total_sq, grad_sup, skipped), grad_sup None where no
+    derivative is checked. The chunks run inline, or on ``jobs`` threads
+    when there are several; the sups are maxed, ``probe_sup`` last, the
+    skipped counts summed and the partial sums of squares added in chunk
+    order, so the report does not depend on ``jobs``. The mean squared
+    error is over the indices not skipped, and 0.0 when every one was.
     """
     spans = [(lo, min(lo + REDUCE_CHUNK, count)) for lo in range(0, count, REDUCE_CHUNK)]
     if jobs <= 1 or len(spans) <= 1:
@@ -190,7 +211,16 @@ def _reduce_chunks(count: int, jobs: int, work: Callable) -> tuple:
     total_sq = 0.0
     for chunk_sq in sums:
         total_sq += chunk_sq
-    return max(sups), total_sq, max(grads), sum(skipped)
+    used = count - sum(skipped)
+    return ErrorReport(
+        sup_error=max(*sups, probe_sup),
+        mse=total_sq / used if used else 0.0,
+        grad_sup_error=None if None in grads else max(grads),
+        sample_count=count,
+        seed=int(seed),
+        domain_half_width=float(half),
+        kinks_skipped=count - used,
+    )
 
 
 def _errors(values: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
@@ -202,6 +232,38 @@ def _errors(values: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     return float(np.max(err, initial=0.0)), float(np.sum(np.mean(err * err, axis=1)))
 
 
+def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, jobs: int,
+            probes: tuple[np.ndarray, np.ndarray] | None = None) -> ErrorReport:
+    """Every value check: the sup and mean squared error of ``f`` over rows 0..count-1.
+
+    ``rows(a, b)`` gives the inputs and targets of rows a..b-1, all inside
+    [lo, hi], on which the live plan is proven once, before any thread
+    starts. The rows run through :func:`_reduce_chunks`, each chunk drawn or
+    sliced by the thread that evaluates it. ``probes``, a pair of inputs and
+    targets inside [lo, hi] too, enter the sup only.
+    """
+    plan = _live(_distinct(f), lo, hi)
+
+    def work(a: int, b: int) -> tuple[float, float, None, int]:
+        xs, targets = rows(a, b)
+        return (*_errors(_batch(plan, xs)[0], targets), None, 0)
+
+    probe_sup = 0.0 if probes is None else _errors(_batch(plan, probes[0])[0], probes[1])[0]
+    return _reduce_chunks(count, jobs, work, seed, half, probe_sup)
+
+
+def _dims(f: Fnn, inputs: int, outputs: int, source: str = "dataset") -> None:
+    """Refuse a network that does not map the rows' ``inputs`` columns to ``outputs``.
+
+    ``source`` names the rows in the message.
+    """
+    if (f.input_dim, f.output_dim) != (inputs, outputs):
+        raise ValueError(
+            f"dimension mismatch: {source} is {inputs} -> {outputs}, "
+            f"network is {f.input_dim} -> {f.output_dim}"
+        )
+
+
 def _box(f: Fnn, m: int, n: int, D: float, samples: int) -> int:
     """Check a box estimator's arguments; return the packed width n (m + 1).
 
@@ -210,11 +272,7 @@ def _box(f: Fnn, m: int, n: int, D: float, samples: int) -> int:
     lies in [-D, D].
     """
     _, width, _ = _layout(m, n)
-    if f.input_dim != width or f.output_dim != m:
-        raise ValueError(
-            f"packing mismatch: network is {f.input_dim} -> {f.output_dim}, "
-            f"but a matvec of shape ({m}, {n}) packs {width} -> {m}"
-        )
+    _dims(f, width, m, f"the ({m}, {n}) matvec packing")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     if not (D > 0 and math.isfinite(2.0 * D)):
@@ -250,25 +308,13 @@ def sup_error_matvec(
     enter the sup only, never the mean.
     """
     width = _box(f, m, n, D, samples)
-    plan = _live(_distinct(f), -D, D)
 
-    def work(lo: int, hi: int) -> tuple[float, float, float, int]:
+    def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         xs = _uniform_rows(seed, lo, hi, width, D)
-        return (*_errors(_batch(plan, xs)[0], _matvec_targets(xs, m, n)), 0.0, 0)
-
-    sup, total_sq, _, _ = _reduce_chunks(samples, jobs, work)
+        return xs, _matvec_targets(xs, m, n)
 
     probes = probe_inputs(m, n, D)
-    probe_sup, _ = _errors(_batch(plan, probes)[0], _matvec_targets(probes, m, n))
-
-    return ErrorReport(
-        sup_error=max(sup, probe_sup),
-        mse=total_sq / samples,
-        grad_sup_error=None,
-        sample_count=samples,
-        seed=int(seed),
-        domain_half_width=float(D),
-    )
+    return _report(f, samples, rows, -D, D, seed, D, jobs, (probes, _matvec_targets(probes, m, n)))
 
 
 def _subtract_matvec_jacobian(J: np.ndarray, rows: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -344,17 +390,7 @@ def sobolev_error_matvec(
         return (*_errors(values, _matvec_targets(xs, m, n)), float(np.max(dev, initial=0.0)),
                 pending.size)
 
-    sup, total_sq, grad, skipped = _reduce_chunks(samples, jobs, work)
-    used = samples - skipped
-    return ErrorReport(
-        sup_error=sup,
-        mse=total_sq / used if used else 0.0,
-        grad_sup_error=grad,
-        sample_count=samples,
-        seed=int(seed),
-        domain_half_width=float(D),
-        kinks_skipped=skipped,
-    )
+    return _reduce_chunks(samples, jobs, work, seed, D)
 
 
 def dataset_error_report(f: Fnn, ds: Dataset, jobs: int = 1) -> ErrorReport:
@@ -363,31 +399,33 @@ def dataset_error_report(f: Fnn, ds: Dataset, jobs: int = 1) -> ErrorReport:
     The rows run through the chunked reduction of the box estimators, on
     ``jobs`` threads, with the same bits for every ``jobs``.
     """
-    if ds.inputs.shape[1] != f.input_dim or ds.targets.shape[1] != f.output_dim:
-        raise ValueError(
-            f"dimension mismatch: dataset is {ds.inputs.shape[1]} -> "
-            f"{ds.targets.shape[1]}, network is {f.input_dim} -> {f.output_dim}"
-        )
+    _dims(f, ds.inputs.shape[1], ds.targets.shape[1])
     if not len(ds):
         raise ValueError("the dataset has no rows")
     # Per-column bounds prove neurons dead on the rows themselves; nan or inf
-    # in a column, or no rows, leaves every neuron in.
-    plan = _live(_distinct(f), ds.inputs.min(axis=0, initial=np.inf),
-                 ds.inputs.max(axis=0, initial=-np.inf))
-
-    def work(lo: int, hi: int) -> tuple[float, float, float, int]:
-        return (*_errors(_batch(plan, ds.inputs[lo:hi])[0], ds.targets[lo:hi]), 0.0, 0)
-
-    sup, total_sq, _, _ = _reduce_chunks(len(ds), jobs, work)
+    # in a column leaves every neuron in.
     half = ds.meta.get("clip", ds.meta.get("half_width", 0.0))
-    return ErrorReport(
-        sup_error=sup,
-        mse=total_sq / len(ds),
-        grad_sup_error=None,
-        sample_count=len(ds),
-        seed=int(ds.meta.get("seed", 0)),
-        domain_half_width=float(half),
-    )
+    return _report(f, len(ds), lambda lo, hi: (ds.inputs[lo:hi], ds.targets[lo:hi]),
+                   ds.inputs.min(axis=0), ds.inputs.max(axis=0), ds.meta.get("seed", 0), half, jobs)
+
+
+def _qpsk_report(f: Fnn, m: int, n: int, clip: float, samples: int, seed: int,
+                 jobs: int) -> ErrorReport:
+    """:func:`dataset_error_report` of ``qpsk_rayleigh_dataset(m, n, samples, clip, seed)``.
+
+    The same report, bit for bit, but each chunk draws its own rows, so no
+    more than a chunk of them is held per thread. The plan is proven on the
+    box every row lies in: the channel columns in [-clip, clip], the symbol
+    columns at +-1/sqrt(2); a bound of clip alone would be unsound for clip
+    below 1/sqrt(2).
+    """
+    count = samples + 1  # and the zero-channel probe row
+    _, width, (w1, w2, _, _) = _layout(m, n, complex=True)
+    _dims(f, width, 2 * m)
+    bound = np.full(width, _QPSK_LEVEL)
+    bound[w1], bound[w2] = clip, clip
+    return _report(f, count, lambda lo, hi: _qpsk_chunk(seed, lo, hi, count, clip, m, n)[:2],
+                   -bound, bound, seed, clip, jobs)
 
 
 def _square_grid(seed: int = 0) -> Dataset:
@@ -424,8 +462,12 @@ def square_slope_sup(net: Fnn, points: int = 4096) -> float:
     Evaluates the Jacobian at the midpoints (i + 1/2) / points of [0, 1];
     with points a power of two at least 2^(order + 1), every midpoint keeps
     a positive distance from the sawtooth kinks, which all sit on dyadic
-    grid points.
+    grid points. Any other ``points`` raises ``ValueError``: the order is
+    the record's ``sawtooth_order``, 0 without one.
     """
+    order = getattr(net.record, "sawtooth_order", None) or 0
+    if points < 2 ** (order + 1) or points & (points - 1):
+        raise ValueError(f"points must be a power of two of at least 2^{order + 1}, got {points}")
     xs = (np.arange(points) + 0.5) / points
     return float(np.max(np.abs(jacobian(net, xs[:, None])), initial=0.0))
 
@@ -455,11 +497,15 @@ def verify_network(
     The record picks the domain: the squaring grid of
     :func:`square_error_report` (reported under ``seed``), ``samples`` clipped
     QPSK/Rayleigh rows with ``clip=D`` and the zero-channel probe row for the
-    complex kind, or the box
+    complex kind, drawn chunk by chunk with the report of
+    :func:`.datasets.qpsk_rayleigh_dataset` under
+    :func:`dataset_error_report`, or the box
     [-D, D]^N0 plus probes of :func:`sup_error_matvec` otherwise. With
     ``sobolev`` a matvec-packed network is also run through
     :func:`sobolev_error_matvec` on the same samples, which adds the
-    gradient sup and the skipped-kink count to the report. The budget is the
+    gradient sup and the skipped-kink count to the report; when every
+    sample was skipped on a kink, no derivative was checked and no verdict
+    is given: ``ValueError``. The budget is the
     record's :meth:`.constructors.ConstructionRecord.budget` under depth
     constant ``C``. The verdict holds when every checked error is at most the
     record's eps and the budget passes. Every check runs its chunks on
@@ -479,18 +525,18 @@ def verify_network(
 
     if sobolev and record.kind in ("square", "complex_matvec"):
         raise ValueError("--sobolev applies to matvec-packed networks only")
+    # The packed kinds leave m or n unset where it is 1; either is None or at least 1.
+    m, n = record.m or 1, record.n or 1
     if record.kind == "square":
         report = dataset_error_report(net, _square_grid(seed), jobs)
-    elif record.kind == "complex_matvec":
-        ds = qpsk_rayleigh_dataset(record.m, record.n, samples, clip=record.D, seed=seed)
-        report = dataset_error_report(net, ds, jobs)
     else:
-        rows = 1 if record.m is None else record.m
-        cols = 1 if record.n is None else record.n
-        report = sup_error_matvec(net, rows, cols, record.D, samples, seed, jobs=jobs)
+        check = _qpsk_report if record.kind == "complex_matvec" else sup_error_matvec
+        report = check(net, m, n, record.D, samples, seed, jobs)
     worst = report.sup_error
     if sobolev:  # a matvec-packed network, checked above
-        sob = sobolev_error_matvec(net, rows, cols, record.D, samples, seed, jobs=jobs)
+        sob = sobolev_error_matvec(net, m, n, record.D, samples, seed, jobs=jobs)
+        if sob.kinks_skipped == samples:
+            raise ValueError(f"all {samples} samples were skipped on kinks: no derivative checked")
         report = replace(
             report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
         )

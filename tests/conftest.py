@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 from scipy import sparse
 
-from matvecnet import Fnn, Layer
+from matvecnet import Fnn, Layer, matvec_net
 
 
 def scipy_csr(csr) -> sparse.csr_array:
@@ -50,3 +50,22 @@ def traced(call):
     finally:
         tracemalloc.stop()
     return result, (peak - start) / 2 ** 20, (kept - start) / 2 ** 20
+
+
+def kinked_matvec_net():
+    """matvec_net(2, 1, 1.0, 2^-4), with a ρ(t - 1) channel recomputed on a kink.
+
+    Rows 4 and 10 of the first layer are equal, so the second layer's row 2,
+    rewired to ρ(h_4 - h_10) with no bias, has pre-activation exactly 0 at
+    every input: every draw lands on a kink. On the box [-1, 1] the outputs
+    keep the built network's bits.
+    """
+    net = matvec_net(2, 1, 1.0, 2.0 ** -4)
+    first, second = net.layers[:2]
+    dense = scipy_csr(first.weights).toarray()
+    assert np.array_equal(dense[4], dense[10]) and first.bias[4] == first.bias[10]
+    weights = scipy_csr(second.weights).toarray()
+    bias = second.bias.copy()
+    weights[2], bias[2] = 0.0, 0.0
+    weights[2, 4], weights[2, 10] = 1.0, -1.0
+    return Fnn((first, Layer(weights, bias), *net.layers[2:]), net.record)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import kinked_matvec_net
 
 from matvecnet import (
     KINDS,
@@ -295,6 +296,31 @@ def test_verify_square_with_a_wider_input_names_the_mismatch(tmp_path, capsys):
     code, stdout, stderr = run(["verify", str(out), "--out", str(tmp_path / "r.csv")], capsys)
     assert (code, stdout) == (2, "")
     assert stderr == "error: dimension mismatch: dataset is 1 -> 1, network is 2 -> 1\n"
+
+
+def test_verify_complex_with_a_record_other_than_its_layers_exits_2(tmp_path, capsys):
+    out = tmp_path / "cx.json"
+    run(["build", "--kind", "complex_matvec", "--m", "1", "--n", "2", "--D", "1.5",
+         "--eps", "2^-4", "--out", str(out)], capsys)
+    doc = json.loads(out.read_text())
+    doc["meta"]["m"] = 2
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(["verify", str(out), "--out", str(tmp_path / "r.csv")], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: dimension mismatch: dataset is 12 -> 4, network is 8 -> 2\n"
+
+
+def test_verify_sobolev_with_every_sample_on_a_kink_exits_2(tmp_path, capsys):
+    path = tmp_path / "kinked.json"
+    save_fnn(kinked_matvec_net(), path)
+    code, stdout, stderr = run(
+        ["verify", str(path), "--samples", "2000", "--sobolev", "--out", str(tmp_path / "r.csv")],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: all 2000 samples were skipped on kinks: no derivative checked\n"
+    )
 
 
 def test_verify_writes_the_header_into_an_empty_report_file(tmp_path, capsys):

@@ -39,10 +39,11 @@ def test_reproduce_operating_points_runs():
     assert len(files) == 2 and all(line.endswith("bit-equal: yes") for line in files)
     # and each file's bytes are the reference encoding of its document
     assert out.count("network file equals json.dumps of its document: yes\n") == 2
-    # every stage reports its time and minor page faults
+    # every stage reports its time, minor page faults and the peak RSS so far
     stages = [line for line in out.splitlines() if line.startswith("elapsed:")]
     assert len(stages) == 4
-    assert all(re.fullmatch(r"elapsed: \d+\.\ds, minor page faults: \d+", line) for line in stages)
+    assert all(re.fullmatch(r"elapsed: \d+\.\ds, minor page faults: \d+, peak RSS: \d+\.\d MiB",
+                            line) for line in stages)
 
 
 def test_reproduce_operating_points_prints_the_same_reports_for_any_jobs():

@@ -7,10 +7,11 @@ the sup but not the mean.
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import scipy_csr
+from conftest import kinked_matvec_net, scipy_csr
 
 from matvecnet import (
     Dataset,
@@ -43,7 +44,7 @@ from matvecnet import (
     verify_network,
 )
 import matvecnet.verification as verification
-from matvecnet.datasets import unpack_matvec
+from matvecnet.datasets import _ROW_BLOCK, unpack_matvec
 import matvecnet.network as network
 from matvecnet.network import _distinct, _live, _tangents
 from matvecnet.rng import stream
@@ -439,6 +440,18 @@ def test_sobolev_independent_of_worker_count():
     assert serial.mse == threaded.mse
 
 
+def test_a_sobolev_verify_that_used_no_sample_gives_no_verdict():
+    net, built = kinked_matvec_net(), matvec_net(2, 1, 1.0, 2.0 ** -4)
+    xs = _uniform_rows(0, 0, 500, net.input_dim, 1.0)
+    assert evaluate_batch(net, xs).tobytes() == evaluate_batch(built, xs).tobytes()
+    # the estimator still reports what it skipped; the verdict refuses it
+    assert sobolev_error_matvec(net, 2, 1, 1.0, 300, seed=0).kinks_skipped == 300
+    with pytest.raises(ValueError, match="all 300 samples were skipped on kinks"):
+        verify_network(net, 300, 0, sobolev=True)
+    # the value check alone still runs
+    assert verify_network(net, 300, 0)[2]
+
+
 # ---------------------------------------------------------------- datasets
 
 
@@ -619,6 +632,50 @@ def test_sobolev_screens_kinks_across_slices(monkeypatch, case):
         assert any(len(slices) > 1 for slices in calls[1:]) == (case != "matvec(8,4)")
 
 
+QPSK_NET = complex_matvec_net(1, 2, 1.5, 2.0 ** -4)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("samples", [1, 510, 511, 512, 2047, 2048, 4100])
+def test_complex_verify_equals_the_report_of_the_whole_dataset(samples, jobs):
+    # rows drawn chunk by chunk, block boundaries and the probe row at the
+    # edges of blocks and chunks, give the whole dataset's report bit for bit
+    ds = qpsk_rayleigh_dataset(1, 2, samples, clip=1.5, seed=6)
+    report = verify_network(QPSK_NET, samples, 6, jobs=jobs)[0]
+    assert bits(report) == bits(dataset_error_report(QPSK_NET, ds, jobs))
+
+
+def test_reduction_chunks_are_whole_row_blocks():
+    # a chunk of the complex check draws the dataset's own blocks
+    assert REDUCE_CHUNK % _ROW_BLOCK == 0
+
+
+def test_complex_verify_memory_does_not_grow_with_samples():
+    verify_network(QPSK_NET, 100, 0)  # warm every lazy cache first
+    peaks = []
+    for samples in (4095, 16383):  # 2 and 8 chunks of rows and the probe row
+        tracemalloc.start()
+        try:
+            verify_network(QPSK_NET, samples, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # holding the 16,384 rows would take 0.98 MiB more than 4,096 of them
+    assert peaks[1] - peaks[0] < 64 * 1024
+
+
+@pytest.mark.parametrize("one_output", [False, True], ids=["record", "one-output"])
+def test_complex_verify_refuses_a_network_of_other_dimensions(one_output):
+    layers, record = QPSK_NET.layers, QPSK_NET.record
+    if one_output:  # one output would broadcast against the two targets
+        last = layers[-1]
+        layers = (*layers[:-1], Layer(scipy_csr(last.weights)[:1], last.bias[:1]))
+    else:  # the record's m disagrees with the layers
+        record = dataclasses.replace(record, m=2)
+    with pytest.raises(ValueError, match="dimension mismatch: dataset is"):
+        verify_network(Fnn(layers, record), 100, 0)
+
+
 # ---------------------------------------------------------------- squaring checks
 
 
@@ -655,6 +712,21 @@ def test_square_slope_sup_equals_the_per_point_maximum():
 def test_square_slope_never_exceeds_two():
     for order in (1, 4, 7):
         assert square_slope_sup(square_net_of_order(order), points=1024) <= 2.0
+
+
+@pytest.mark.parametrize("points, order", [(0, 3), (-5, 3), (3, 3), (8, 3), (2 ** 20 + 1, 3)])
+def test_square_slope_sup_refuses_points_off_the_power_of_two_grid(points, order):
+    with pytest.raises(ValueError, match=f"at least 2\\^{order + 1}, got {points}"):
+        square_slope_sup(square_net_of_order(order), points=points)
+
+
+def test_square_slope_sup_keeps_its_value_at_valid_points():
+    assert square_slope_sup(square_net_of_order(6), points=256).hex() == "0x1.fc00000000000p+0"
+    # without a record the order is taken as 0: any power of two from 2 on
+    plain = Fnn(square_net_of_order(0).layers)
+    assert square_slope_sup(plain, points=2) == square_slope_sup(square_net_of_order(0), points=2)
+    with pytest.raises(ValueError):
+        square_slope_sup(plain, points=1)
 
 
 # ---------------------------------------------------------------- budgets, reports
