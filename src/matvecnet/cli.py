@@ -173,24 +173,27 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
     for path in paths:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if row and row[0] != REPORT_COLUMNS[0]:
-                    rows.append(row)
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row or row[0] == REPORT_COLUMNS[0]:
+                    continue
+                if len(row) != len(REPORT_COLUMNS):
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: {len(row)} cells, where a verify "
+                        f"report row has {len(REPORT_COLUMNS)}"
+                    )
+                rows.append(row)
     if not rows:
         raise ValueError("no report rows found in the given files")
     widths = [len(name) for name in REPORT_COLUMNS]
     for row in rows:
-        for i, cell in enumerate(row[: len(widths)]):
+        for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     header = "  ".join(name.ljust(widths[i]) for i, name in enumerate(REPORT_COLUMNS))
     print(header)
     print("-" * len(header))
     for row in rows:
-        padded = [
-            cell.ljust(widths[i]) if i < len(widths) else cell
-            for i, cell in enumerate(row)
-        ]
-        print("  ".join(padded))
+        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return 0
 
 

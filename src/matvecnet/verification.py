@@ -12,21 +12,14 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 :func:`.rng.uniform_rows`, so reports are bit-reproducible for a given
 (network, seed, sample count) and the sample set for k samples is a prefix
 of the set for any larger count. The reference products of a chunk are one
-stacked :func:`matvec_truth` call. :func:`sobolev_error_matvec` draws a
-chunk once too and runs it through one :func:`.network._batch` call, which
-runs every evaluation in slices. It yields values and full Jacobians,
-carried as sparse tangents over the plan's structural (neuron, input)
-pairs, and flags samples on a kink as it goes, slice by slice, with one
-workspace per call. It redraws only the kinked indices, on lanes 1, 2, ...,
-with one draw and one ``_batch`` call per lane over the span from the
-chunk's first to its last pending index; it then subtracts the reference
-Jacobians in place, where they are nonzero. Slice heights are ``_batch``'s
-own, from the network's width and its widest pair kernel.
+stacked :func:`matvec_truth` call.
 
-Every value check is one function, :func:`_report`, fed by a row source:
+Every error check is one function, :func:`_report`, fed by a row source:
 ``rows(a, b)`` gives the inputs and targets of rows a..b-1, and a box
-[lo, hi] holds every row. There are three sources. :func:`sup_error_matvec`
-draws box rows and adds the probes below. :func:`dataset_error_report`
+[lo, hi] holds every row. There are three sources. The box estimator,
+:func:`_box`, draws rows uniform on [-D, D]^N0 and may add the probes
+below; :func:`sup_error_matvec`, :func:`sobolev_error_matvec` and the box
+kinds of :func:`verify_network` call it. :func:`dataset_error_report`
 slices a stored dataset, and :func:`square_error_report` is that on a
 fixed grid. The complex kind of :func:`verify_network` draws clipped
 QPSK/Rayleigh rows, each chunk as four of the 512-row blocks of
@@ -36,18 +29,36 @@ verify`` at complex_matvec(8,4,D=3) peaks at 64 MiB (``ru_maxrss``, a
 2-core Xeon) at both 10^5 and 3 x 10^5 samples. Holding the whole dataset
 took 130 and 264 MiB.
 
-Every error check runs through one reduction, :func:`_reduce_chunks`,
-which also writes the report. The sample indices, or a dataset's rows, are
-cut into fixed chunks of ``REDUCE_CHUNK``; each chunk compares its values
-through :func:`_errors`, which gives the chunk's sup and the ``np.sum`` of
-its rows' mean squares. The chunks run inline or on a thread pool of
-``jobs`` workers, each drawing or slicing its own rows; the sups are maxed
-and the partial sums added in chunk index order, so worker counts never
-change a result. Every row source checks the network's input and output
-widths against its rows through :func:`_dims`. The two box estimators
-share one argument check, :func:`_box`: the widths, a positive sample
-count, and D positive with 2D finite, so that every sample u * 2D - D lies
-in [-D, D].
+:func:`_report` also writes the reports. The sample indices, or a
+dataset's rows, are cut into fixed chunks of ``REDUCE_CHUNK``; each chunk
+compares its values through :func:`_errors`, which gives the chunk's sup
+and the ``np.sum`` of its rows' mean squares. The chunks run inline or on
+a thread pool of ``jobs`` workers, each drawing or slicing its own rows;
+the sups are maxed and the partial sums added in chunk index order, so
+worker counts never change a result. Every row source checks the
+network's input and output widths against its rows through :func:`_dims`.
+The box estimator also checks for a positive sample count, and D positive
+with 2D finite, so that every sample u * 2D - D lies in [-D, D].
+
+Values and first derivatives are checked in one pass. Box rows can be
+drawn on any stream lane, and their exact Jacobians are known
+(:func:`_subtract_matvec_jacobian`); given that, :func:`_report` gives a
+derivative report beside the value report. Each chunk is drawn once and
+runs through one :func:`.network._batch` call, which runs every evaluation
+in slices. It yields values and full Jacobians, carried as sparse tangents
+over the plan's structural (neuron, input) pairs, and flags samples on a
+kink as it goes, slice by slice, with one workspace per call. The value
+report takes every row as drawn, as a value-only check would. The
+derivative report redraws only the kinked indices, on lanes 1, 2, ...,
+with one draw and one ``_batch`` call per lane over the span from the
+chunk's first to its last pending index; it then subtracts the reference
+Jacobians in place, where they are nonzero. Slice heights are ``_batch``'s
+own, from the network's width and its widest pair kernel. A value-only
+check runs plain ``_batch`` calls, with no tangents and no kink screen.
+``verify_network(..., sobolev=True)`` at matvec(8,4,D=2) with 10^5 samples
+took 1.92-1.93 s with ``jobs=1`` and 1.49-1.50 s with ``jobs=2`` as two
+passes, one per check, and takes 1.53-1.55 and 1.20-1.21 s as one (medians
+of 3, two alternated rounds on a shared 2-core Xeon).
 
 Every estimator evaluates through the network's plan of distinct neurons
 (see :mod:`.network`), built once per call before any thread pool starts:
@@ -189,40 +200,6 @@ def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
                       pack_matvec(np.zeros_like(W), x), pack_matvec(W, np.zeros_like(x)), patterns])
 
 
-def _reduce_chunks(count: int, jobs: int, work: Callable, seed: int, half: float,
-                   probe_sup: float = 0.0) -> ErrorReport:
-    """Every error check's reduction: run ``work`` on each chunk of 0..count-1, report.
-
-    ``work(lo, hi)`` evaluates and compares indices lo..hi-1 and returns
-    their (sup, total_sq, grad_sup, skipped), grad_sup None where no
-    derivative is checked. The chunks run inline, or on ``jobs`` threads
-    when there are several; the sups are maxed, ``probe_sup`` last, the
-    skipped counts summed and the partial sums of squares added in chunk
-    order, so the report does not depend on ``jobs``. The mean squared
-    error is over the indices not skipped, and 0.0 when every one was.
-    """
-    spans = [(lo, min(lo + REDUCE_CHUNK, count)) for lo in range(0, count, REDUCE_CHUNK)]
-    if jobs <= 1 or len(spans) <= 1:
-        parts = [work(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda span: work(*span), spans))
-    sups, sums, grads, skipped = zip(*parts)
-    total_sq = 0.0
-    for chunk_sq in sums:
-        total_sq += chunk_sq
-    used = count - sum(skipped)
-    return ErrorReport(
-        sup_error=max(*sups, probe_sup),
-        mse=total_sq / used if used else 0.0,
-        grad_sup_error=None if None in grads else max(grads),
-        sample_count=count,
-        seed=int(seed),
-        domain_half_width=float(half),
-        kinks_skipped=count - used,
-    )
-
-
 def _errors(values: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """The sup of |values - targets| and the sum over rows of each row's mean square.
 
@@ -233,23 +210,98 @@ def _errors(values: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
 
 
 def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, jobs: int,
-            probes: tuple[np.ndarray, np.ndarray] | None = None) -> ErrorReport:
-    """Every value check: the sup and mean squared error of ``f`` over rows 0..count-1.
+            probes: tuple[np.ndarray, np.ndarray] | None = None,
+            box: tuple[Callable, int, int] | None = None) -> list[ErrorReport]:
+    """Every error check of ``f`` over rows 0..count-1: the value report, then any derivative one.
 
     ``rows(a, b)`` gives the inputs and targets of rows a..b-1, all inside
     [lo, hi], on which the live plan is proven once, before any thread
-    starts. The rows run through :func:`_reduce_chunks`, each chunk drawn or
-    sliced by the thread that evaluates it. ``probes``, a pair of inputs and
-    targets inside [lo, hi] too, enter the sup only.
+    starts. ``probes``, a pair of inputs and targets inside [lo, hi] too,
+    enter the value report's sup only.
+
+    The indices are cut into fixed chunks of ``REDUCE_CHUNK``, each drawn or
+    sliced, evaluated and compared by one call of ``work``, inline or on a
+    pool of ``jobs`` threads. Per report, the chunk sups are maxed (the
+    probes' last), the skipped counts summed and the chunks' sums of squares
+    added in chunk order, so no report depends on ``jobs``. The mean squared
+    error is over the indices not skipped, and 0.0 when every one was.
+
+    ``box = (draw, m, n)`` adds the derivative report, from the same pass.
+    It says that the rows are (m, n) matvec packings and that ``draw(a, b,
+    lane)`` gives rows a..b-1 on any stream lane; ``rows`` gives lane 0. The
+    plan's pair kernels are then built once, and each chunk runs as one
+    ``_batch`` call that yields values and Jacobians and screens every
+    hidden pre-activation block for kinks. The value report takes the rows
+    as drawn. The derivative report redraws the rows on a kink: each lane is
+    one draw and one ``_batch`` call over the span of the pending indices,
+    up to MAX_RESAMPLE_ATTEMPTS lanes, and the indices still on a kink are
+    skipped and counted. Where a row moved, the targets are one reference
+    call over the chunk's final rows.
     """
     plan = _live(_distinct(f), lo, hi)
+    tangents = None if box is None else _tangents(plan)
 
-    def work(a: int, b: int) -> tuple[float, float, None, int]:
-        xs, targets = rows(a, b)
-        return (*_errors(_batch(plan, xs)[0], targets), None, 0)
+    def screened(xs: np.ndarray):
+        """Values, Jacobians and an off-kink flag per row, in one pass."""
+        ok = np.ones(len(xs), dtype=bool)
+
+        def screen(rows: slice, k: int, Z: np.ndarray) -> None:
+            ok[rows] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
+
+        return (*_batch(plan, xs, tangents, screen), ok)
+
+    def work(start: int, stop: int) -> list[tuple]:
+        """Each report's (sup, sum of squares, grad sup or None, skipped) over start..stop-1."""
+        xs, targets = rows(start, stop)
+        if tangents is None:
+            return [(*_errors(_batch(plan, xs)[0], targets), None, 0)]
+        draw, m, n = box
+        values, jacobians, ok = screened(xs)
+        value = (*_errors(values, targets), None, 0)
+        kinked = pending = np.flatnonzero(~ok)
+        for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
+            if not pending.size:
+                break
+            # One draw over the span of pending indices; rows depend on
+            # (seed, index, lane) alone, so the others are dropped unused.
+            first = int(pending[0])
+            redraw = draw(start + first, start + int(pending[-1]) + 1, lane)[pending - first]
+            r_values, r_jacobians, ok = screened(redraw)
+            hit = pending[ok]
+            xs[hit], values[hit], jacobians[hit] = redraw[ok], r_values[ok], r_jacobians[ok]
+            pending = pending[~ok]
+        if pending.size:
+            xs, values, jacobians = (np.delete(a, pending, axis=0) for a in (xs, values, jacobians))
+        if kinked.size:
+            targets = _matvec_targets(xs, m, n)
+        # In place: a chunk's Jacobians take 4.7 MB at matvec(8,4).
+        dev = np.abs(_subtract_matvec_jacobian(jacobians, xs, m, n), out=jacobians)
+        return [value, (*_errors(values, targets), float(np.max(dev, initial=0.0)), pending.size)]
 
     probe_sup = 0.0 if probes is None else _errors(_batch(plan, probes[0])[0], probes[1])[0]
-    return _reduce_chunks(count, jobs, work, seed, half, probe_sup)
+    spans = [(a, min(a + REDUCE_CHUNK, count)) for a in range(0, count, REDUCE_CHUNK)]
+    if jobs <= 1 or len(spans) <= 1:
+        parts = [work(*span) for span in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(lambda span: work(*span), spans))
+    reports = []
+    for chunks, last in zip(zip(*parts), (probe_sup, 0.0)):
+        sups, sums, grads, skipped = zip(*chunks)
+        total_sq = 0.0
+        for chunk_sq in sums:
+            total_sq += chunk_sq
+        used = count - sum(skipped)
+        reports.append(ErrorReport(
+            sup_error=max(*sups, last),
+            mse=total_sq / used if used else 0.0,
+            grad_sup_error=None if None in grads else max(grads),
+            sample_count=count,
+            seed=int(seed),
+            domain_half_width=float(half),
+            kinks_skipped=count - used,
+        ))
+    return reports
 
 
 def _dims(f: Fnn, inputs: int, outputs: int, source: str = "dataset") -> None:
@@ -264,12 +316,15 @@ def _dims(f: Fnn, inputs: int, outputs: int, source: str = "dataset") -> None:
         )
 
 
-def _box(f: Fnn, m: int, n: int, D: float, samples: int) -> int:
-    """Check a box estimator's arguments; return the packed width n (m + 1).
+def _box(f: Fnn, m: int, n: int, D: float, samples: int, seed: int, jobs: int,
+         probes: bool, derivatives: bool) -> list[ErrorReport]:
+    """The box estimator: ``samples`` rows uniform on [-D, D]^N0 against the exact product.
 
     The network must take the (m, n) matvec packing, ``samples`` must be
     positive, and D positive with 2D finite, so that every draw u * 2D - D
-    lies in [-D, D].
+    lies in [-D, D]. Returns the value report, with the sup over
+    :func:`probe_inputs` too where ``probes``, then with ``derivatives`` the
+    derivative report of the same pass (see :func:`_report`).
     """
     _, width, _ = _layout(m, n)
     _dims(f, width, m, f"the ({m}, {n}) matvec packing")
@@ -277,7 +332,16 @@ def _box(f: Fnn, m: int, n: int, D: float, samples: int) -> int:
         raise ValueError(f"samples must be positive, got {samples}")
     if not (D > 0 and math.isfinite(2.0 * D)):
         raise ValueError(f"D must be positive and 2D finite, got {D}")
-    return width
+
+    def draw(lo: int, hi: int, lane: int = 0) -> np.ndarray:
+        return _uniform_rows(seed, lo, hi, width, D, lane)
+
+    def pair(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return xs, _matvec_targets(xs, m, n)
+
+    return _report(f, samples, lambda lo, hi: pair(draw(lo, hi)), -D, D, seed, D, jobs,
+                   pair(probe_inputs(m, n, D)) if probes else None,
+                   (draw, m, n) if derivatives else None)
 
 
 def _matvec_targets(xs: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -307,14 +371,7 @@ def sup_error_matvec(
     deterministic probes, and compares against the exact product. The probes
     enter the sup only, never the mean.
     """
-    width = _box(f, m, n, D, samples)
-
-    def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = _uniform_rows(seed, lo, hi, width, D)
-        return xs, _matvec_targets(xs, m, n)
-
-    probes = probe_inputs(m, n, D)
-    return _report(f, samples, rows, -D, D, seed, D, jobs, (probes, _matvec_targets(probes, m, n)))
+    return _box(f, m, n, D, samples, seed, jobs, probes=True, derivatives=False)[0]
 
 
 def _subtract_matvec_jacobian(J: np.ndarray, rows: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -348,49 +405,14 @@ def sobolev_error_matvec(
     (see :func:`.network._live`): each is identically 0 there. Rejected
     indices redraw on fresh stream lanes, up to MAX_RESAMPLE_ATTEMPTS, then
     get skipped and counted. No probes here: the deterministic probes sit
-    exactly on kinks by design. A chunk and each of its redraw lanes run as
-    one :func:`.network._batch` call, which yields values and Jacobians and
-    screens every hidden pre-activation block for kinks on the way, slice by
-    slice.
+    exactly on kinks by design. This is the derivative report of the box
+    estimator (:func:`_report`), whose one pass ``matvecnet verify
+    --sobolev`` shares with the value check: a chunk and each of its redraw
+    lanes run as one :func:`.network._batch` call, which yields values and
+    Jacobians and screens every hidden pre-activation block for kinks on the
+    way, slice by slice.
     """
-    width = _box(f, m, n, D, samples)
-    plan = _live(_distinct(f), -D, D)
-    tangents = _tangents(plan)
-
-    def screened(xs: np.ndarray):
-        """Values, Jacobians and an off-kink flag per row, in one pass."""
-        ok = np.ones(len(xs), dtype=bool)
-
-        def screen(rows: slice, k: int, Z: np.ndarray) -> None:
-            ok[rows] &= np.all(np.abs(Z) >= KINK_TOL, axis=0)
-
-        return (*_batch(plan, xs, tangents, screen), ok)
-
-    def work(lo: int, hi: int) -> tuple[float, float, float, int]:
-        xs = _uniform_rows(seed, lo, hi, width, D)
-        values, jacobians, ok = screened(xs)
-        pending = np.flatnonzero(~ok)
-        for lane in range(1, MAX_RESAMPLE_ATTEMPTS):
-            if not pending.size:
-                break
-            # One draw over the span of pending indices; rows depend on
-            # (seed, index, lane) alone, so the others are dropped unused.
-            first = int(pending[0])
-            redraw = _uniform_rows(
-                seed, lo + first, lo + int(pending[-1]) + 1, width, D, lane,
-            )[pending - first]
-            r_values, r_jacobians, ok = screened(redraw)
-            hit = pending[ok]
-            xs[hit], values[hit], jacobians[hit] = redraw[ok], r_values[ok], r_jacobians[ok]
-            pending = pending[~ok]
-        if pending.size:
-            xs, values, jacobians = (np.delete(a, pending, axis=0) for a in (xs, values, jacobians))
-        # In place: a chunk's Jacobians take 4.7 MB at matvec(8,4).
-        dev = np.abs(_subtract_matvec_jacobian(jacobians, xs, m, n), out=jacobians)
-        return (*_errors(values, _matvec_targets(xs, m, n)), float(np.max(dev, initial=0.0)),
-                pending.size)
-
-    return _reduce_chunks(samples, jobs, work, seed, D)
+    return _box(f, m, n, D, samples, seed, jobs, probes=False, derivatives=True)[1]
 
 
 def dataset_error_report(f: Fnn, ds: Dataset, jobs: int = 1) -> ErrorReport:
@@ -406,7 +428,8 @@ def dataset_error_report(f: Fnn, ds: Dataset, jobs: int = 1) -> ErrorReport:
     # in a column leaves every neuron in.
     half = ds.meta.get("clip", ds.meta.get("half_width", 0.0))
     return _report(f, len(ds), lambda lo, hi: (ds.inputs[lo:hi], ds.targets[lo:hi]),
-                   ds.inputs.min(axis=0), ds.inputs.max(axis=0), ds.meta.get("seed", 0), half, jobs)
+                   ds.inputs.min(axis=0), ds.inputs.max(axis=0), ds.meta.get("seed", 0), half,
+                   jobs)[0]
 
 
 def _qpsk_report(f: Fnn, m: int, n: int, clip: float, samples: int, seed: int,
@@ -425,7 +448,7 @@ def _qpsk_report(f: Fnn, m: int, n: int, clip: float, samples: int, seed: int,
     bound = np.full(width, _QPSK_LEVEL)
     bound[w1], bound[w2] = clip, clip
     return _report(f, count, lambda lo, hi: _qpsk_chunk(seed, lo, hi, count, clip, m, n)[:2],
-                   -bound, bound, seed, clip, jobs)
+                   -bound, bound, seed, clip, jobs)[0]
 
 
 def _square_grid(seed: int = 0) -> Dataset:
@@ -501,11 +524,13 @@ def verify_network(
     :func:`.datasets.qpsk_rayleigh_dataset` under
     :func:`dataset_error_report`, or the box
     [-D, D]^N0 plus probes of :func:`sup_error_matvec` otherwise. With
-    ``sobolev`` a matvec-packed network is also run through
-    :func:`sobolev_error_matvec` on the same samples, which adds the
-    gradient sup and the skipped-kink count to the report; when every
-    sample was skipped on a kink, no derivative was checked and no verdict
-    is given: ``ValueError``. The budget is the
+    ``sobolev`` a matvec-packed network's Jacobians are checked in the same
+    pass over the same samples, as :func:`sobolev_error_matvec` checks
+    them: the report is the value report with that check's gradient sup and
+    skipped-kink count, and the verdict also takes its sup over the rows
+    whose derivative was checked. When every sample was skipped on a kink,
+    no derivative was checked and no verdict is given: ``ValueError``. The
+    budget is the
     record's :meth:`.constructors.ConstructionRecord.budget` under depth
     constant ``C``. The verdict holds when every checked error is at most the
     record's eps and the budget passes. Every check runs its chunks on
@@ -516,8 +541,7 @@ def verify_network(
         raise ValueError("network file carries no construction record to verify against")
     if KINDS[record.kind].builder is None:
         raise ValueError(f"{record.kind} networks carry no target accuracy to verify")
-    eps = record.eps
-    if eps is None:
+    if record.eps is None:
         raise ValueError("construction record has no eps")
     compliance = check_budget(net, record.budget(C))
     if samples < 1:
@@ -529,19 +553,18 @@ def verify_network(
     m, n = record.m or 1, record.n or 1
     if record.kind == "square":
         report = dataset_error_report(net, _square_grid(seed), jobs)
+    elif record.kind == "complex_matvec":
+        report = _qpsk_report(net, m, n, record.D, samples, seed, jobs)
     else:
-        check = _qpsk_report if record.kind == "complex_matvec" else sup_error_matvec
-        report = check(net, m, n, record.D, samples, seed, jobs)
+        report, *derivative = _box(net, m, n, record.D, samples, seed, jobs, True, sobolev)
     worst = report.sup_error
-    if sobolev:  # a matvec-packed network, checked above
-        sob = sobolev_error_matvec(net, m, n, record.D, samples, seed, jobs=jobs)
+    if sobolev:  # a matvec-packed network, checked above: one pass gave both reports
+        sob, = derivative
         if sob.kinks_skipped == samples:
             raise ValueError(f"all {samples} samples were skipped on kinks: no derivative checked")
-        report = replace(
-            report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped,
-        )
+        report = replace(report, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped)
         worst = max(worst, sob.sup_error, sob.grad_sup_error)
-    return report, compliance, worst <= eps and compliance.passed
+    return report, compliance, worst <= record.eps and compliance.passed
 
 
 # The report's fields in column order, grouped by the object each is read

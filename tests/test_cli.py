@@ -17,6 +17,7 @@ from conftest import kinked_matvec_net
 
 from matvecnet import (
     KINDS,
+    REPORT_COLUMNS,
     affine_representation,
     complex_matvec_net,
     dataset_error_report,
@@ -837,6 +838,21 @@ def test_report_missing_file_is_an_io_error(tmp_path, capsys):
     code, _, stderr = run(["report", str(tmp_path / "absent.csv")], capsys)
     assert code == 3
     assert "i/o error" in stderr
+
+
+@pytest.mark.parametrize("line", ["a,b", "1,2", ",".join(["x"] * 19)])
+def test_report_refuses_a_row_that_is_no_verify_row(tmp_path, capsys, line):
+    net = build_matvec(tmp_path, capsys)
+    rows = tmp_path / "rows.csv"
+    run(["verify", str(net), "--samples", "50", "--out", str(rows)], capsys)
+    # a header, a verify row and a blank line, then the stray row on line 4
+    with open(rows, "a") as fh:
+        fh.write("\n" + line + "\n")
+    code, stdout, stderr = run(["report", str(tmp_path / "*.csv")], capsys)
+    assert (code, stdout) == (2, "")
+    cells = len(line.split(","))
+    assert stderr == (f"error: {rows}, line 4: {cells} cells, where a verify report row "
+                      f"has {len(REPORT_COLUMNS)}\n")
 
 
 # ---------------------------------------------------------------- plumbing

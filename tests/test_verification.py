@@ -452,6 +452,61 @@ def test_a_sobolev_verify_that_used_no_sample_gives_no_verdict():
     assert verify_network(net, 300, 0)[2]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sobolev_verify_draws_each_chunk_once(monkeypatch, jobs):
+    # the value and the derivative check share one pass over the samples
+    calls = record_draws(monkeypatch)
+    samples = 2 * REDUCE_CHUNK + 5
+    verify_network(matvec_net(2, 2, 1.0, 2.0 ** -4), samples, seed=4, jobs=jobs, sobolev=True)
+    assert sorted((lo, hi) for lo, hi, lane in calls if lane == 0) == [
+        (0, REDUCE_CHUNK), (REDUCE_CHUNK, 2 * REDUCE_CHUNK), (2 * REDUCE_CHUNK, samples),
+    ]
+
+
+def two_call_sobolev_verify(net, samples, seed, jobs):
+    """verify_network(..., sobolev=True) as a value check, then a Sobolev check on the same samples."""
+    record = net.record
+    m, n = record.m or 1, record.n or 1
+    compliance = check_budget(net, record.budget(2.0))
+    value = sup_error_matvec(net, m, n, record.D, samples, seed, jobs)
+    sob = sobolev_error_matvec(net, m, n, record.D, samples, seed, jobs)
+    if sob.kinks_skipped == samples:
+        raise ValueError(f"all {samples} samples were skipped on kinks: no derivative checked")
+    report = dataclasses.replace(
+        value, grad_sup_error=sob.grad_sup_error, kinks_skipped=sob.kinks_skipped)
+    worst = max(value.sup_error, sob.sup_error, sob.grad_sup_error)
+    return report, compliance, worst <= record.eps and compliance.passed
+
+
+SOBOLEV_VERIFY_NETS = {
+    "matvec(2,2)": lambda: matvec_net(2, 2, 1.0, 2.0 ** -4),
+    "matvec(8,4)": lambda: matvec_net(8, 4, 2.0, 2.0 ** -5),
+    # draws with x < 0 sit on a kink and redraw on lanes 1 and up
+    "rho": lambda: Fnn(SOBOLEV_CASES["rho"][0]().layers, matvec_net(1, 1, 1.0, 2.0 ** -3).record),
+    # every draw sits on a kink
+    "kinked": kinked_matvec_net,
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 4100])
+@pytest.mark.parametrize("case", sorted(SOBOLEV_VERIFY_NETS))
+def test_a_sobolev_verify_equals_the_two_call_composition(case, samples, jobs):
+    net = SOBOLEV_VERIFY_NETS[case]()
+    if case == "kinked":
+        skipped = f"all {samples} samples were skipped on kinks"
+        with pytest.raises(ValueError, match=skipped):
+            two_call_sobolev_verify(net, samples, 5, jobs)
+        with pytest.raises(ValueError, match=skipped):
+            verify_network(net, samples, 5, jobs=jobs, sobolev=True)
+        return
+    report, compliance, ok = verify_network(net, samples, 5, jobs=jobs, sobolev=True)
+    expected = two_call_sobolev_verify(net, samples, 5, jobs)
+    assert (bits(report), compliance, ok) == (bits(expected[0]), *expected[1:])
+    if case == "rho" and samples > 1:
+        assert report.grad_sup_error is not None and report.kinks_skipped == 0
+
+
 # ---------------------------------------------------------------- datasets
 
 
