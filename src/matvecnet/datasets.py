@@ -153,8 +153,8 @@ def _column_major(vec: np.ndarray, m: int, n: int) -> np.ndarray:
 def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """W x for one (m, n) matrix and n-vector, or for stacks (k, m, n) and (k, n).
 
-    A stack goes through one ``np.matmul`` call, which computes each product
-    with the same kernel as a plain ``W @ x`` on that pair.
+    A stack goes through one ``np.matmul`` call, so the host BLAS picks
+    the order of each sum (see :func:`.verification.matvec_truth`).
     """
     return np.matmul(W, x[..., None])[..., 0]
 
@@ -311,14 +311,6 @@ def _qpsk_rows(inputs, targets, seed, lo, probe, clip, m, n) -> int:
     return clipped
 
 
-def dataset_document(ds: Dataset) -> dict[str, Any]:
-    return {
-        "meta": dict(ds.meta),
-        "inputs": ds.inputs.tolist(),
-        "targets": ds.targets.tolist(),
-    }
-
-
 def dataset_from_document(doc: dict[str, Any]) -> Dataset:
     """The dataset a document holds: inputs and targets are lists of rows of finite numbers."""
     for name in ("inputs", "targets"):
@@ -335,7 +327,8 @@ def dataset_from_document(doc: dict[str, Any]) -> Dataset:
 def save_dataset(ds: Dataset, path) -> None:
     """The dataset as one JSON document: meta, inputs and targets, floats round-tripped.
 
-    The file is ``json.dumps(dataset_document(ds))`` and a newline, byte for
+    The file is ``json.dumps`` of ``{"meta": ..., "inputs": [[row], ...],
+    "targets": [[row], ...]}``, keys in that order, and a newline, byte for
     byte, but the arrays are written one row block at a time, so no more
     than a block of them is ever held as Python floats or text. Nothing is
     written unless every value is finite.

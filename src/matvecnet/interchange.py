@@ -8,15 +8,16 @@ relevant); and ``layers``, the ordered list of sparse layers
     {"shape": [N_k, N_{k-1}], "rows": [...], "cols": [...], "values": [...], "bias": [...]}
 
 where ``rows``, ``cols`` and ``values`` list the nonzero weights as
-coordinate triplets in row-major order. A document without ``format`` holds
-the older dense layout, ``{"weights": [[row], ...], "bias": [...]}`` per
-layer; it is still read, and nothing writes it.
+coordinate triplets in row-major order, and ``bias`` lists one number per
+row. Format 2 is the only layout read: a document without ``format``, such
+as the dense ``{"weights": [[row], ...], "bias": [...]}`` layers of earlier
+versions, is refused as ``unknown format None``.
 
 A file holds the document on one line, ending in a newline: byte for byte
-``json.dumps(network_document(fnn, extra_meta), allow_nan=False)`` and
-``"\n"``. :func:`save_fnn` forms that text straight from each layer's CSR
-arrays, without building the document: every distinct double (by bit
-pattern, so 0.0 and -0.0 stay apart) is formatted once with
+``json.dumps`` of that layout, with the keys in the order above and
+``allow_nan=False``, and ``"\n"``. :func:`save_fnn` forms that text straight
+from each layer's CSR arrays, without building the document: every distinct
+double (by bit pattern, so 0.0 and -0.0 stay apart) is formatted once with
 ``float.__repr__``, Python's shortest round-trip decimal form, and every index
 is taken from one table of ``int.__repr__`` texts. Reading a file back
 therefore reproduces the original doubles bit for bit. NaN and infinity are
@@ -27,8 +28,8 @@ spacing of the same document, such as the indented files of earlier
 versions, reads the same. Files are read as UTF-8
 whatever the locale (RFC 8259, section 8.1).
 
-A sparse layer loads straight into canonical CSR arrays: the triplets are
-sorted by row and column, and stored zeros, -0.0 included, are dropped.
+A layer loads straight into canonical CSR arrays: the triplets are sorted by
+row and column, and stored zeros, -0.0 included, are dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .datasets import _no_constant
 from .network import Fnn, Layer, _nonzero, validate
 
-__all__ = ["save_fnn", "load_fnn", "network_document", "network_from_document"]
+__all__ = ["save_fnn", "load_fnn", "network_from_document"]
 
 FORMAT = 2
 _SPARSE_KEYS = ("shape", "rows", "cols", "values", "bias")
@@ -60,21 +61,6 @@ def _meta(fnn: Fnn, extra_meta: dict | None) -> dict[str, Any]:
 def _rows(W) -> np.ndarray:
     """The row of each stored entry of CSR weights, in stored order."""
     return np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
-
-
-def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
-    """Build the plain-dict form of the interchange document."""
-    layers = []
-    for layer in fnn.layers:
-        W = layer.weights
-        layers.append({
-            "shape": list(W.shape),
-            "rows": _rows(W).tolist(),
-            "cols": W.indices.tolist(),
-            "values": W.data.tolist(),
-            "bias": layer.bias.tolist(),
-        })
-    return {"format": FORMAT, "meta": _meta(fnn, extra_meta), "layers": layers}
 
 
 def _indices(k: int, name: str, values: list, bound: int) -> np.ndarray:
@@ -124,30 +110,8 @@ def _sparse_layer(k: int, entry) -> Layer:
         raise ValueError(f"not a network document: layer {k} needs numbers") from None
 
 
-def _numbers(values) -> bool:
-    """Whether values is a JSON list of numbers (bools excluded), nested to any depth."""
-    return isinstance(values, list) and all(
-        _numbers(v) if isinstance(v, list) else type(v) in (int, float) for v in values
-    )
-
-
-def _dense_layer(k: int, entry) -> Layer:
-    try:
-        weights, bias = entry["weights"], entry["bias"]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"not a network document: layer {k} needs 'weights' and 'bias'"
-        ) from None
-    if not (_numbers(weights) and _numbers(bias)):
-        raise ValueError(f"not a network document: layer {k} needs numbers")
-    try:
-        return Layer(weights, bias)
-    except OverflowError:
-        raise ValueError(f"not a network document: layer {k} needs numbers") from None
-
-
 def network_from_document(doc: dict) -> Fnn:
-    """The network held by an interchange document, of either layout, validated."""
+    """The network held by a format-2 interchange document, validated."""
     try:
         raw_layers = doc["layers"]
     except (KeyError, TypeError):
@@ -155,13 +119,9 @@ def network_from_document(doc: dict) -> Fnn:
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ValueError("not a network document: 'layers' must be a nonempty list")
     version = doc.get("format")
-    if version is None:
-        read_layer = _dense_layer
-    elif type(version) is int and version == FORMAT:
-        read_layer = _sparse_layer
-    else:
+    if not (type(version) is int and version == FORMAT):
         raise ValueError(f"not a network document: unknown format {version!r}")
-    layers = [read_layer(k, entry) for k, entry in enumerate(raw_layers, start=1)]
+    layers = [_sparse_layer(k, entry) for k, entry in enumerate(raw_layers, start=1)]
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValueError("not a network document: 'meta' must be an object")
@@ -209,18 +169,18 @@ def _document_text(fnn: Fnn, extra_meta: dict | None) -> str:
 def save_fnn(fnn: Fnn, path: Union[str, Path], extra_meta: dict | None = None) -> None:
     """Write the network, and ``extra_meta`` over its record's fields, to a file.
 
-    The file is ``json.dumps(network_document(fnn, extra_meta), allow_nan=False)``
-    and a newline, byte for byte, but the text is formed straight from the
-    CSR arrays: each distinct double is formatted once and each index comes
-    from a shared table, so no Python number is made per entry. A nan or
-    infinity, in the layers or in ``extra_meta``, raises ``ValueError``
-    before the file is opened.
+    The file is ``json.dumps`` of the format-2 document (see the module
+    docstring), with ``allow_nan=False``, and a newline, byte for byte, but
+    the text is formed straight from the CSR arrays: each distinct double is
+    formatted once and each index comes from a shared table, so no Python
+    number is made per entry. A nan or infinity, in the layers or in
+    ``extra_meta``, raises ``ValueError`` before the file is opened.
     """
     Path(path).write_text(_document_text(fnn, extra_meta))
 
 
 def load_fnn(path: Union[str, Path]) -> Fnn:
-    """The network in a file of either layout, read as UTF-8 and validated.
+    """The network in a format-2 file, read as UTF-8 and validated.
 
     As in :func:`.datasets.load_dataset`, the ``NaN``, ``Infinity`` and
     ``-Infinity`` extensions are malformed anywhere in the file, ``meta``

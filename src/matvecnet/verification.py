@@ -181,8 +181,15 @@ def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Reference double-precision product the network outputs are judged by.
 
     Takes one (m, n) matrix and n-vector, or stacks (k, m, n) and (k, n)
-    that are multiplied pair by pair in a single call. Each product is
-    bit-equal to ``W @ x`` on that pair.
+    that are multiplied pair by pair in a single ``np.matmul`` call. Every
+    reference product of the package (the box and derivative checks and
+    both dataset generators) is this call, so on one host they agree bit
+    for bit. The bits themselves come from the host BLAS: under the
+    OpenBLAS kernel the recorded report rows were made with (SkylakeX),
+    each product is bit-equal to ``W @ x`` on that pair, but under other
+    kernels the sums run in another order and a 1-row ``W @ x`` takes
+    another path, so that equality is not promised across hosts (ROADMAP
+    item 1).
     """
     return _matvec(np.asarray(W), np.asarray(x))
 

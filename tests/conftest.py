@@ -7,12 +7,38 @@ import tracemalloc
 import numpy as np
 from scipy import sparse
 
-from matvecnet import Fnn, Layer, matvec_net
+from matvecnet import Dataset, Fnn, Layer, matvec_net
 
 
 def scipy_csr(csr) -> sparse.csr_array:
     """A scipy matrix over a layer's or kernel's CSR arrays, for scipy's ``@`` as an oracle."""
     return sparse.csr_array(csr[:3], shape=csr.shape)
+
+
+def network_document(fnn: Fnn, extra_meta: dict | None = None) -> dict:
+    """A network's format-2 document as plain lists: the byte oracle of ``save_fnn``.
+
+    The file must be ``json.dumps(network_document(fnn, extra_meta),
+    allow_nan=False)`` and a newline.
+    """
+    meta = fnn.record.as_meta() if fnn.record is not None else {}
+    meta.update(extra_meta or {})
+    layers = []
+    for layer in fnn.layers:
+        W = layer.weights
+        layers.append({
+            "shape": list(W.shape),
+            "rows": np.repeat(np.arange(W.shape[0]), np.diff(W.indptr)).tolist(),
+            "cols": W.indices.tolist(),
+            "values": W.data.tolist(),
+            "bias": layer.bias.tolist(),
+        })
+    return {"format": 2, "meta": meta, "layers": layers}
+
+
+def dataset_document(ds: Dataset) -> dict:
+    """A dataset's document as plain lists: ``save_dataset`` writes ``json.dumps`` of it."""
+    return {"meta": dict(ds.meta), "inputs": ds.inputs.tolist(), "targets": ds.targets.tolist()}
 
 
 def random_fnn(

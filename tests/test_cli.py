@@ -407,30 +407,37 @@ def test_a_bad_depth_constant_is_reported_under_its_option(tmp_path, capsys, com
 
 
 def _malformed_documents():
-    good = {"weights": [[1.0]], "bias": [0.0]}
+    """Format-2 documents that are refused, each with the reason it is refused for."""
+    good = {"shape": [1, 1], "rows": [0], "cols": [0], "values": [1.0], "bias": [0.0]}
     meta = {"kind": "square", "eps": 0.25}
-    docs = [
-        {"meta": meta, "layers": [{"weights": {"a": 1}, "bias": [0.0]}]},
-        {"meta": meta, "layers": [{"weights": [[1.0]], "bias": {"a": 1}}]},
-        {"meta": meta, "layers": [{"weights": [["1.5"]], "bias": ["2"]}]},
-        {"meta": meta, "layers": [{"weights": [[True]], "bias": [False]}]},
-        {"meta": meta, "layers": [{"weights": [[10 ** 400]], "bias": [0.0]}]},
-        {"meta": ["kind"], "layers": [good]},
-        {"meta": "kind", "layers": [good]},
+    cases = [
+        ({"values": {"a": 1}}, "layer 1 needs lists of coordinates"),
+        ({"bias": {"a": 1}}, "layer 1 'bias' needs one entry per row"),
+        ({"values": ["1.5"], "bias": ["2"]}, "layer 1 needs numbers"),
+        ({"values": [True], "bias": [False]}, "layer 1 needs numbers"),
+        ({"values": [10 ** 400]}, "layer 1 needs numbers"),
     ]
+    docs = [({"format": 2, "meta": meta, "layers": [{**good, **change}]}, reason)
+            for change, reason in cases]
+    docs.append(({"format": 2, "meta": ["kind"], "layers": [good]}, "'meta' must be an object"))
+    docs.append(({"format": 2, "meta": "kind", "layers": [good]}, "'meta' must be an object"))
     for field in ("m", "n", "D", "eps", "sawtooth_order"):
         for bad in ([1], {"a": 1}):
-            docs.append({"meta": {**meta, field: bad}, "layers": [good]})
+            docs.append(({"format": 2, "meta": {**meta, field: bad}, "layers": [good]},
+                         f"malformed 'meta': '{field}'"))
     return docs
 
 
-@pytest.mark.parametrize("doc", _malformed_documents())
-def test_verify_malformed_network_file_is_a_usage_error(tmp_path, capsys, doc):
+MALFORMED = _malformed_documents()
+
+
+@pytest.mark.parametrize("doc, reason", MALFORMED, ids=[f"doc{i}" for i in range(len(MALFORMED))])
+def test_verify_malformed_network_file_is_a_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     code, _, stderr = run(["verify", str(path), "--out", str(tmp_path / "r.csv")], capsys)
     assert code == 2
-    assert stderr.startswith("error: not a network document")
+    assert stderr.startswith(f"error: not a network document: {reason}")
     assert len(stderr.splitlines()) == 1
 
 
@@ -472,13 +479,18 @@ def test_verify_network_file_with_a_meta_number_out_of_range_is_a_usage_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("layer", [{"bias": [0.0]}, {"weights": [[1.0]]}, [1.0]])
+@pytest.mark.parametrize("layer", [
+    {"bias": [0.0]},
+    {"shape": [1, 1], "rows": [0], "cols": [0], "values": [1.0]},
+    [1.0],
+])
 def test_verify_network_with_an_incomplete_layer_is_a_usage_error(tmp_path, capsys, layer):
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps({"layers": [layer]}))
+    path.write_text(json.dumps({"format": 2, "layers": [layer]}))
     code, _, stderr = run(["verify", str(path), "--out", str(tmp_path / "r.csv")], capsys)
     assert code == 2
-    assert "layer 1" in stderr
+    assert stderr.startswith("error: not a network document: layer 1 needs 'shape', 'rows'")
+    assert len(stderr.splitlines()) == 1
 
 
 def in_the_c_locale(tmp_path, *args):

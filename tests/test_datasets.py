@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import traced
+from conftest import dataset_document, traced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -380,7 +380,7 @@ def test_json_round_trip_is_bit_exact(tmp_path):
     assert "\n" not in path.read_text().rstrip("\n")
     # Files written with an indented document load the same.
     indented = tmp_path / "indented.json"
-    indented.write_text(json.dumps(datasets.dataset_document(ds), indent=1))
+    indented.write_text(json.dumps(dataset_document(ds), indent=1))
     for back in (load_dataset(path), load_dataset(indented)):
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.targets, ds.targets)
@@ -411,7 +411,7 @@ def test_save_writes_the_documents_bytes_one_row_block_at_a_time(
         save_dataset(ds, path)
     finally:
         datasets._ROW_BLOCK = saved
-    expected = json.dumps(datasets.dataset_document(ds), allow_nan=False) + "\n"
+    expected = json.dumps(dataset_document(ds), allow_nan=False) + "\n"
     assert path.read_bytes() == expected.encode()
 
 

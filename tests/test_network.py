@@ -1,9 +1,10 @@
+import importlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_fnn, scipy_csr
+from conftest import network_document, random_fnn, scipy_csr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -37,7 +38,8 @@ from matvecnet import (
     sup_error_matvec,
     validate,
 )
-from matvecnet.interchange import network_document, network_from_document
+from matvecnet.cli import main
+from matvecnet.interchange import network_from_document
 import matvecnet.network as network
 from matvecnet.network import (
     SLICE_BYTES,
@@ -1079,20 +1081,21 @@ def test_sparse_layers_list_nonzeros_row_major(tmp_path):
     }
 
 
-def test_legacy_dense_file_loads_to_the_same_network(tmp_path):
-    rng = np.random.default_rng(6)
-    net = random_fnn(rng, n_in=3, depth=3)
+def test_format_less_dense_file_is_refused(tmp_path, capsys):
+    net = random_fnn(np.random.default_rng(6), n_in=3, depth=3)
     path = tmp_path / "dense.json"
     path.write_text(json.dumps({
         "meta": {},
         "layers": [{"weights": l.weights.toarray().tolist(), "bias": l.bias.tolist()}
                    for l in net.layers],
     }))
-    back = load_fnn(path)
-    for a, b in zip(net.layers, back.layers):
-        for part in ("data", "indices", "indptr"):
-            assert getattr(a.weights, part).tobytes() == getattr(b.weights, part).tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes()
+    with pytest.raises(ValueError, match="^not a network document: unknown format None$"):
+        load_fnn(path)
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: not a network document: unknown format None\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_load_rejects_malformed_sparse_layers(tmp_path):
@@ -1150,50 +1153,50 @@ def test_load_rejects_malformed_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError):
         load_fnn(path)
-    path.write_text(json.dumps({"layers": "nope"}))
-    with pytest.raises(ValueError):
+    path.write_text(json.dumps({"format": 2, "layers": "nope"}))
+    with pytest.raises(ValueError, match="'layers' must be a nonempty list"):
         load_fnn(path)
-    good = {"weights": [[1.0]], "bias": [0.0]}
-    for layer in ({"bias": [0.0]}, {"weights": [[1.0]]}, "layer"):
-        path.write_text(json.dumps({"layers": [good, layer]}))
-        with pytest.raises(ValueError, match="layer 2 needs 'weights' and 'bias'"):
+    good = {"shape": [1, 1], "rows": [0], "cols": [0], "values": [1.0], "bias": [0.0]}
+    no_bias = {key: value for key, value in good.items() if key != "bias"}
+    for layer in ({"bias": [0.0]}, no_bias, "layer"):
+        path.write_text(json.dumps({"format": 2, "layers": [good, layer]}))
+        with pytest.raises(ValueError, match="layer 2 needs 'shape', 'rows', 'cols'"):
             load_fnn(path)
-    for layer in (
-        {"weights": {"a": 1}, "bias": [0.0]},
-        {"weights": [[{}]], "bias": [0.0]},
-        {"weights": [[1.0]], "bias": {"a": 1}},
-        {"weights": [[1.0]], "bias": [{}]},
-        {"weights": [["1.5"]], "bias": [0.0]},
-        {"weights": [[1.0]], "bias": ["2"]},
-        {"weights": [[True]], "bias": [0.0]},
-        {"weights": [[1.0]], "bias": [False]},
-        {"weights": [[1.0, None]], "bias": [0.0]},
-        {"weights": 1.0, "bias": [0.0]},
-        {"weights": [[10 ** 400]], "bias": [0.0]},
-        {"weights": [[1.0]], "bias": [-(10 ** 400)]},
+    # non-number values and biases of the kinds not already refused in
+    # test_load_rejects_malformed_sparse_layers
+    for change, message in (
+        ({"values": {"a": 1}}, "needs lists of coordinates"),
+        ({"values": 1.0}, "needs lists of coordinates"),
+        ({"bias": {"a": 1}}, "'bias' needs one entry per row"),
+        ({"bias": [{}]}, "needs numbers"),
+        ({"bias": [False]}, "needs numbers"),
+        ({"values": [None]}, "needs numbers"),
+        ({"bias": [-(10 ** 400)]}, "needs numbers"),
     ):
-        path.write_text(json.dumps({"layers": [good, layer]}))
-        with pytest.raises(ValueError, match="layer 2 needs numbers"):
+        path.write_text(json.dumps({"format": 2, "layers": [good, {**good, **change}]}))
+        with pytest.raises(ValueError, match=f"layer 2 {message}"):
             load_fnn(path)
+
+    def document(meta):
+        return json.dumps({"format": 2, "meta": meta, "layers": [good]})
+
     for meta in ([1], "kind", 5, ["kind"]):
-        path.write_text(json.dumps({"meta": meta, "layers": [good]}))
+        path.write_text(document(meta))
         with pytest.raises(ValueError, match="'meta' must be an object"):
             load_fnn(path)
     for field in ("m", "n", "D", "eps", "sawtooth_order"):
         for bad in ([1], {"a": 1}, True, "2"):
-            path.write_text(json.dumps({"meta": {"kind": "square", field: bad}, "layers": [good]}))
+            path.write_text(document({"kind": "square", field: bad}))
             with pytest.raises(ValueError, match="malformed 'meta'"):
                 load_fnn(path)
     for field in ("m", "n", "sawtooth_order"):
-        path.write_text(json.dumps({"meta": {"kind": "square", field: 8.5}, "layers": [good]}))
+        path.write_text(document({"kind": "square", field: 8.5}))
         with pytest.raises(ValueError, match="malformed 'meta'"):
             load_fnn(path)
-    path.write_text(json.dumps({"meta": {"kind": "square", "eps": "0.0625"}, "layers": [good]}))
+    path.write_text(document({"kind": "square", "eps": "0.0625"}))
     with pytest.raises(ValueError, match="malformed 'meta'"):
         load_fnn(path)
-    path.write_text(json.dumps(
-        {"meta": {"kind": "matvec", "m": 2, "n": 1, "D": 2, "eps": 0.0625}, "layers": [good]}
-    ))
+    path.write_text(document({"kind": "matvec", "m": 2, "n": 1, "D": 2, "eps": 0.0625}))
     record = load_fnn(path).record
     assert (record.m, record.n, record.D, record.eps) == (2, 1, 2.0, 0.0625)
     assert type(record.D) is float
@@ -1215,3 +1218,10 @@ def test_document_round_trip_in_memory():
     back = network_from_document(network_document(net))
     for a, b in zip(net.layers, back.layers):
         assert np.array_equal(a.weights.toarray(), b.weights.toarray())
+
+
+@pytest.mark.parametrize("module", ["matvecnet", "matvecnet.interchange", "matvecnet.datasets"])
+def test_every_exported_name_resolves(module):
+    module = importlib.import_module(module)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -1,5 +1,7 @@
 """The example scripts run end to end against the source tree."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from matvecnet import matvec_net, save_fnn
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +48,24 @@ def test_reproduce_operating_points_runs():
     assert len(stages) == 4
     assert all(re.fullmatch(r"elapsed: \d+\.\ds, minor page faults: \d+, peak RSS: \d+\.\d MiB",
                             line) for line in stages)
+
+
+def test_reproduce_operating_points_file_check_accepts_only_its_own_document(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_operating_points", ROOT / "scripts" / "reproduce_operating_points.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    net = matvec_net(2, 1, 1.0, 2.0 ** -3)
+    fresh = tmp_path / "fresh.json"
+    save_fnn(net, fresh)
+    assert module.is_its_document(net, fresh)
+    doc = json.loads(fresh.read_text())
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    other_meta = tmp_path / "other_meta.json"
+    other_meta.write_text(json.dumps({**doc, "meta": {**doc["meta"], "D": 2.0}}) + "\n")
+    assert not module.is_its_document(net, indented)
+    assert not module.is_its_document(net, other_meta)
 
 
 def test_reproduce_operating_points_prints_the_same_reports_for_any_jobs():
