@@ -13,7 +13,10 @@ in the last layer. Widths leave out the constant neuron. The last row sums
 the hidden layers' widths and all entries and pairs. Two lines under each
 table give the peak memory (tracemalloc, MiB) of building the distinct plan
 and of proving the live plan from it, each result included, and the median
-wall time of each over nine builds.
+wall time of each over nine builds. A third says where a check on that live
+plan runs its chunks with more than one worker: on threads, or inline in
+the calling thread when the plan has fewer than ``POOL_ENTRIES`` kernel
+entries.
 
     python scripts/plan_census.py
 """
@@ -25,6 +28,7 @@ import tracemalloc
 
 from matvecnet import complex_matvec_net, matvec_net
 from matvecnet.network import _distinct, _live, _tangents
+from matvecnet.verification import POOL_ENTRIES
 
 POINTS = [
     ("real matvec: m=8 n=4 D=2 eps=2^-5", matvec_net, 2.0),
@@ -90,6 +94,10 @@ def main():
             print("  ".join(f"{cell:>12}" for cell in row))
         print(f"traced peak: _distinct {distinct_peak:.2f} MiB, _live {live_peak:.2f} MiB")
         print(f"median of {BUILDS} builds: _distinct {distinct_ms:.2f} ms, _live {live_ms:.2f} ms")
+        live_entries = rows[-1][5]
+        where = "inline" if live_entries < POOL_ENTRIES else "on threads"
+        print(f"chunks under jobs > 1: {where} ({live_entries} live entries, "
+              f"POOL_ENTRIES {POOL_ENTRIES})")
         print()
 
 

@@ -219,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("network", help="interchange file produced by build")
     verify.add_argument("--samples", type=_count, default=100000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--jobs", type=_count, default=1)
+    verify.add_argument("--jobs", type=_count, default=1,
+                        help="worker threads for the checks; a narrow network's checks run "
+                             "inline whatever this asks, and no result depends on it")
     verify.add_argument("--C", type=_depth_constant, default=2.0, help="depth-bound constant")
     verify.add_argument("--sobolev", action="store_true",
                         help="also check the Jacobian against the exact product")

@@ -90,7 +90,8 @@ order on bit-equal operands as the neuron standing for it, so its value,
 pre-activation and tangents are the same bits, and so are the outputs,
 which the plan copies back out. Grouping costs several times what building
 the stored kernels does, so the estimators, which run it over thousands of
-rows, build it once per call, and a one-off call never pays for it.
+rows, build it once per network and box (:meth:`Fnn._live_plan`), and a
+one-off call never pays for it.
 
 The estimators then run a third plan (:func:`_live`): the distinct plan
 minus every hidden neuron proven never active on the box their inputs come
@@ -297,6 +298,7 @@ class Fnn:
     travels with the network through serialization but plays no role in
     evaluation. The evaluation functions run :attr:`_plan`, built on first
     use, since combining networks creates many that are never evaluated.
+    The estimators run :meth:`_live_plan`, kept for the last box checked.
     """
 
     layers: tuple[Layer, ...]
@@ -338,6 +340,29 @@ class Fnn:
     def _pairs(self) -> "Tangents":
         """The pair kernels of :attr:`_plan`, built on the first Jacobian."""
         return _tangents(self._plan)
+
+    @cached_property
+    def _distinct_plan(self) -> "Plan":
+        """The plan of distinct neurons (:func:`_distinct`), built on the first estimator call."""
+        return _distinct(self)
+
+    def _live_plan(self, lo, hi, pairs: bool = False) -> tuple["Plan", Optional["Tangents"]]:
+        """The live plan on the box [lo, hi] (:func:`_live`), and with ``pairs`` its pair kernels.
+
+        The network keeps the last box's plan, keyed by the bytes of ``lo``
+        and ``hi``, and its pair kernels once asked for; a call on another
+        box replaces them. Layers are immutable, so nothing kept goes stale.
+        The kept entry is one tuple, replaced whole, so a thread reads either
+        the old box's or the new one's, at worst after building it twice.
+        """
+        key = np.asarray(lo, dtype=np.float64).tobytes(), np.asarray(hi, dtype=np.float64).tobytes()
+        kept = self.__dict__.get("_box")
+        if kept is None or kept[0] != key:
+            kept = key, _live(self._distinct_plan, lo, hi), None
+        if pairs and kept[2] is None:
+            kept = key, kept[1], _tangents(kept[1])
+        self.__dict__["_box"] = kept
+        return kept[1], kept[2] if pairs else None
 
     def with_record(self, record) -> "Fnn":
         return Fnn(self.layers, record)

@@ -32,11 +32,19 @@ took 130 and 264 MiB.
 :func:`_report` also writes the reports. The sample indices, or a
 dataset's rows, are cut into fixed chunks of ``REDUCE_CHUNK``; each chunk
 compares its values through :func:`_errors`, which gives the chunk's sup
-and the ``np.sum`` of its rows' mean squares. The chunks run inline or on
-a thread pool of ``jobs`` workers, each drawing or slicing its own rows;
+and the ``np.sum`` of its rows' mean squares. The chunks run on a thread
+pool of ``jobs`` workers, each drawing or slicing its own rows, or inline;
 the sups are maxed and the partial sums added in chunk index order, so
-worker counts never change a result. Every row source checks the
-network's input and output widths against its rows through :func:`_dims`.
+worker counts never change a result. A narrow network's chunks run inline
+whatever ``jobs`` asks for: one whose live plan has fewer than
+``POOL_ENTRIES`` kernel entries. Its numpy calls are too short for a
+second thread to pay for handing the GIL back and forth. Forced onto two
+threads, a check at matvec(2,2,D=1) (492 entries) ran at 0.72-0.86x its
+one-thread speed, checks between 2,000 and 3,300 entries at 0.85-1.17x,
+and one at matvec(8,4,D=2) (4,987) at 1.06-1.23x (medians of 15
+alternated calls of 4,096 and 8,192 samples on a shared 2-core Xeon; the
+README has the table). Every row source checks the network's input and
+output widths against its rows through :func:`_dims`.
 The box estimator also checks for a positive sample count, and D positive
 with 2D finite, so that every sample u * 2D - D lies in [-D, D].
 
@@ -61,14 +69,16 @@ passes, one per check, and takes 1.53-1.55 and 1.20-1.21 s as one (medians
 of 3, two alternated rounds on a shared 2-core Xeon).
 
 Every estimator evaluates through the network's plan of distinct neurons
-(see :mod:`.network`), built once per call before any thread pool starts:
-fewer rows per layer, the same bits. Building a plan takes about 2-3 ms
-at the real point matvec(8,4,D=2) and 6 ms at the complex point
-complex_matvec(8,4,D=3), and :func:`.network._live` about 3 and 6 ms more
-(medians of 9 builds, three runs of ``scripts/plan_census.py`` on a shared
-2-core Xeon), so one-off calls such as :func:`.network.evaluate_batch` on
-a handful of rows keep to the stored layers, while an estimator call
-evaluates thousands of rows.
+(see :mod:`.network`), built once per network and box before any thread
+pool starts: fewer rows per layer, the same bits. Building a plan takes
+about 2-3 ms at the real point matvec(8,4,D=2) and 6 ms at the complex
+point complex_matvec(8,4,D=3), and :func:`.network._live` about 3 and 6
+ms more (medians of 9 builds, three runs of ``scripts/plan_census.py`` on
+a shared 2-core Xeon), so one-off calls such as
+:func:`.network.evaluate_batch` on a handful of rows keep to the stored
+layers, while an estimator call evaluates thousands of rows. The network
+keeps both plans, and the live plan's pair kernels, for its last box, so
+a second check of one network on one box builds none of them.
 
 Every estimator then drops the neurons proven never active where its
 inputs lie (:func:`.network._live`), again with the same bits:
@@ -96,6 +106,7 @@ clean interpretation as an expectation under the uniform distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable
@@ -106,9 +117,7 @@ from .constructors import KINDS, BoundBudget, square_net_of_order
 from .datasets import (
     _QPSK_LEVEL, Dataset, _layout, _matvec, _qpsk_chunk, pack_matvec, unpack_matvec,
 )
-from .network import (
-    Fnn, NetworkMetrics, _batch, _distinct, _live, _tangents, jacobian, metrics,
-)
+from .network import Fnn, NetworkMetrics, _batch, jacobian, metrics
 from .rng import uniform_rows
 
 __all__ = [
@@ -136,6 +145,11 @@ REDUCE_CHUNK = 2048
 KINK_TOL = 1e-9
 
 MAX_RESAMPLE_ATTEMPTS = 100
+
+# A check whose live plan has fewer kernel entries than this runs its chunks
+# in the calling thread whatever ``jobs`` asks for: its numpy calls are too
+# short for a second thread to gain what handing the GIL back and forth costs.
+POOL_ENTRIES = 3072
 
 
 @dataclass(frozen=True)
@@ -222,31 +236,35 @@ def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, 
     """Every error check of ``f`` over rows 0..count-1: the value report, then any derivative one.
 
     ``rows(a, b)`` gives the inputs and targets of rows a..b-1, all inside
-    [lo, hi], on which the live plan is proven once, before any thread
-    starts. ``probes``, a pair of inputs and targets inside [lo, hi] too,
-    enter the value report's sup only.
+    [lo, hi], the box whose live plan the network proves once and keeps
+    (:meth:`.network.Fnn._live_plan`), before any thread starts.
+    ``probes``, a pair of inputs and targets inside [lo, hi] too, enter the
+    value report's sup only. ``jobs`` must be an integer of at least 1.
 
     The indices are cut into fixed chunks of ``REDUCE_CHUNK``, each drawn or
-    sliced, evaluated and compared by one call of ``work``, inline or on a
-    pool of ``jobs`` threads. Per report, the chunk sups are maxed (the
-    probes' last), the skipped counts summed and the chunks' sums of squares
-    added in chunk order, so no report depends on ``jobs``. The mean squared
-    error is over the indices not skipped, and 0.0 when every one was.
+    sliced, evaluated and compared by one call of ``work``, on a pool of
+    ``jobs`` threads, or inline where ``jobs`` is 1, there is one chunk, or
+    the live plan has fewer than ``POOL_ENTRIES`` kernel entries. Per
+    report, the chunk sups are maxed (the probes' last), the skipped counts
+    summed and the chunks' sums of squares added in chunk order, so no
+    report depends on ``jobs``. The mean squared error is over the indices
+    not skipped, and 0.0 when every one was.
 
     ``box = (draw, m, n)`` adds the derivative report, from the same pass.
     It says that the rows are (m, n) matvec packings and that ``draw(a, b,
     lane)`` gives rows a..b-1 on any stream lane; ``rows`` gives lane 0. The
-    plan's pair kernels are then built once, and each chunk runs as one
-    ``_batch`` call that yields values and Jacobians and screens every
-    hidden pre-activation block for kinks. The value report takes the rows
-    as drawn. The derivative report redraws the rows on a kink: each lane is
-    one draw and one ``_batch`` call over the span of the pending indices,
-    up to MAX_RESAMPLE_ATTEMPTS lanes, and the indices still on a kink are
-    skipped and counted. Where a row moved, the targets are one reference
+    plan's pair kernels are then built once and kept with it, and each
+    chunk runs as one ``_batch`` call that yields values and Jacobians and
+    screens every hidden pre-activation block for kinks. The value report
+    takes the rows as drawn. The derivative report redraws the rows on a
+    kink: each lane is one draw and one ``_batch`` call over the span of
+    the pending indices, up to MAX_RESAMPLE_ATTEMPTS lanes, and the indices
+    still on a kink are skipped and counted. Where a row moved, the targets are one reference
     call over the chunk's final rows.
     """
-    plan = _live(_distinct(f), lo, hi)
-    tangents = None if box is None else _tangents(plan)
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    plan, tangents = f._live_plan(lo, hi, pairs=box is not None)
 
     def screened(xs: np.ndarray):
         """Values, Jacobians and an off-kink flag per row, in one pass."""
@@ -287,7 +305,7 @@ def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, 
 
     probe_sup = 0.0 if probes is None else _errors(_batch(plan, probes[0])[0], probes[1])[0]
     spans = [(a, min(a + REDUCE_CHUNK, count)) for a in range(0, count, REDUCE_CHUNK)]
-    if jobs <= 1 or len(spans) <= 1:
+    if jobs == 1 or len(spans) == 1 or sum(len(k.data) for k in plan.kernels) < POOL_ENTRIES:
         parts = [work(*span) for span in spans]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -541,7 +559,8 @@ def verify_network(
     record's :meth:`.constructors.ConstructionRecord.budget` under depth
     constant ``C``. The verdict holds when every checked error is at most the
     record's eps and the budget passes. Every check runs its chunks on
-    ``jobs`` threads, with the same bits for every ``jobs``.
+    ``jobs`` threads, or inline on a narrow network (see :func:`_report`),
+    with the same bits for every ``jobs``, an integer of at least 1.
     """
     record = net.record
     if record is None:

@@ -5,9 +5,22 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from scipy import sparse
 
+import matvecnet.verification as verification
 from matvecnet import Dataset, Fnn, Layer, matvec_net
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Run every check with ``jobs`` above 1 on its thread pool, however narrow its plan.
+
+    A plan under ``POOL_ENTRIES`` kernel entries runs inline; with the
+    constant at 0 none does, so worker-count comparisons still set the
+    pool against the inline run.
+    """
+    monkeypatch.setattr(verification, "POOL_ENTRIES", 0)
 
 
 def scipy_csr(csr) -> sparse.csr_array:

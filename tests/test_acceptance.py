@@ -240,7 +240,7 @@ def test_criterion_6_derivative_accuracy():
     )
 
 
-def test_criterion_7_bit_identical_reports():
+def test_criterion_7_bit_identical_reports(pooled):
     rows = {}
 
     net1 = real_net()

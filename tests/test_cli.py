@@ -217,7 +217,7 @@ def test_verify_matvec_passes_and_appends_row(tmp_path, capsys):
     assert rows[1][0] == "matvec"
 
 
-def test_verify_rows_are_identical_across_worker_counts(tmp_path, capsys):
+def test_verify_rows_are_identical_across_worker_counts(tmp_path, capsys, pooled):
     net = build_matvec(tmp_path, capsys)
     rows = []
     for jobs in ("1", "4"):
@@ -622,7 +622,7 @@ VERIFY_ROWS = {
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("kind, sobolev", list(VERIFY_ROWS))
-def test_verify_rows_match_the_recorded_rows(tmp_path, capsys, kind, sobolev, jobs):
+def test_verify_rows_match_the_recorded_rows(tmp_path, capsys, pooled, kind, sobolev, jobs):
     small = {"m": "2", "n": "2", "D": "1.5", "eps": "2^-4"}
     options = [arg for name in KINDS[kind].params for arg in (f"--{name}", small[name])]
     net = tmp_path / f"{kind}.json"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matvecnet.constructors as constructors
-import matvecnet.verification as verification
+import matvecnet.network as network
 from matvecnet import (
     Dataset,
     Fnn,
@@ -215,21 +215,34 @@ def test_the_live_proof_at_the_complex_point_peaks_below_0_37_mib():
     assert peak <= 0.37
 
 
-def unpruned(monkeypatch):
-    """Run the estimators as they were before pruning: ``_live`` returns its plan."""
-    monkeypatch.setattr(verification, "_live", lambda plan, lo, hi: plan)
+def unpruned(monkeypatch, net, estimator):
+    """``estimator``'s report on a copy of ``net``, run as before pruning: ``_live`` returns its plan.
+
+    A network keeps the live plan of its last box, so the copy, which has
+    proven none, goes through the hook, once.
+    """
+    calls = []
+
+    def kept(plan, lo, hi):
+        calls.append(plan)
+        return plan
+
+    monkeypatch.setattr(network, "_live", kept)
+    report = estimator(Fnn(net.layers, net.record))
+    assert len(calls) == 1
+    return report
 
 
 def proofs(monkeypatch):
     """Record, for every ``_live`` call of the estimators, whether it pruned anything."""
-    pruned, real = [], verification._live
+    pruned, real = [], network._live
 
     def recorded(plan, lo, hi):
         live = real(plan, lo, hi)
         pruned.append(live is not plan)
         return live
 
-    monkeypatch.setattr(verification, "_live", recorded)
+    monkeypatch.setattr(network, "_live", recorded)
     return pruned
 
 
@@ -253,8 +266,7 @@ def test_a_hat_nudged_off_two_proves_nothing_after_it(monkeypatch):
     pruned = proofs(monkeypatch)
     report = square_error_report(net)
     assert pruned == [True]
-    unpruned(monkeypatch)
-    assert bits(report) == bits(square_error_report(net))
+    assert bits(report) == bits(unpruned(monkeypatch, net, square_error_report))
 
 
 def test_a_mirror_nudged_off_its_negation_proves_less_after_it(monkeypatch):
@@ -271,8 +283,8 @@ def test_a_mirror_nudged_off_its_negation_proves_less_after_it(monkeypatch):
     pruned = proofs(monkeypatch)
     report = sup_error_matvec(nudged, 1, 1, 1.0, 2000, seed=3)
     assert pruned == [True]
-    unpruned(monkeypatch)
-    assert bits(report) == bits(sup_error_matvec(nudged, 1, 1, 1.0, 2000, seed=3))
+    assert bits(report) == bits(
+        unpruned(monkeypatch, nudged, lambda f: sup_error_matvec(f, 1, 1, 1.0, 2000, seed=3)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -286,8 +298,7 @@ def test_a_dataset_with_a_nonfinite_entry_prunes_nothing(monkeypatch, bad):
     pruned = proofs(monkeypatch)
     report = dataset_error_report(net, ds)
     assert pruned == [False]
-    unpruned(monkeypatch)
-    assert bits(report) == bits(dataset_error_report(net, ds))
+    assert bits(report) == bits(unpruned(monkeypatch, net, lambda f: dataset_error_report(f, ds)))
 
 
 def test_an_infinite_half_width_prunes_nothing(monkeypatch):
@@ -300,13 +311,13 @@ def test_an_infinite_half_width_prunes_nothing(monkeypatch):
 
 
 def test_the_estimators_prove_on_the_box_the_columns_and_the_grid(monkeypatch):
-    seen, real = [], verification._live
+    seen, real = [], network._live
 
     def recorded(plan, lo, hi):
         seen.append((np.array(lo, ndmin=1), np.array(hi, ndmin=1)))
         return real(plan, lo, hi)
 
-    monkeypatch.setattr(verification, "_live", recorded)
+    monkeypatch.setattr(network, "_live", recorded)
     net = matvec_net(2, 2, 1.5, 2.0 ** -4)
     sup_error_matvec(net, 2, 2, 1.5, 20, seed=0)
     ds = qpsk_rayleigh_dataset(1, 1, 30, clip=3.0, seed=0)
@@ -316,9 +327,12 @@ def test_the_estimators_prove_on_the_box_the_columns_and_the_grid(monkeypatch):
     assert (box_lo.tolist(), box_hi.tolist()) == ([-1.5], [1.5])
     assert (ds_lo == ds.inputs.min(axis=0)).all() and (ds_hi == ds.inputs.max(axis=0)).all()
     assert (grid_lo.tolist(), grid_hi.tolist()) == ([0.0], [1.0])
-    # the Sobolev check proves on the box too, and screens the neurons left
+    # the Sobolev check proves on the box too, and screens the neurons left:
+    # on the network just checked there, it takes the plan that network kept
     seen.clear()
     sobolev_error_matvec(net, 2, 2, 1.5, 20, seed=0)
+    assert seen == []
+    sobolev_error_matvec(Fnn(net.layers, net.record), 2, 2, 1.5, 20, seed=0)
     [(sob_lo, sob_hi)] = seen
     assert (sob_lo.tolist(), sob_hi.tolist()) == ([-1.5], [1.5])
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from matvecnet import matvec_net, save_fnn
+from matvecnet.verification import POOL_ENTRIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,7 +70,8 @@ def test_reproduce_operating_points_file_check_accepts_only_its_own_document(tmp
 
 
 def test_reproduce_operating_points_prints_the_same_reports_for_any_jobs():
-    # three chunks, so every stage runs on two threads
+    # three chunks, so every stage whose plan holds POOL_ENTRIES kernel entries or more runs
+    # on two threads: all but the derivative check at matvec(2,2), which runs inline
     def reports(jobs):
         out = run_script("reproduce_operating_points.py", "--samples", "4101", "--jobs", jobs)
         return [line for line in out.splitlines()
@@ -141,3 +143,8 @@ def test_plan_census_counts_the_live_plans_at_both_operating_points():
     times = re.findall(r"^median of 9 builds: _distinct \d+\.\d\d ms, _live \d+\.\d\d ms$",
                        out, re.M)
     assert len(times) == 2
+    # and where each point's chunks run with more than one worker
+    assert re.findall(r"^chunks under jobs > 1: .*$", out, re.M) == [
+        f"chunks under jobs > 1: on threads ({entries} live entries, POOL_ENTRIES {POOL_ENTRIES})"
+        for entries in (4987, 19822)
+    ]

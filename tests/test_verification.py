@@ -138,7 +138,7 @@ def test_matvec_truth_takes_one_pair_or_a_stack():
         assert stacked[k].tobytes() == (W[k] @ x[k]).tobytes()
 
 
-def test_sup_error_equals_the_per_row_computation():
+def test_sup_error_equals_the_per_row_computation(pooled):
     m, n, D, samples, seed = 2, 3, 1.0, REDUCE_CHUNK + 300, 11
     net = matvec_net(m, n, D, 2.0 ** -3)
     report = sup_error_matvec(net, m, n, D, samples=samples, seed=seed, jobs=2)
@@ -173,7 +173,7 @@ def test_sup_error_is_monotone_in_sample_count():
     assert large.sup_error >= small.sup_error
 
 
-def test_sup_error_independent_of_worker_count():
+def test_sup_error_independent_of_worker_count(pooled):
     net = matvec_net(1, 2, 1.0, 2.0 ** -3)
     serial = sup_error_matvec(net, 1, 2, 1.0, samples=5000, seed=11, jobs=1)
     threaded = sup_error_matvec(net, 1, 2, 1.0, samples=5000, seed=11, jobs=4)
@@ -358,7 +358,7 @@ def test_reports_keep_the_bits_recorded_before_pair_tangents():
 
 @pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("case", sorted(SOBOLEV_CASES))
-def test_sobolev_equals_the_per_sample_loop(case, jobs):
+def test_sobolev_equals_the_per_sample_loop(pooled, case, jobs):
     make, m, n, D, samples = SOBOLEV_CASES[case]
     net = make()
     expected = per_sample_sobolev(net, m, n, D, samples, seed=17)
@@ -402,7 +402,7 @@ def record_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_sobolev_draws_each_chunk_once(monkeypatch, jobs):
+def test_sobolev_draws_each_chunk_once(monkeypatch, pooled, jobs):
     calls = record_draws(monkeypatch)
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
     samples = 2 * REDUCE_CHUNK + 5
@@ -453,7 +453,7 @@ def test_a_sobolev_verify_that_used_no_sample_gives_no_verdict():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_sobolev_verify_draws_each_chunk_once(monkeypatch, jobs):
+def test_a_sobolev_verify_draws_each_chunk_once(monkeypatch, pooled, jobs):
     # the value and the derivative check share one pass over the samples
     calls = record_draws(monkeypatch)
     samples = 2 * REDUCE_CHUNK + 5
@@ -491,7 +491,7 @@ SOBOLEV_VERIFY_NETS = {
 @pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 4100])
 @pytest.mark.parametrize("case", sorted(SOBOLEV_VERIFY_NETS))
-def test_a_sobolev_verify_equals_the_two_call_composition(case, samples, jobs):
+def test_a_sobolev_verify_equals_the_two_call_composition(pooled, case, samples, jobs):
     net = SOBOLEV_VERIFY_NETS[case]()
     if case == "kinked":
         skipped = f"all {samples} samples were skipped on kinks"
@@ -553,7 +553,7 @@ def chunked_dataset_report(net, ds):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("data", ["qpsk", "equispaced"])
-def test_dataset_report_equals_the_chunk_order_oracle(data, jobs):
+def test_dataset_report_equals_the_chunk_order_oracle(pooled, data, jobs):
     rows = 2 * REDUCE_CHUNK + 5
     if data == "qpsk":
         net = complex_matvec_net(1, 2, 1.5, 2.0 ** -4)
@@ -574,63 +574,136 @@ def test_dataset_report_refuses_an_empty_dataset():
         dataset_error_report(net, Dataset(np.zeros((0, 2)), np.zeros((0, 1)), {}))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: square_net(2.0 ** -4),
-    lambda: complex_matvec_net(1, 1, 1.0, 2.0 ** -4),
-], ids=["square", "complex_matvec"])
-def test_verify_network_runs_dataset_chunks_on_threads(monkeypatch, make):
-    threads, real = set(), verification._batch
+def record_threads(monkeypatch):
+    """Record the thread and plan of every ``_batch`` call, and the workers of each pool started."""
+    batches, pools = [], []
+    real_batch, real_pool = verification._batch, verification.ThreadPoolExecutor
 
-    def recorded(plan, xs, *args):
-        threads.add(threading.current_thread())
-        return real(plan, xs, *args)
+    def batch(plan, xs, *args):
+        batches.append((threading.current_thread(), plan))
+        return real_batch(plan, xs, *args)
 
-    monkeypatch.setattr(verification, "_batch", recorded)
+    def pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers)
+
+    monkeypatch.setattr(verification, "_batch", batch)
+    monkeypatch.setattr(verification, "ThreadPoolExecutor", pool)
+    return batches, pools
+
+
+def entries(plan):
+    return sum(len(kernel.data) for kernel in plan.kernels)
+
+
+# Checks without probes, whose every batch is a chunk or a redraw lane of
+# one, on three chunks: (network, the check under a worker count).
+CHUNKED = 2 * REDUCE_CHUNK + 5
+NARROW_CHECKS = {
+    "square": (lambda: square_net(2.0 ** -4), lambda f, jobs: verify_network(f, CHUNKED, 4, jobs)),
+    "complex_matvec": (lambda: complex_matvec_net(1, 1, 1.0, 2.0 ** -4),
+                       lambda f, jobs: verify_network(f, CHUNKED, 4, jobs)),
+    "sobolev": (lambda: matvec_net(2, 2, 1.0, 2.0 ** -4),
+                lambda f, jobs: sobolev_error_matvec(f, 2, 2, 1.0, CHUNKED, 4, jobs)),
+}
+WIDE_CHECK = (lambda: matvec_net(8, 4, 2.0, 2.0 ** -5),
+              lambda f, jobs: sobolev_error_matvec(f, 8, 4, 2.0, CHUNKED, 4, jobs))
+
+
+@pytest.mark.parametrize("case", sorted(NARROW_CHECKS))
+def test_a_narrow_plan_runs_every_chunk_inline_whatever_jobs_asks(monkeypatch, case):
+    make, check = NARROW_CHECKS[case]
     net = make()
-    one = verify_network(net, 2 * REDUCE_CHUNK + 5, 4)
-    assert threads == {threading.main_thread()}
-    threads.clear()
-    assert verify_network(net, 2 * REDUCE_CHUNK + 5, 4, jobs=2) == one
-    assert threading.main_thread() not in threads and threads
+    batches, pools = record_threads(monkeypatch)
+    one = check(net, 1)
+    assert check(net, 2) == one
+    assert pools == []
+    assert {thread for thread, _ in batches} == {threading.main_thread()}
+    assert all(entries(plan) < verification.POOL_ENTRIES for _, plan in batches)
 
 
-def test_estimators_plan_once_per_call(monkeypatch):
-    built, paired, live = [], [], []
+@pytest.mark.parametrize("case", ["wide", *sorted(NARROW_CHECKS)])
+def test_a_plan_at_pool_entries_runs_every_chunk_on_workers(monkeypatch, case):
+    if case == "wide":
+        make, check = WIDE_CHECK
+    else:
+        make, check = NARROW_CHECKS[case]
+        monkeypatch.setattr(verification, "POOL_ENTRIES", 0)
+    net = make()
+    batches, pools = record_threads(monkeypatch)
+    one = check(net, 1)
+    assert pools == [] and {thread for thread, _ in batches} == {threading.main_thread()}
+    batches.clear()
+    assert check(net, 2) == one
+    assert pools == [2]
+    assert batches and threading.main_thread() not in {thread for thread, _ in batches}
+    assert all(entries(plan) >= verification.POOL_ENTRIES for _, plan in batches)
 
-    def counted(f):
-        built.append(f)
-        return real_distinct(f)
 
-    def counted_live(plan, lo, hi):
-        live.append(real_live(plan, lo, hi))
-        return live[-1]
+def count_plans(monkeypatch):
+    """Record each distinct plan, live plan and set of pair kernels the networks build,
+    as (argument, result): the network, the plan proven or the plan paired."""
+    built = {"_distinct": [], "_live": [], "_tangents": []}
 
-    def counted_pairs(plan):
-        paired.append(plan)
-        return real_tangents(plan)
+    def counting(name):
+        real = getattr(network, name)
 
-    real_distinct, real_live = verification._distinct, verification._live
-    real_tangents = verification._tangents
-    monkeypatch.setattr(verification, "_distinct", counted)
-    monkeypatch.setattr(verification, "_live", counted_live)
-    monkeypatch.setattr(verification, "_tangents", counted_pairs)
+        def counted(first, *args):
+            built[name].append((first, real(first, *args)))
+            return built[name][-1][1]
+
+        return counted
+
+    for name in built:
+        monkeypatch.setattr(network, name, counting(name))
+    return built
+
+
+def test_estimators_plan_once_per_network_and_box(monkeypatch):
+    built = count_plans(monkeypatch)
+
+    def counts():
+        return [len(calls) for calls in built.values()]
+
     net = matvec_net(2, 2, 1.0, 2.0 ** -4)
-    # three reduction chunks on two threads, then probes
-    sup_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
-    assert built == [net]
-    assert paired == []
-    sobolev_error_matvec(net, 2, 2, 1.0, 2 * REDUCE_CHUNK + 5, seed=1, jobs=2)
-    assert built == [net, net]
-    # the pair kernels of the live plan, once per call: 30 of the 40 widest
-    # distinct neurons and 286 of the 376 pairs
-    assert len(paired) == 1 and paired[0] is live[1]
-    assert max(live[1].widths) == 30
-    assert sum(kernel.shape[0] for kernel in real_tangents(live[1]).kernels) == 286
+    sup_error_matvec(net, 2, 2, 1.0, CHUNKED, seed=1, jobs=2)
+    assert counts() == [1, 1, 0]
+    # a Sobolev check on the same box takes both plans kept, and keeps the
+    # pair kernels it builds for a third check
+    sobolev_error_matvec(net, 2, 2, 1.0, CHUNKED, seed=1, jobs=2)
+    verify_network(net, 100, 1, sobolev=True)
+    assert counts() == [1, 1, 1]
+    [(owner, distinct)], [(proven, live)], [(paired, pairs)] = built.values()
+    assert owner is net and proven is distinct and paired is live
+    # the pair kernels of the live plan: 30 of the 40 widest distinct neurons
+    # and 286 of the 376 pairs
+    assert max(live.widths) == 30
+    assert sum(kernel.shape[0] for kernel in pairs.kernels) == 286
+    # a dataset on another box proves a new live plan from the same distinct
+    # one, and replaces the box kept, whose plan is then proven again
     dataset_error_report(net, Dataset(np.zeros((5000, 6)), np.zeros((5000, 2)), {}))
-    square = square_net_of_order(3)
-    square_error_report(square)
-    assert built == [net, net, net, square]
-    assert len(paired) == 1
+    assert counts() == [1, 2, 1] and built["_live"][1][0] is distinct
+    sobolev_error_matvec(net, 2, 2, 1.0, 100, seed=1)
+    assert counts() == [1, 3, 2]
+    # another network, even one of the same layers, builds its own
+    sup_error_matvec(Fnn(net.layers, net.record), 2, 2, 1.0, 100, seed=1)
+    square_error_report(square_net_of_order(3))
+    assert counts() == [3, 5, 2]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", None])
+@pytest.mark.parametrize("check", [
+    lambda jobs: sup_error_matvec(matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, 100, 0, jobs=jobs),
+    lambda jobs: sobolev_error_matvec(matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, 100, 0, jobs),
+    lambda jobs: dataset_error_report(
+        matvec_net(1, 1, 1.0, 2.0 ** -3), Dataset(np.zeros((5, 2)), np.zeros((5, 1)), {}), jobs),
+    lambda jobs: verify_network(matvec_net(2, 2, 1.0, 2.0 ** -4), 100, 0, jobs, sobolev=True),
+    lambda jobs: verify_network(square_net(2.0 ** -4), 100, 0, jobs),
+    lambda jobs: verify_network(complex_matvec_net(1, 1, 1.0, 2.0 ** -4), 100, 0, jobs),
+], ids=["sup", "sobolev", "dataset", "verify-matvec", "verify-square", "verify-complex"])
+def test_the_checks_refuse_a_worker_count_that_is_not_a_positive_integer(check, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be an integer of at least 1, got {jobs!r}"):
+        check(jobs)
 
 
 def record_slices(monkeypatch):
@@ -668,7 +741,7 @@ def test_sobolev_slices_are_sized_from_the_plan(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["matvec(8,4)", "rho", "stuck"])
-def test_sobolev_screens_kinks_across_slices(monkeypatch, case):
+def test_sobolev_screens_kinks_across_slices(monkeypatch, pooled, case):
     make, m, n, D, samples = SOBOLEV_CASES[case]
     net = make()
     expected = per_sample_sobolev(net, m, n, D, samples, seed=17)
@@ -692,7 +765,7 @@ QPSK_NET = complex_matvec_net(1, 2, 1.5, 2.0 ** -4)
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("samples", [1, 510, 511, 512, 2047, 2048, 4100])
-def test_complex_verify_equals_the_report_of_the_whole_dataset(samples, jobs):
+def test_complex_verify_equals_the_report_of_the_whole_dataset(pooled, samples, jobs):
     # rows drawn chunk by chunk, block boundaries and the probe row at the
     # edges of blocks and chunks, give the whole dataset's report bit for bit
     ds = qpsk_rayleigh_dataset(1, 2, samples, clip=1.5, seed=6)
