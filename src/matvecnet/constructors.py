@@ -73,7 +73,7 @@ from .calculus import (
     parallelize_shared,
     superpose,
 )
-from .datasets import _layout, pack_matvec
+from .datasets import _TERMS, _layout, pack_matvec
 from .network import Fnn, Layer
 
 __all__ = [
@@ -449,12 +449,11 @@ def complex_matvec_net(m: int, n: int, D: float, eps: float) -> Fnn:
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
     _scalar_accuracy(D, eps, 4.0, n)
     core = matvec_net(m, n, D, eps / 4.0)
-    packing, width, (W1, W2, x1, x2) = _layout(m, n, complex=True)
-    real_part = superpose([_reading(core, width, W1, x1), _reading(core, width, W2, x2)],
-                          [1.0, -1.0], shared_input=True)
-    imag_part = superpose([_reading(core, width, W1, x2), _reading(core, width, W2, x1)],
-                          [1.0, 1.0], shared_input=True)
-    net = parallelize_shared([real_part, imag_part])
+    packing, width, at = _layout(m, n, complex=True)
+    # Each output block, Re then Im, superposes its terms sign * W_p x_q.
+    net = parallelize_shared([superpose([_reading(core, width, at[p], at[q]) for _, p, q in terms],
+                                        [sign for sign, _, _ in terms], shared_input=True)
+                              for terms in _TERMS[True]])
     record = ConstructionRecord(
         kind="complex_matvec",
         input_packing=packing,

@@ -1,17 +1,27 @@
-"""Dataset generation and input packing for product networks.
+"""Input packing, the packed product, and dataset generation for product networks.
 
 The packing convention is fixed across the whole package: a matrix argument
 enters as its column-major vectorization, followed by the vector argument.
-The complex layout is [vec(W1), vec(W2), x1, x2]. Pack/unpack helpers below
-are the single source of truth for these layouts; the constructors and the
-checks take every coordinate and layout description from them, through
-:func:`_layout`.
+The complex layout is [vec(W1), vec(W2), x1, x2]. One pack/unpack pair,
+:func:`_pack` and :func:`_unpack`, is the single source of truth for these
+layouts; the constructors and the checks take every coordinate and layout
+description from it, through :func:`_layout`.
+
+The product itself is one table, ``_TERMS``: each output block is listed as
+its (sign, matrix part, vector part) terms, W x for the real layout and
+W1 x1 - W2 x2 over W1 x2 + W2 x1 for the complex one. Everything that
+computes the product reads it: :func:`_targets` is the one reference
+product (both generators and the box check call it),
+:func:`_subtract_jacobian` subtracts its exact Jacobian for the Sobolev
+check, and :func:`.constructors.complex_matvec_net` superposes its networks
+by it.
 
 Generation is deterministic per sample index (see :mod:`.rng`): row i of a
 dataset depends only on (seed, i), never on `count` or on any partitioning
 of the generation loop. Rows are generated in fixed blocks of
-``_ROW_BLOCK`` = 512, each drawn with one :func:`.rng.uniform_rows` call
-and multiplied out with one stacked product, in a call of its own, so one
+``_ROW_BLOCK`` = 512 by one block loop, :func:`_blocks`: a row filler draws
+each block's inputs with one :func:`.rng.uniform_rows` call, and
+:func:`_targets` multiplies them out, in a call of its own, so one
 block's scratch is freed before the next is drawn. A block holds its
 uniforms and a few arrays of its channel's size: at the complex point
 (m = 8, n = 4) 8,191 QPSK rows peak 0.91 MiB (tracemalloc) above the
@@ -45,6 +55,7 @@ __all__ = [
     "unpack_matvec",
     "pack_complex",
     "unpack_complex",
+    "matvec_truth",
     "equispaced_real_dataset",
     "qpsk_rayleigh_dataset",
     "save_dataset",
@@ -76,13 +87,50 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+# A packed layout is k matrix blocks, each column-major, then k vector blocks:
+# k = 1 is the real layout [vec(W), x], k = 2 the complex one [vec(W1),
+# vec(W2), x1, x2]. Output block i of the product is the sum of the terms
+# sign * P[p] P[q], over (sign, p, q) in _TERMS[complex][i], where P is the
+# unpacked (W, x) or (W1, W2, x1, x2); the first term of a block has sign +1.
+# Real: W x. Complex: W1 x1 - W2 x2 over W1 x2 + W2 x1.
+_TERMS = {False: (((1.0, 0, 1),),),
+          True: (((1.0, 0, 2), (-1.0, 1, 3)), ((1.0, 0, 3), (1.0, 1, 2)))}
+
+
+def _width(m: int, n: int, complex: bool = False) -> int:
+    """The width of a packed (m, n) row, computed without building it."""
+    return (2 if complex else 1) * (m * n + n)
+
+
+def _pack(Ws, xs) -> np.ndarray:
+    """[vec(W) for W in Ws, then x for x in xs] as one flat vector, matrices column-major."""
+    Ws = [np.asarray(W, dtype=np.float64) for W in Ws]
+    xs = [np.asarray(x, dtype=np.float64) for x in xs]
+    if len({W.shape for W in Ws}) > 1 or len({x.shape for x in xs}) > 1:
+        raise ValueError("real and imaginary parts must have matching shapes")
+    if Ws[0].ndim != 2 or xs[0].ndim != 1 or Ws[0].shape[1] != xs[0].shape[0]:
+        raise ValueError(f"incompatible shapes {Ws[0].shape} and {xs[0].shape}")
+    return np.concatenate([W.flatten(order="F") for W in Ws] + xs)
+
+
+def _unpack(v: np.ndarray, m: int, n: int, complex: bool = False) -> tuple[np.ndarray, ...]:
+    """The parts of a packed vector, or stacks of them from a stack of rows.
+
+    A ``(..., width)`` input gives each matrix part of shape ``(..., m, n)``
+    (a view, read column-major) and each vector part of shape ``(..., n)``
+    (a copy): (W, x), or with ``complex`` (W1, W2, x1, x2).
+    """
+    v = np.asarray(v, dtype=np.float64)
+    width, k, block = _width(m, n, complex), 2 if complex else 1, m * n
+    if v.ndim == 0 or v.shape[-1] != width:
+        raise ValueError(f"expected a vector of width {width}, got {v.shape}")
+    return (*(_column_major(v[..., p * block: (p + 1) * block], m, n) for p in range(k)),
+            *(v[..., k * block + q * n: k * block + (q + 1) * n].copy() for q in range(k)))
+
+
 def pack_matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
     """[vec(W) column-major, x] as one flat vector."""
-    W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if W.ndim != 2 or x.ndim != 1 or W.shape[1] != x.shape[0]:
-        raise ValueError(f"incompatible shapes {W.shape} and {x.shape}")
-    return np.concatenate([W.flatten(order="F"), x])
+    return _pack([W], [x])
 
 
 def unpack_matvec(v: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,58 +139,30 @@ def unpack_matvec(v: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray
     A ``(..., m*n + n)`` input gives W of shape ``(..., m, n)`` (a view) and
     x of shape ``(..., n)`` (a copy).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 0 or v.shape[-1] != m * n + n:
-        raise ValueError(f"expected a vector of width {m * n + n}, got {v.shape}")
-    return _column_major(v[..., : m * n], m, n), v[..., m * n:].copy()
+    return _unpack(v, m, n)
 
 
 def pack_complex(W1, W2, x1, x2) -> np.ndarray:
     """[vec(W1), vec(W2), x1, x2] with column-major matrix blocks."""
-    W1 = np.asarray(W1, dtype=np.float64)
-    W2 = np.asarray(W2, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if W1.shape != W2.shape or x1.shape != x2.shape:
-        raise ValueError("real and imaginary parts must have matching shapes")
-    if W1.ndim != 2 or x1.ndim != 1 or W1.shape[1] != x1.shape[0]:
-        raise ValueError(f"incompatible shapes {W1.shape} and {x1.shape}")
-    return np.concatenate([
-        W1.flatten(order="F"),
-        W2.flatten(order="F"),
-        x1,
-        x2,
-    ])
+    return _pack([W1, W2], [x1, x2])
 
 
 def unpack_complex(v: np.ndarray, m: int, n: int):
     """W1, W2, x1, x2 from a packed vector, or stacks of them, as in :func:`unpack_matvec`."""
-    v = np.asarray(v, dtype=np.float64)
-    block = m * n
-    if v.ndim == 0 or v.shape[-1] != 2 * block + 2 * n:
-        raise ValueError(f"expected a vector of width {2 * block + 2 * n}, got {v.shape}")
-    W1 = _column_major(v[..., :block], m, n)
-    W2 = _column_major(v[..., block: 2 * block], m, n)
-    x1 = v[..., 2 * block: 2 * block + n].copy()
-    x2 = v[..., 2 * block + n:].copy()
-    return W1, W2, x1, x2
+    return _unpack(v, m, n, complex=True)
 
 
 def _layout(m: int, n: int, complex: bool = False) -> tuple[str, int, tuple[np.ndarray, ...]]:
     """The packed (m, n) layout: its description, its width and where each entry sits.
 
-    The positions are :func:`unpack_matvec`, or with ``complex``
-    :func:`unpack_complex`, of the coordinate indices 0, 1, ..., width - 1,
-    as integer arrays: (W, x) or (W1, W2, x1, x2). The constructors and the
-    checks read every layout from here.
+    The positions are :func:`_unpack` of the coordinate indices 0, 1, ...,
+    width - 1, as integer arrays: (W, x), or with ``complex`` (W1, W2, x1,
+    x2). The constructors and the checks read every layout from here.
     """
-    block = f"column-major ({m * n})"
-    if complex:
-        parts, width = f"vec(W1) {block}, vec(W2) {block}, x1 ({n}), x2 ({n})", 2 * (m * n + n)
-    else:
-        parts, width = f"vec(W) {block}, x ({n})", m * n + n
-    unpack = unpack_complex if complex else unpack_matvec
-    return f"[{parts}]", width, tuple(p.astype(np.intp) for p in unpack(np.arange(width), m, n))
+    width, ids = _width(m, n, complex), ("1", "2") if complex else ("",)
+    parts = [f"vec(W{i}) column-major ({m * n})" for i in ids] + [f"x{i} ({n})" for i in ids]
+    positions = _unpack(np.arange(width), m, n, complex)
+    return f"[{', '.join(parts)}]", width, tuple(p.astype(np.intp) for p in positions)
 
 
 def _column_major(vec: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -150,13 +170,60 @@ def _column_major(vec: np.ndarray, m: int, n: int) -> np.ndarray:
     return vec.reshape(vec.shape[:-1] + (n, m)).swapaxes(-1, -2)
 
 
-def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x for one (m, n) matrix and n-vector, or for stacks (k, m, n) and (k, n).
+def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Reference double-precision product W x, for one pair or for stacks of pairs.
 
-    A stack goes through one ``np.matmul`` call, so the host BLAS picks
-    the order of each sum (see :func:`.verification.matvec_truth`).
+    Takes one (m, n) matrix and n-vector, or stacks (k, m, n) and (k, n)
+    that are multiplied pair by pair in a single ``np.matmul`` call. Every
+    reference product of the package is :func:`_targets`, which makes one
+    such call per term of the packed product, so the box and derivative
+    checks and both dataset generators agree bit for bit on one host. The
+    bits themselves come from the host BLAS: under the OpenBLAS kernel the
+    recorded report rows were made with (SkylakeX), each product is
+    bit-equal to ``W @ x`` on that pair, but under other kernels the sums
+    run in another order and a 1-row ``W @ x`` takes another path, so that
+    equality is not promised across hosts (ROADMAP item 1).
     """
-    return np.matmul(W, x[..., None])[..., 0]
+    return np.matmul(np.asarray(W), np.asarray(x)[..., None])[..., 0]
+
+
+def _targets(xs, m, n, complex=False, out=None) -> np.ndarray:
+    """The reference product of packed rows: W x, or Re over Im of the complex product.
+
+    Each term of :data:`_TERMS` is one stacked :func:`matvec_truth` call
+    over the rows, added into its output block in term order. ``out``, of
+    width m or 2m, takes the result; without it a new array does.
+    """
+    P = _unpack(xs, m, n, complex)
+    if out is None:
+        out = np.empty(P[0].shape[:-2] + (len(_TERMS[complex]) * m,))
+    for i, ((_, p, q), *rest) in enumerate(_TERMS[complex]):
+        block = out[..., i * m: (i + 1) * m]
+        block[...] = matvec_truth(P[p], P[q])
+        for sign, p, q in rest:  # no sign * product temporary
+            (np.add if sign > 0 else np.subtract)(block, matvec_truth(P[p], P[q]), out=block)
+    return out
+
+
+def _subtract_jacobian(J, xs, m, n, complex=False) -> np.ndarray:
+    """J minus the reference Jacobian of :func:`_targets`, in place, for stacks J and rows xs.
+
+    J is (count, m, width), or (count, 2m, width) with ``complex``. Only the
+    nonzero entries of the reference are subtracted: for a term sign * W x
+    of output block i, sign * x_j at row i*m + r and the coordinate of
+    W[r, j], and sign * W[r, j] at row i*m + r and the coordinate of x_j.
+    The rest would subtract 0.0, which changes no bit of J, -0.0 included.
+    J - (-v) and J + v are the same bits, so a term of sign -1 subtracts
+    its negated parts.
+    """
+    P, (_, _, at) = _unpack(xs, m, n, complex), _layout(m, n, complex)
+    for i, terms in enumerate(_TERMS[complex]):
+        block = J[:, i * m: (i + 1) * m]
+        for sign, p, q in terms:
+            W, x = (P[p], P[q]) if sign > 0 else (-P[p], -P[q])
+            block[:, np.arange(m)[:, None], at[p]] -= x[:, None, :]
+            block[:, :, at[q]] -= W
+    return J
 
 
 # Rows generated or written per pass, so scratch memory does not grow with
@@ -195,11 +262,9 @@ def equispaced_real_dataset(
             f"is finite, got {half_width}"
         )
     h = float(half_width)
-    packing, entries, _ = _layout(m, n)
-    inputs = np.empty((count, entries))
-    targets = np.empty((count, m))
-    for lo, hi in _row_blocks(count):
-        _equispaced_rows(inputs[lo:hi], targets[lo:hi], seed, lo, h, grid_points, m, n)
+    packing, _, _ = _layout(m, n)
+    inputs, targets, _ = _blocks(
+        lambda rows, lo: _equispaced_rows(rows, seed, lo, h, grid_points), 0, count, m, n)
     meta = {
         "kind": "equispaced_real",
         "m": m,
@@ -214,13 +279,13 @@ def equispaced_real_dataset(
     return Dataset(inputs, targets, meta)
 
 
-def _equispaced_rows(inputs, targets, seed, lo, h, grid_points, m, n) -> None:
-    """Rows lo, lo + 1, ... of :func:`equispaced_real_dataset`, into one block's views."""
+def _equispaced_rows(inputs, seed, lo, h, grid_points) -> int:
+    """Rows lo, lo + 1, ... of :func:`equispaced_real_dataset`, into one block's view; 0 clipped."""
     u = uniform_rows(seed, lo, lo + len(inputs), inputs.shape[1])
     j = np.floor(u * grid_points).astype(np.int64)
     np.clip(j, 0, grid_points - 1, out=j)
     inputs[...] = -h + (2.0 * h) * (j / (grid_points - 1))
-    targets[...] = _matvec(*unpack_matvec(inputs, m, n))
+    return 0
 
 
 _QPSK_LEVEL = 1.0 / math.sqrt(2.0)
@@ -277,19 +342,30 @@ def _qpsk_chunk(seed, lo, hi, rows, clip, m, n) -> tuple[np.ndarray, np.ndarray,
     lo..hi-1 bit for bit; row ``rows - 1`` is the zero-channel probe. The
     count is of the channel components the clip touched.
     """
-    inputs = np.empty((hi - lo, _layout(m, n, complex=True)[1]))
-    targets = np.empty((hi - lo, 2 * m))
+    return _blocks(lambda xs, a: _qpsk_rows(xs, seed, a, rows, clip, m, n), lo, hi, m, n, True)
+
+
+def _blocks(fill, lo, hi, m, n, complex=False) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows lo..hi-1 of a generator, a block at a time: inputs, targets and the clips counted.
+
+    ``fill(inputs, a)`` draws rows a, a + 1, ... into one block's view of
+    the inputs and returns how many entries it clipped; :func:`_targets`
+    then fills that block's targets.
+    """
+    inputs = np.empty((hi - lo, _width(m, n, complex)))
+    targets = np.empty((hi - lo, len(_TERMS[complex]) * m))
     clipped = 0
     for a, b in _row_blocks(hi - lo):
-        clipped += _qpsk_rows(inputs[a:b], targets[a:b], seed, lo + a, lo + b == rows, clip, m, n)
+        clipped += fill(inputs[a:b], lo + a)
+        _targets(inputs[a:b], m, n, complex, targets[a:b])
     return inputs, targets, clipped
 
 
-def _qpsk_rows(inputs, targets, seed, lo, probe, clip, m, n) -> int:
-    """Rows lo, lo + 1, ... of :func:`qpsk_rayleigh_dataset`, into one block's views.
+def _qpsk_rows(inputs, seed, lo, rows, clip, m, n) -> int:
+    """Rows lo, lo + 1, ... of a ``rows``-row :func:`qpsk_rayleigh_dataset`, into one block's view.
 
-    With ``probe``, the last row is the zero-channel probe. Returns how many
-    channel components the clip touched.
+    Row ``rows - 1``, where the block holds it, is the zero-channel probe.
+    Returns how many channel components the clip touched.
     """
     block = m * n
     # Per row, stream(seed, i) is read as Box-Muller u1 (block uniforms),
@@ -300,14 +376,11 @@ def _qpsk_rows(inputs, targets, seed, lo, probe, clip, m, n) -> int:
     z[:, 0::2] = z1
     z[:, 1::2] = z2
     z *= _QPSK_LEVEL
-    drawn = z[: len(z) - probe]
+    drawn = z[: rows - 1 - lo]  # every row but the probe
     clipped = int(np.count_nonzero(np.abs(drawn) > clip))
     np.clip(drawn, -clip, clip, out=drawn)
     z[len(drawn):] = 0.0
     inputs[:, 2 * block:] = np.where(u[:, 2 * block:] < 0.5, -_QPSK_LEVEL, _QPSK_LEVEL)
-    W1, W2, x1, x2 = unpack_complex(inputs, m, n)
-    targets[:, :m] = _matvec(W1, x1) - _matvec(W2, x2)
-    targets[:, m:] = _matvec(W1, x2) + _matvec(W2, x1)
     return clipped
 
 

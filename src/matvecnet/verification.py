@@ -12,7 +12,8 @@ per-index streams of :mod:`.rng`, a whole chunk at a time through
 :func:`.rng.uniform_rows`, so reports are bit-reproducible for a given
 (network, seed, sample count) and the sample set for k samples is a prefix
 of the set for any larger count. The reference products of a chunk are one
-stacked :func:`matvec_truth` call.
+call of :func:`.datasets._targets`, the package's one reference product;
+this module holds no product or Jacobian arithmetic of its own.
 
 Every error check is one function, :func:`_report`, fed by a row source:
 ``rows(a, b)`` gives the inputs and targets of rows a..b-1, and a box
@@ -44,13 +45,17 @@ one-thread speed, checks between 2,000 and 3,300 entries at 0.85-1.17x,
 and one at matvec(8,4,D=2) (4,987) at 1.06-1.23x (medians of 15
 alternated calls of 4,096 and 8,192 samples on a shared 2-core Xeon; the
 README has the table). Every row source checks the network's input and
-output widths against its rows through :func:`_dims`.
-The box estimator also checks for a positive sample count, and D positive
-with 2D finite, so that every sample u * 2D - D lies in [-D, D].
+output widths against its rows through :func:`_dims`; the box and QPSK
+sources compute theirs from m and n before they build any layout
+positions, so a record that claims a huge m is refused without allocating
+for it. The box estimator also checks the sample count, and every check
+the worker count, through :func:`_count`: an integer of at least 1, never a
+bool. D must be positive with 2D finite, so that every sample u * 2D - D
+lies in [-D, D].
 
 Values and first derivatives are checked in one pass. Box rows can be
 drawn on any stream lane, and their exact Jacobians are known
-(:func:`_subtract_matvec_jacobian`); given that, :func:`_report` gives a
+(:func:`.datasets._subtract_jacobian`); given that, :func:`_report` gives a
 derivative report beside the value report. Each chunk is drawn once and
 runs through one :func:`.network._batch` call, which runs every evaluation
 in slices. It yields values and full Jacobians, carried as sparse tangents
@@ -115,7 +120,8 @@ import numpy as np
 
 from .constructors import KINDS, BoundBudget, square_net_of_order
 from .datasets import (
-    _QPSK_LEVEL, Dataset, _layout, _matvec, _qpsk_chunk, pack_matvec, unpack_matvec,
+    _QPSK_LEVEL, Dataset, _layout, _qpsk_chunk, _subtract_jacobian, _targets, _width, matvec_truth,
+    pack_matvec,
 )
 from .network import Fnn, NetworkMetrics, _batch, jacobian, metrics
 from .rng import uniform_rows
@@ -191,23 +197,6 @@ class BudgetCompliance:
         return all((self.depth_ok, self.width_ok, self.weight_ok))
 
 
-def matvec_truth(W: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Reference double-precision product the network outputs are judged by.
-
-    Takes one (m, n) matrix and n-vector, or stacks (k, m, n) and (k, n)
-    that are multiplied pair by pair in a single ``np.matmul`` call. Every
-    reference product of the package (the box and derivative checks and
-    both dataset generators) is this call, so on one host they agree bit
-    for bit. The bits themselves come from the host BLAS: under the
-    OpenBLAS kernel the recorded report rows were made with (SkylakeX),
-    each product is bit-equal to ``W @ x`` on that pair, but under other
-    kernels the sums run in another order and a 1-row ``W @ x`` takes
-    another path, so that equality is not promised across hosts (ROADMAP
-    item 1).
-    """
-    return _matvec(np.asarray(W), np.asarray(x))
-
-
 def probe_inputs(m: int, n: int, D: float) -> np.ndarray:
     """Deterministic probe points for the packed matvec domain [-D, D]^N0."""
     W, x = np.full((m, n), D), np.full(n, D)
@@ -262,8 +251,7 @@ def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, 
     still on a kink are skipped and counted. Where a row moved, the targets are one reference
     call over the chunk's final rows.
     """
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    jobs = _count("jobs", jobs, "an integer of at least 1")
     plan, tangents = f._live_plan(lo, hi, pairs=box is not None)
 
     def screened(xs: np.ndarray):
@@ -298,9 +286,9 @@ def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, 
         if pending.size:
             xs, values, jacobians = (np.delete(a, pending, axis=0) for a in (xs, values, jacobians))
         if kinked.size:
-            targets = _matvec_targets(xs, m, n)
+            targets = _targets(xs, m, n)
         # In place: a chunk's Jacobians take 4.7 MB at matvec(8,4).
-        dev = np.abs(_subtract_matvec_jacobian(jacobians, xs, m, n), out=jacobians)
+        dev = np.abs(_subtract_jacobian(jacobians, xs, m, n), out=jacobians)
         return [value, (*_errors(values, targets), float(np.max(dev, initial=0.0)), pending.size)]
 
     probe_sup = 0.0 if probes is None else _errors(_batch(plan, probes[0])[0], probes[1])[0]
@@ -329,6 +317,19 @@ def _report(f: Fnn, count: int, rows: Callable, lo, hi, seed: int, half: float, 
     return reports
 
 
+def _count(name: str, value: Any, below: str) -> int:
+    """``value`` as an int, where it is an integer of at least 1; else ``ValueError``.
+
+    A bool is refused with any other non-integer; ``below`` says in the
+    message what an integer below 1 should have been.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be {below}, got {value!r}")
+    return int(value)
+
+
 def _dims(f: Fnn, inputs: int, outputs: int, source: str = "dataset") -> None:
     """Refuse a network that does not map the rows' ``inputs`` columns to ``outputs``.
 
@@ -345,16 +346,15 @@ def _box(f: Fnn, m: int, n: int, D: float, samples: int, seed: int, jobs: int,
          probes: bool, derivatives: bool) -> list[ErrorReport]:
     """The box estimator: ``samples`` rows uniform on [-D, D]^N0 against the exact product.
 
-    The network must take the (m, n) matvec packing, ``samples`` must be
-    positive, and D positive with 2D finite, so that every draw u * 2D - D
-    lies in [-D, D]. Returns the value report, with the sup over
+    The network must take the (m, n) matvec packing, ``samples`` must be an
+    integer of at least 1, and D positive with 2D finite, so that every draw
+    u * 2D - D lies in [-D, D]. Returns the value report, with the sup over
     :func:`probe_inputs` too where ``probes``, then with ``derivatives`` the
     derivative report of the same pass (see :func:`_report`).
     """
-    _, width, _ = _layout(m, n)
+    width = _width(m, n)
     _dims(f, width, m, f"the ({m}, {n}) matvec packing")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = _count("samples", samples, "positive")
     if not (D > 0 and math.isfinite(2.0 * D)):
         raise ValueError(f"D must be positive and 2D finite, got {D}")
 
@@ -362,15 +362,11 @@ def _box(f: Fnn, m: int, n: int, D: float, samples: int, seed: int, jobs: int,
         return _uniform_rows(seed, lo, hi, width, D, lane)
 
     def pair(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return xs, _matvec_targets(xs, m, n)
+        return xs, _targets(xs, m, n)
 
     return _report(f, samples, lambda lo, hi: pair(draw(lo, hi)), -D, D, seed, D, jobs,
                    pair(probe_inputs(m, n, D)) if probes else None,
                    (draw, m, n) if derivatives else None)
-
-
-def _matvec_targets(xs: np.ndarray, m: int, n: int) -> np.ndarray:
-    return matvec_truth(*unpack_matvec(xs, m, n))
 
 
 def _uniform_rows(seed: int, lo: int, hi: int, width: int, D: float, lane: int = 0) -> np.ndarray:
@@ -397,20 +393,6 @@ def sup_error_matvec(
     enter the sup only, never the mean.
     """
     return _box(f, m, n, D, samples, seed, jobs, probes=True, derivatives=False)[0]
-
-
-def _subtract_matvec_jacobian(J: np.ndarray, rows: np.ndarray, m: int, n: int) -> np.ndarray:
-    """J minus d(Wx)/d[vec(W), x], in place, for stacks J (k, m, width) and rows (k, width).
-
-    Only the nonzero entries of the reference are subtracted: x_j at row i
-    and the coordinate of W[i, j], and W[i, j] at row i and the coordinate of
-    x_j. The rest would subtract 0.0, which changes no bit of J, -0.0 included.
-    """
-    W, x = unpack_matvec(rows, m, n)
-    _, _, (w_at, x_at) = _layout(m, n)
-    J[:, np.arange(m)[:, None], w_at] -= x[:, None, :]
-    J[:, :, x_at] -= W
-    return J
 
 
 def sobolev_error_matvec(
@@ -468,8 +450,9 @@ def _qpsk_report(f: Fnn, m: int, n: int, clip: float, samples: int, seed: int,
     below 1/sqrt(2).
     """
     count = samples + 1  # and the zero-channel probe row
+    # The widths first: a record's m and n may be too large to build positions for.
+    _dims(f, _width(m, n, complex=True), 2 * m)
     _, width, (w1, w2, _, _) = _layout(m, n, complex=True)
-    _dims(f, width, 2 * m)
     bound = np.full(width, _QPSK_LEVEL)
     bound[w1], bound[w2] = clip, clip
     return _report(f, count, lambda lo, hi: _qpsk_chunk(seed, lo, hi, count, clip, m, n)[:2],
@@ -570,8 +553,7 @@ def verify_network(
     if record.eps is None:
         raise ValueError("construction record has no eps")
     compliance = check_budget(net, record.budget(C))
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = _count("samples", samples, "positive")
 
     if sobolev and record.kind in ("square", "complex_matvec"):
         raise ValueError("--sobolev applies to matvec-packed networks only")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import kinked_matvec_net
+from conftest import kinked_matvec_net, traced
 
 from matvecnet import (
     KINDS,
@@ -309,6 +309,21 @@ def test_verify_complex_with_a_record_other_than_its_layers_exits_2(tmp_path, ca
     code, stdout, stderr = run(["verify", str(out), "--out", str(tmp_path / "r.csv")], capsys)
     assert (code, stdout) == (2, "")
     assert stderr == "error: dimension mismatch: dataset is 12 -> 4, network is 8 -> 2\n"
+
+
+@pytest.mark.parametrize("kind", ["matvec", "complex_matvec"])
+def test_verify_a_record_claiming_a_huge_m_exits_2(tmp_path, capsys, kind):
+    out = tmp_path / "net.json"
+    run(["build", "--kind", kind, "--m", "1", "--n", "1", "--D", "1", "--eps", "2^-4",
+         "--out", str(out)], capsys)
+    doc = json.loads(out.read_text())
+    doc["meta"]["m"] = 10 ** 7
+    out.write_text(json.dumps(doc))
+    # the widths are compared before any layout of the claimed size is built
+    (code, stdout, stderr), peak, _ = traced(
+        lambda: run(["verify", str(out), "--out", str(tmp_path / "r.csv")], capsys))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: dimension mismatch") and peak < 1.0
 
 
 def test_verify_sobolev_with_every_sample_on_a_kink_exits_2(tmp_path, capsys):

@@ -23,7 +23,8 @@ from matvecnet import (
     unpack_matvec,
 )
 from matvecnet.rng import box_muller, stream
-from matvecnet.verification import _subtract_matvec_jacobian, _uniform_rows
+from matvecnet.datasets import _subtract_jacobian, _targets, matvec_truth
+from matvecnet.verification import _uniform_rows
 
 QPSK = 1.0 / np.sqrt(2.0)
 
@@ -104,7 +105,37 @@ def test_networks_and_checks_share_the_dataset_layouts(m, n):
             dW = np.zeros((m, n))
             dW[i] = x
             expected[k, i] -= pack_matvec(dW, W[i])
-    assert _subtract_matvec_jacobian(J, rows, m, n).tobytes() == expected.tobytes()
+    assert _subtract_jacobian(J, rows, m, n).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (2, 4)])
+def test_the_complex_jacobian_reference_equals_the_per_row_oracle(m, n):
+    # Row i of d(Re, Im) / d[vec(W1), vec(W2), x1, x2]: Re_i = W1[i] x1 - W2[i] x2
+    # and Im_i = W1[i] x2 + W2[i] x1, each packed with pack_complex.
+    width = 2 * n * (m + 1)
+    rows = _uniform_rows(9, 0, 5, width, 2.0)
+    J = np.random.default_rng(m * 10 + n).choice([0.0, -0.0, 1.5, -0.25], (5, 2 * m, width))
+    expected = J.copy()
+    for k, row in enumerate(rows):
+        W1, W2, x1, x2 = unpack_complex(row, m, n)
+        for i in range(m):
+            parts = ((i, (x1, -x2, W1[i], -W2[i])), (m + i, (x2, x1, W2[i], W1[i])))
+            for out, (a, b, c, d) in parts:
+                dW1, dW2 = np.zeros((m, n)), np.zeros((m, n))
+                dW1[i], dW2[i] = a, b
+                expected[k, out] -= pack_complex(dW1, dW2, c, d)
+    assert _subtract_jacobian(J, rows, m, n, complex=True).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (8, 4)])
+def test_complex_targets_equal_the_four_real_products(m, n):
+    rows = _uniform_rows(4, 0, 700, 2 * n * (m + 1), 3.0)
+    W1, W2, x1, x2 = unpack_complex(rows, m, n)
+    expected = np.hstack([matvec_truth(W1, x1) - matvec_truth(W2, x2),
+                          matvec_truth(W1, x2) + matvec_truth(W2, x1)])
+    assert _targets(rows, m, n, complex=True).tobytes() == expected.tobytes()
+    out = np.full((700, 2 * m), np.nan)
+    assert _targets(rows, m, n, True, out) is out and out.tobytes() == expected.tobytes()
 
 
 def test_pack_rejects_incompatible_shapes():

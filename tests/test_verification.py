@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import kinked_matvec_net, scipy_csr
+from conftest import kinked_matvec_net, scipy_csr, traced
 
 from matvecnet import (
     Dataset,
@@ -44,7 +44,7 @@ from matvecnet import (
     verify_network,
 )
 import matvecnet.verification as verification
-from matvecnet.datasets import _ROW_BLOCK, unpack_matvec
+from matvecnet.datasets import _ROW_BLOCK, _subtract_jacobian, _targets, unpack_matvec
 import matvecnet.network as network
 from matvecnet.network import _distinct, _live, _tangents
 from matvecnet.rng import stream
@@ -52,8 +52,6 @@ from matvecnet.verification import (
     KINK_TOL,
     MAX_RESAMPLE_ATTEMPTS,
     REDUCE_CHUNK,
-    _subtract_matvec_jacobian,
-    _matvec_targets,
     _uniform_rows,
     matvec_truth,
 )
@@ -124,7 +122,7 @@ def test_matvec_targets_equal_the_per_row_reference(m, n):
     width = n * (m + 1)
     xs = np.vstack([_uniform_rows(5, 100, 400, width, D), probe_inputs(m, n, D)])
     assert xs[:300].tobytes() == per_row_uniforms(5, 100, 400, width, D).tobytes()
-    assert _matvec_targets(xs, m, n).tobytes() == per_row_targets(xs, m, n).tobytes()
+    assert _targets(xs, m, n).tobytes() == per_row_targets(xs, m, n).tobytes()
 
 
 def test_matvec_truth_takes_one_pair_or_a_stack():
@@ -379,7 +377,7 @@ def test_matvec_jacobian_truth_equals_the_double_loop(m, n):
     J[0] = -0.0
     expected = [J[k] - loop_jacobian_truth(row, m, n) for k, row in enumerate(rows)]
     stacked = J.copy()
-    assert _subtract_matvec_jacobian(stacked, rows, m, n) is stacked
+    assert _subtract_jacobian(stacked, rows, m, n) is stacked
     for k in range(len(rows)):
         assert stacked[k].tobytes() == expected[k].tobytes()
     # -0.0 stays where the reference is 0.0
@@ -918,3 +916,53 @@ def test_verify_network_checks_the_sample_count_for_every_kind(make, samples):
     # the square grid used to ignore it, and the complex kind to fail in the dataset
     with pytest.raises(ValueError, match=f"samples must be positive, got {samples}"):
         verify_network(make(), samples, 0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("samples", True), ("samples", False), ("samples", 2.5), ("samples", "100"),
+    ("jobs", True), ("jobs", 2.0),
+])
+@pytest.mark.parametrize("check", [
+    lambda samples, jobs: sup_error_matvec(matvec_net(2, 2, 1.0, 2.0 ** -4), 2, 2, 1.0, samples, 0,
+                                           jobs),
+    lambda samples, jobs: verify_network(matvec_net(2, 2, 1.0, 2.0 ** -4), samples, 0, jobs),
+    lambda samples, jobs: verify_network(complex_matvec_net(1, 1, 1.0, 2.0 ** -4), samples, 0,
+                                         jobs),
+], ids=["sup", "verify-matvec", "verify-complex"])
+def test_the_checks_refuse_a_bool_or_a_non_integer_count(check, name, value):
+    # a bool samples count used to be reported as the CSV cell "pass"
+    counts = {"samples": 100, "jobs": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1, got {value!r}"):
+        check(**counts)
+
+
+def test_a_sample_count_of_any_integer_type_is_reported_as_an_int():
+    net = matvec_net(1, 1, 1.0, 2.0 ** -4)
+    report = sup_error_matvec(net, 1, 1, 1.0, np.int64(100), 0, jobs=np.int32(1))
+    assert type(report.sample_count) is int and report.sample_count == 100
+
+
+@pytest.mark.parametrize("make", [
+    lambda: matvec_net(1, 1, 1.0, 2.0 ** -4),
+    lambda: complex_matvec_net(1, 1, 1.0, 2.0 ** -4),
+], ids=["matvec", "complex_matvec"])
+def test_a_record_claiming_a_huge_m_is_refused_before_its_layout_is_built(make):
+    net = make()
+    claimed = Fnn(net.layers, dataclasses.replace(net.record, m=10 ** 6))
+
+    def refused():
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            verify_network(claimed, 100, 0)
+
+    # positions of the claimed width took 15.3 (matvec) and 30.5 MiB (complex)
+    _, peak, _ = traced(refused)
+    assert peak < 1.0
+
+
+def test_the_complex_network_jacobian_is_within_its_bound_of_the_reference():
+    net = complex_matvec_net(2, 2, 1.5, 2.0 ** -4)
+    rows = _uniform_rows(0, 0, 2000, 12, 1.5)
+    dev = np.abs(_subtract_jacobian(jacobian(net, rows), rows, 2, 2, complex=True))
+    # each entry of the reference is one real product's, so the real kind's
+    # derivative law 2D 2^-order holds: 0.005828 here against 0.005859
+    assert np.max(dev) <= 2 * 1.5 * 2.0 ** -net.record.sawtooth_order < net.record.eps
